@@ -74,15 +74,16 @@ class TrajectoryDataset:
         return np.concatenate([xl, xr], axis=0)
 
     def trajectories(self, split=None):
-        """[(traj_id, lefts (M+1, d), rights (M+1, d))] in id order."""
+        """[(traj_id, lefts (M+1, d), rights (M+1, d))] in id order.
+
+        Pairs are stored trajectory-major, so each trajectory is one
+        contiguous run of rows; lefts and rights are views into it."""
         ids = np.arange(self.n_trajectories)
         if split is not None:
             ids = ids[self.split_labels() == SPLIT_CODES[split]]
-        out = []
-        for tid in ids:
-            m = self.traj_id == tid
-            out.append((int(tid), self.x[m], self.x_next[m]))
-        return out
+        bounds = np.searchsorted(self.traj_id, np.arange(self.n_trajectories + 1))
+        return [(int(tid), self.x[bounds[tid] : bounds[tid + 1]],
+                 self.x_next[bounds[tid] : bounds[tid + 1]]) for tid in ids]
 
     def equals(self, other):
         return (
@@ -251,6 +252,12 @@ def load_dataset(path):
     if len(body) != expect:
         raise FormatError(f"{path}: body has {len(body)} bytes, expected {expect}")
     rec = np.frombuffer(body, dtype=_pair_dtype(d))
+    decreasing = np.flatnonzero(rec["tid"][1:] < rec["tid"][:-1])
+    if decreasing.size:
+        i = int(decreasing[0]) + 1
+        raise FormatError(f"{path}: traj_id decreases at pair {i} "
+                          f"({rec['tid'][i - 1]} -> {rec['tid'][i]}); pairs must be "
+                          f"stored trajectory-major")
     meta, split_seed = {}, None
     try:
         with open(str(path) + ".json", "r", encoding="utf-8") as fh:

@@ -209,7 +209,7 @@ def drift_with_tape(model, x):
     xt = model.centered(np.atleast_2d(x))
     _, pot_tape = nets.forward_tape(model.potential_net, xt)
     g, rot_tape = nets.forward_tape(model.rotational_net, xt)
-    grad_v = _scalar_grad(model.potential_net, pot_tape) + 2.0 * xt
+    grad_v = nets.tape_gradient(model.potential_net, pot_tape) + 2.0 * xt
     tape = DriftTape(xt, pot_tape, rot_tape, grad_v, g)
     return g - grad_v, tape
 
@@ -225,12 +225,6 @@ def drift_vjp(model, tape, cotangent, grads):
     return x_adj_pot - 2.0 * c + x_adj_rot
 
 
-def potential_gradient_with_tape(model, x):
-    xt = model.centered(np.atleast_2d(x))
-    _, pot_tape = nets.forward_tape(model.potential_net, xt)
-    return _scalar_grad(model.potential_net, pot_tape) + 2.0 * xt, pot_tape
-
-
 def potential_gradient_vjp(model, tape, cotangent, grads):
     c = np.asarray(cotangent, dtype=np.float64)
     gp, x_adj = nets.grad_backprop(model.potential_net, tape, c)
@@ -242,12 +236,6 @@ def rotation_vjp(model, tape, cotangent, grads):
     gr, x_adj = nets.value_backprop(model.rotational_net, tape.rot_tape, cotangent)
     grads.rotational += gr
     return x_adj
-
-
-def _scalar_grad(net, tape):
-    d1 = nets._ACT[net.activation][1]
-    layers = net.layers()
-    return nets._scalar_gradient_from_tape(layers, tape, d1, layers[-1][0][0])
 
 
 # -- checkpoint persistence -------------------------------------------------

@@ -17,14 +17,14 @@ from typing import Optional
 import numpy as np
 
 from . import evaluation
-from .decomposition import (ModelGrads, drift_vjp, drift_with_tape, fit_center,
-                            potential_gradient_vjp, rotation_vjp, safe_cosine)
+from .decomposition import (COSINE_NORM_FLOOR, ModelGrads, drift_vjp, drift_with_tape,
+                            fit_center, potential_gradient_vjp, rotation_vjp, safe_cosine)
 from .errors import NonFiniteError, QplandError, TrainingDivergedError
 
 log = logging.getLogger("qpland.training")
 
 HISTORY_COLUMNS = ("step", "lr", "train_loss", "train_dyn", "train_orth",
-                   "val_loss", "val_dyn", "val_orth")
+                   "val_loss", "val_dyn", "val_orth", "val_rollout")
 
 
 @dataclass
@@ -147,7 +147,7 @@ def orth_loss_and_grad(model, points, neg_cos_weight, grads):
     u, g = tape.grad_v, tape.g
     nu = np.linalg.norm(u, axis=1)
     ng = np.linalg.norm(g, axis=1)
-    ok = (nu >= 1e-12) & (ng >= 1e-12)
+    ok = (nu >= COSINE_NORM_FLOOR) & (ng >= COSINE_NORM_FLOOR)
     nu_s = np.where(ok, nu, 1.0)
     ng_s = np.where(ok, ng, 1.0)
     cos = np.where(ok, (u * g).sum(axis=1) / (nu_s * ng_s), 0.0)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpland.datasets import (RepresentativeSet, TrajectoryDataset, _greedy_net, generate,
-                             load_dataset, load_representatives, representative_sample,
-                             save_dataset, save_representatives, split)
+from qpland.datasets import (SPLIT_CODES, RepresentativeSet, TrajectoryDataset, _greedy_net,
+                             generate, load_dataset, load_representatives,
+                             representative_sample, save_dataset, save_representatives, split)
 from qpland.errors import FormatError, NonFiniteError, QplandError
 from qpland.integrators import OdeField
 from qpland.systems import make_system
@@ -104,6 +104,40 @@ class TestSplit:
         assert (total == 1).all()
 
 
+def mask_trajectories(dataset, split_name):
+    """The per-trajectory-mask definition of ``trajectories``."""
+    ids = np.arange(dataset.n_trajectories)
+    if split_name is not None:
+        ids = ids[dataset.split_labels() == SPLIT_CODES[split_name]]
+    return [(int(tid), dataset.x[dataset.traj_id == tid], dataset.x_next[dataset.traj_id == tid])
+            for tid in ids]
+
+
+def assert_same_trajectories(got, want):
+    assert len(got) == len(want)
+    for (tid, lefts, rights), (tid_w, lefts_w, rights_w) in zip(got, want):
+        assert type(tid) is int and tid == tid_w
+        for arr, ref in ((lefts, lefts_w), (rights, rights_w)):
+            assert arr.dtype == ref.dtype and arr.shape == ref.shape
+            assert np.array_equal(arr, ref)
+
+
+class TestTrajectories:
+    @pytest.mark.parametrize("split_name", [None, "train", "val", "test"])
+    def test_matches_mask_definition(self, small_bistable, split_name):
+        assert_same_trajectories(small_bistable.trajectories(split_name),
+                                 mask_trajectories(small_bistable, split_name))
+
+    @pytest.mark.parametrize("split_name", [None, "train", "val", "test"])
+    def test_matches_mask_definition_after_round_trip(self, small_bistable, tmp_path,
+                                                      split_name):
+        path = tmp_path / "d.qptd"
+        save_dataset(small_bistable, path)
+        loaded = load_dataset(path)
+        assert_same_trajectories(loaded.trajectories(split_name),
+                                 mask_trajectories(small_bistable, split_name))
+
+
 class TestRepresentativeSample:
     def test_worked_example_in_selection_order(self):
         pts = np.array([[0.0], [0.05], [0.2]])
@@ -193,6 +227,17 @@ class TestPersistence:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises(FormatError):
+            load_dataset(path)
+
+    def test_decreasing_traj_id_rejected(self, small_bistable, tmp_path):
+        tid = small_bistable.traj_id.copy()
+        tid[121] = tid[120] - 1  # inside trajectory 2 of 50 pairs each
+        bad = TrajectoryDataset(dt=small_bistable.dt, x=small_bistable.x,
+                                x_next=small_bistable.x_next, traj_id=tid,
+                                n_trajectories=small_bistable.n_trajectories)
+        path = tmp_path / "d.qptd"
+        save_dataset(bad, path)
+        with pytest.raises(FormatError, match="pair 121"):
             load_dataset(path)
 
     def test_empty_dataset_round_trip(self, tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from qpland import nets
 from qpland.errors import DimensionMismatchError, NonFiniteError
-from qpland.nets import (Activation, Mlp, forward, forward_tape, grad_backprop,
+from qpland.nets import (Activation, ActivationFns, Mlp, forward, forward_tape, grad_backprop,
                          init_mlp, input_gradient, param_count, parameter_gradient,
                          value_backprop)
 
@@ -77,6 +78,49 @@ class TestActivations:
         net = Mlp(1, (1,), 1, Activation.RELU_SQUARED, np.array([1.0, 0.0, 1.0, 0.0]))
         assert forward(net, [2.0])[0] == 4.0
         assert forward(net, [-2.0])[0] == 0.0
+
+
+def _recomputed_tanh_d(pre, hid):
+    t = np.tanh(pre)
+    return 1.0 - t * t
+
+
+def _recomputed_tanh_dd(pre, hid):
+    t = np.tanh(pre)
+    return -2.0 * t * (1.0 - t * t)
+
+
+def _tanh_consumer_outputs(scalar, vector, xs, v, t):
+    """Every tape consumer on tanh nets: name -> its output arrays."""
+    _, pot_tape = forward_tape(scalar, xs)
+    _, rot_tape = forward_tape(vector, xs)
+    return {
+        "input_gradient scalar": [input_gradient(scalar, xs)],
+        "input_gradient jacobian": [input_gradient(vector, xs)],
+        "value_backprop": value_backprop(vector, rot_tape, v),
+        "grad_backprop": grad_backprop(scalar, pot_tape, v),
+        "grad_backprop with value": grad_backprop(scalar, pot_tape, v, t),
+    }
+
+
+class TestDerivativeContract:
+    """Tanh derivatives read the stored activation; they must equal the
+    same formulas on a recomputed ``np.tanh(pre)`` bit for bit."""
+
+    def test_tanh_consumers_bit_identical_to_recomputed_tanh(self, rng, monkeypatch):
+        # large weights drive many units into saturation, where 1 - h^2 is
+        # most sensitive to rounding
+        args = (make_net(3, (16, 12), 1, Activation.TANH, rng, scale=1.2),
+                make_net(3, (16, 12), 3, Activation.TANH, rng, scale=1.2),
+                rng.normal(0, 1.5, (40, 3)), rng.normal(0, 1, (40, 3)), rng.normal(0, 1, 40))
+        got = _tanh_consumer_outputs(*args)
+        with monkeypatch.context() as m:
+            m.setitem(nets._ACT, Activation.TANH,
+                      ActivationFns(np.tanh, _recomputed_tanh_d, _recomputed_tanh_dd))
+            want = _tanh_consumer_outputs(*args)
+        for name, arrays in want.items():
+            for a, b in zip(got[name], arrays, strict=True):
+                assert np.array_equal(a, b), name
 
 
 class TestInputGradient:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,21 @@ def linear_pair_oracle(x, y, dt):
     return float(np.real(z)) / dt
 
 
+# TestTrainLoop._linear_setup(steps=120): history floats as float.hex(), and
+# the sha256 of the final potential parameters as little-endian float64
+PINNED_LINEAR_HISTORY = [
+    {"step": 100, "lr": "0x1.80c65767f75bap-11", "train_loss": "0x1.2fd290077817dp-4",
+     "train_dyn": "0x1.2fd290077817dp-4", "train_orth": "0x1.33fcd967300ccp-2",
+     "val_loss": "0x1.55806821dd2a0p-9", "val_dyn": "0x1.55806821dd2a0p-9",
+     "val_orth": "0x1.604189374bc6cp-3", "val_rollout": "0x1.a4af17a5bb782p-6"},
+    {"step": 120, "lr": "0x1.0624dd2f1a9f6p-11", "train_loss": "0x1.bc550f8f00d7bp-10",
+     "train_dyn": "0x1.bc550f8f00d7bp-10", "train_orth": "0x1.a17a17a17a17bp-3",
+     "val_loss": "0x1.52ee1454dc1b5p-9", "val_dyn": "0x1.52ee1454dc1b5p-9",
+     "val_orth": "0x1.604189374bc6cp-3", "val_rollout": "0x1.9cedcf066a60ap-6"},
+]
+PINNED_LINEAR_POTENTIAL_SHA256 = "c0eb43e5a81a6d62757bcab5f835d0f43b43eddc1f9c979283f457bb017100f4"
+
+
 class TestTrainLoop:
     def _linear_setup(self, steps=400, seed=0):
         system = Linear1d()
@@ -255,6 +272,17 @@ class TestTrainLoop:
         assert np.array_equal(runs[0].model.potential_net.params,
                               runs[1].model.potential_net.params)
 
+    def test_fixed_seed_history_pinned(self):
+        # pins the float arithmetic of training: a change that moves any
+        # step's result by one ulp changes these values
+        dataset, reps, model, loss_cfg, train_cfg = self._linear_setup(steps=120)
+        result = train(dataset, reps, model, loss_cfg, train_cfg)
+        history = [{k: (v.hex() if isinstance(v, float) else v) for k, v in rec.items()}
+                   for rec in result.history]
+        assert history == PINNED_LINEAR_HISTORY
+        params = result.model.potential_net.params.astype("<f8").tobytes()
+        assert hashlib.sha256(params).hexdigest() == PINNED_LINEAR_POTENTIAL_SHA256
+
     def test_best_snapshot_selected_by_val_loss(self):
         dataset, reps, model, loss_cfg, train_cfg = self._linear_setup(steps=300)
         result = train(dataset, reps, model, loss_cfg, train_cfg)
@@ -281,7 +309,8 @@ class TestTrainLoop:
         path = tmp_path / "hist.csv"
         write_history_csv(result.history, path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,lr,train_loss,train_dyn,train_orth,val_loss,val_dyn,val_orth"
+        assert lines[0] == ("step,lr,train_loss,train_dyn,train_orth,val_loss,val_dyn,val_orth,"
+                            "val_rollout")
         assert len(lines) == 1 + len(result.history)
 
     def test_representative_subbatching(self):
