@@ -11,13 +11,9 @@ __version__ = "0.1.0"
 from .decomposition import (
     AnalyticDecomposition,
     DecompositionModel,
-    Landscape,
-    drift,
     init_model,
-    landscape_value,
     load_checkpoint,
     orthogonality_cosine,
-    potential,
     save_checkpoint,
 )
 from .nets import Activation, Mlp
@@ -27,15 +23,11 @@ __all__ = [
     "Activation",
     "AnalyticDecomposition",
     "DecompositionModel",
-    "Landscape",
     "Mlp",
-    "drift",
     "init_model",
-    "landscape_value",
     "load_checkpoint",
     "make_system",
     "orthogonality_cosine",
-    "potential",
     "save_checkpoint",
     "__version__",
 ]

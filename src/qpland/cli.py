@@ -103,9 +103,8 @@ def _build_parser():
 
 def _resolve_model(spec):
     if spec in EXACT_FIXTURES:
-        return AnalyticDecomposition.from_system(systems.make_system(EXACT_FIXTURES[spec])), None
-    model, offset_c, _ = load_checkpoint(spec)
-    return model, offset_c
+        return AnalyticDecomposition.from_system(systems.make_system(EXACT_FIXTURES[spec]))
+    return load_checkpoint(spec)[0]
 
 
 def cmd_generate(args):
@@ -176,7 +175,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = load_config(args.config)
     system = cfg.make_system()
-    model, _ = _resolve_model(args.model)
+    model = _resolve_model(args.model)
     if model.dim != system.dim:
         raise ConfigError([f"model dim {model.dim} != system dim {system.dim}"])
     dataset = datasets.load_dataset(args.data)
@@ -225,7 +224,7 @@ def _build_slices(cfg, system):
 def cmd_landscape(args):
     cfg = load_config(args.config)
     system = cfg.make_system()
-    model, _ = _resolve_model(args.model)
+    model = _resolve_model(args.model)
     slices = _build_slices(cfg, system)
     if not slices:
         raise ConfigError(["eval.slices is empty; nothing to export"])
@@ -268,13 +267,12 @@ def cmd_mep(args):
     u_exact -= u_exact.min()
     profile_cols = {"U_exact": u_exact}
     if args.model:
-        model, _ = _resolve_model(args.model)
+        model = _resolve_model(args.model)
         if model.dim != system.dim:
             raise ConfigError([f"model dim {model.dim} != system dim {system.dim}"])
         u_learned = 2.0 * model.potential(path)
         profile_cols["U_theta"] = u_learned - u_learned.min()
-    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = evaluation.arc_length(path)
     alpha = s / s[-1] if s[-1] > 0 else s
     with open(args.out, "w", encoding="utf-8") as fh:
         cols = ["alpha"] + [f"x{i}" for i in range(path.shape[1])] + list(profile_cols)
@@ -309,7 +307,7 @@ def _load_points(path):
 
 
 def cmd_decompose(args):
-    model, _ = _resolve_model(args.model)
+    model = _resolve_model(args.model)
     points = _load_points(args.points)
     if points.shape[1] != model.dim:
         raise ConfigError([f"points have dim {points.shape[1]}, model expects {model.dim}"])

@@ -258,6 +258,10 @@ def load_dataset(path):
         raise FormatError(f"{path}: traj_id decreases at pair {i} "
                           f"({rec['tid'][i - 1]} -> {rec['tid'][i]}); pairs must be "
                           f"stored trajectory-major")
+    if n_pairs and rec["tid"][-1] >= n_traj:
+        i = int(np.searchsorted(rec["tid"], n_traj))
+        raise FormatError(f"{path}: traj_id {rec['tid'][i]} at pair {i} is out of range "
+                          f"for {n_traj} trajectories")
     meta, split_seed = {}, None
     try:
         with open(str(path) + ".json", "r", encoding="utf-8") as fh:

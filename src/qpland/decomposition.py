@@ -1,6 +1,11 @@
 """Parameterized orthogonal decomposition f = -grad V + g and the derived
 landscape U = 2V - C.
 
+U is defined only up to the constant C. Everywhere in ``qpland`` C is pinned
+to 2 min V over the set of points being evaluated, so min U = 0 there
+(``evaluation.export_landscape``, ``evaluation.quasipotential_errors``);
+checkpoints store no C.
+
 ``V(x) = Vhat(x - center) + |x - center|^2`` where Vhat is a tanh network:
 the quadratic term makes V radially unbounded no matter what the (globally
 bounded) network does, and the tanh choice keeps V smooth. The rotational
@@ -10,7 +15,7 @@ immutable after training; every evaluation here is pure.
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -122,53 +127,32 @@ def fit_center(model, states):
     return model
 
 
-# -- spec-level operations (thin wrappers; any decomposition-like object works)
+def floored_cosine(u, g):
+    """Row cosines of u and g, with the degeneracy floor applied.
 
-def potential(model, x):
-    return model.potential(x)
-
-
-def drift(model, x):
-    return model.drift(x)
+    Returns ``(cos, ok, nu, ng)``: ``ok`` marks rows where both norms reach
+    ``COSINE_NORM_FLOOR`` (attractor neighborhoods have grad V -> 0); there
+    ``cos`` is 0 and the norms ``nu``, ``ng`` read 1, so they can divide."""
+    nu = np.linalg.norm(u, axis=-1)
+    ng = np.linalg.norm(g, axis=-1)
+    ok = (nu >= COSINE_NORM_FLOOR) & (ng >= COSINE_NORM_FLOOR)
+    nu = np.where(ok, nu, 1.0)
+    ng = np.where(ok, ng, 1.0)
+    return np.where(ok, (u * g).sum(axis=-1) / (nu * ng), 0.0), ok, nu, ng
 
 
 def safe_cosine(u, g):
     """Cosine of the angle between rows of u and g; 0 where either norm is
-    below the degeneracy floor (attractor neighborhoods have grad V -> 0)."""
+    below the degeneracy floor."""
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
-    nu = np.linalg.norm(u, axis=-1)
-    ng = np.linalg.norm(g, axis=-1)
-    ok = (nu >= COSINE_NORM_FLOOR) & (ng >= COSINE_NORM_FLOOR)
-    denom = np.where(ok, nu * ng, 1.0)
-    return np.where(ok, (u * g).sum(axis=-1) / denom, 0.0)
+    return floored_cosine(u, g)[0]
 
 
 def orthogonality_cosine(model, x):
     x = np.asarray(x, dtype=np.float64)
     cos = safe_cosine(model.potential_gradient(x), model.rotation(x))
     return cos[0] if x.ndim == 1 else cos
-
-
-@dataclass
-class Landscape:
-    model: object
-    offset_c: float
-
-    def value(self, x):
-        return 2.0 * self.model.potential(x) - self.offset_c
-
-
-def fit_offset(model, grid_points):
-    """Pin C = 2 min V over the declared evaluation grid, so min U = 0 there."""
-    vmin = np.inf
-    for chunk in _chunks(np.asarray(grid_points, dtype=np.float64)):
-        vmin = min(vmin, model.potential(chunk).min())
-    return Landscape(model, 2.0 * float(vmin))
-
-
-def landscape_value(landscape, x):
-    return landscape.value(x)
 
 
 def vhat_bound(model):
@@ -240,7 +224,7 @@ def rotation_vjp(model, tape, cotangent, grads):
 
 # -- checkpoint persistence -------------------------------------------------
 
-def save_checkpoint(path, model, offset_c=None, training_config_echo=None):
+def save_checkpoint(path, model, training_config_echo=None):
     payload = {
         "version": CHECKPOINT_VERSION,
         "dim": model.dim,
@@ -249,7 +233,6 @@ def save_checkpoint(path, model, offset_c=None, training_config_echo=None):
         "center": model.center.tolist(),
         "potential_params": model.potential_net.params.tolist(),
         "rotational_params": model.rotational_net.params.tolist(),
-        "offset_C": offset_c,
         "training_config_echo": training_config_echo or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -258,7 +241,8 @@ def save_checkpoint(path, model, offset_c=None, training_config_echo=None):
 
 
 def load_checkpoint(path):
-    """Returns (model, offset_C or None, training_config_echo)."""
+    """Returns (model, training_config_echo). An ``offset_C`` field, which
+    older checkpoints carry, is ignored."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -279,10 +263,4 @@ def load_checkpoint(path):
         )
     except KeyError as err:
         raise FormatError(f"checkpoint {path}: missing field {err}") from err
-    offset = payload.get("offset_C")
-    return model, (None if offset is None else float(offset)), payload.get("training_config_echo", {})
-
-
-def _chunks(arr, size=200_000):
-    for i in range(0, len(arr), size):
-        yield arr[i : i + size]
+    return model, payload.get("training_config_echo", {})

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .decomposition import safe_cosine
+from .decomposition import orthogonality_cosine
 from .errors import NonFiniteError, QplandError
 from .integrators import rk2_step
 
@@ -66,13 +66,6 @@ def rollout_errors_against_reference(model, x0, refs, dt, stride, dt_eval=None):
     return np.where(np.isfinite(err), err, np.inf)
 
 
-def rollout_error(model, ref_trajectory, dt, stride, dt_eval=None):
-    """Error for one stored trajectory (states at t_0, t_1, ..., t_M)."""
-    ref = np.asarray(ref_trajectory, dtype=np.float64)
-    return float(rollout_errors_against_reference(
-        model, ref[0][None, :], ref[1:, None, :], dt, stride, dt_eval)[0])
-
-
 def split_rollout_errors(model, dataset, split="test", dt_eval=None, max_trajectories=None):
     """Rollout errors for every trajectory of a dataset split, using the
     stored pair-left states as the reference."""
@@ -105,13 +98,18 @@ def make_grid(box, resolution):
 def quasipotential_errors(model, exact_u, points, threads=1):
     """(rRMSE, rMAE) between the learned and exact landscapes on a point set.
 
-    Both fields are normalized to grid-minimum zero before comparison, which
-    makes the metrics invariant to the additive constants both landscapes
-    are only defined up to."""
+    Both landscapes have C pinned to their minimum over ``points``, so each
+    reads 0 at its lowest point there; this makes the metrics invariant to
+    the additive constants both are only defined up to. An exact landscape
+    that is constant on ``points`` leaves nothing to compare against and is
+    rejected."""
     u_learned = 2.0 * potential_values(model, points, threads)
     u_learned -= u_learned.min()
     u_exact = _chunked(points, exact_u, threads)
     u_exact = u_exact - u_exact.min()
+    if not u_exact.any():
+        raise QplandError(f"the exact landscape has zero norm on the {len(u_exact)} grid "
+                          f"points (constant there); rRMSE and rMAE are undefined")
     diff = u_learned - u_exact
     rrmse = float(np.sqrt((diff * diff).sum()) / np.sqrt((u_exact * u_exact).sum()))
     rmae = float(np.abs(diff).sum() / np.abs(u_exact).sum())
@@ -164,8 +162,8 @@ class LandscapeGrid:
 
 
 def export_landscape(model, slice_spec, threads=1):
-    """Evaluate U = 2V - C on the slice, with C pinned on this very grid so
-    the exported minimum is exactly zero."""
+    """Evaluate U = 2V - C on the slice, with C = 2 min V over this very
+    grid, so the exported minimum is exactly zero."""
     r1, r2 = slice_spec.resolution
     if r1 < 1 or r2 < 1:
         raise QplandError(f"slice resolution must be positive, got {slice_spec.resolution}")
@@ -226,9 +224,14 @@ def string_mep(energy_gradient, a, b, n_images=50, n_iters=2000, step=1e-3,
                         max_energy_history=None if hist is None else np.array(hist))
 
 
+def arc_length(path):
+    """Cumulative arc length at each state of a polyline ``(n, d)``; starts at 0."""
+    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
 def _equal_arclength(images):
-    seg = np.linalg.norm(np.diff(images, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = arc_length(images)
     if s[-1] <= 0.0:
         return images  # degenerate (coincident endpoints): leave untouched
     target = np.linspace(0.0, s[-1], images.shape[0])
@@ -236,24 +239,6 @@ def _equal_arclength(images):
     for k in range(images.shape[1]):
         out[:, k] = np.interp(target, s, images[:, k])
     return out
-
-
-@dataclass
-class PathProfile:
-    alpha: np.ndarray  # normalized arc length in [0, 1]
-    values: np.ndarray
-    degenerate: bool = False
-
-
-def landscape_along_path(landscape, path):
-    """U along a path, against normalized cumulative arc length."""
-    path = np.asarray(path, dtype=np.float64)
-    values = landscape.value(path)
-    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] <= 0.0:
-        return PathProfile(np.zeros(len(path)), values, degenerate=True)
-    return PathProfile(s / s[-1], values, degenerate=False)
 
 
 # -- metrics report -----------------------------------------------------------------
@@ -305,8 +290,7 @@ def build_report(model, dataset=None, exact_u=None, grid_points=None, grid_echo=
     if exact_u is not None and grid_points is not None:
         report.rrmse, report.rmae = quasipotential_errors(model, exact_u, grid_points, threads)
     if representatives is not None:
-        cos = np.abs(safe_cosine(model.potential_gradient(representatives.points),
-                                 model.rotation(representatives.points)))
+        cos = np.abs(orthogonality_cosine(model, representatives.points))
         report.cos_mean_abs = float(cos.mean())
         report.cos_max_abs = float(cos.max())
     return report

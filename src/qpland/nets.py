@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError
 
 
 class Activation(str, Enum):
@@ -292,42 +292,3 @@ def _flatten_grads(net, grads):
         flat[off : off + g_b.size] = g_b
         off += g_b.size
     return flat
-
-
-def parameter_gradient(objective, nets, xs):
-    """d(objective)/dtheta for every net in ``nets`` (dict name -> Mlp).
-
-    ``objective(values, gradients)`` receives the forward values of every net
-    and the input gradient of the net named ``"potential"`` (if present) at
-    the batch points ``xs``, and must return ``(scalar, value_cotangents,
-    gradient_cotangent)`` -- the outer derivative of the scalar w.r.t. each
-    ingredient. Returns ``{name: flat_gradient}``.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    tapes, values = {}, {}
-    for name, net in nets.items():
-        values[name], tapes[name] = forward_tape(net, xs)
-    grad_pot = input_gradient(nets["potential"], xs) if "potential" in nets else None
-    value, v_cots, g_cot = objective(values, grad_pot)
-    if not np.isfinite(value):
-        bad = _first_nonfinite_index(values, grad_pot)
-        raise NonFiniteError("objective", index=bad)
-    out = {}
-    for name, net in nets.items():
-        g = np.zeros_like(net.params)
-        c = v_cots.get(name) if v_cots else None
-        if name == "potential" and g_cot is not None:
-            t = c[:, 0] if c is not None else None
-            g += grad_backprop(net, tapes[name], g_cot, t)[0]
-        elif c is not None:
-            g += value_backprop(net, tapes[name], c)[0]
-        out[name] = g
-    return out
-
-
-def _first_nonfinite_index(values, grad_pot):
-    for arr in [*values.values()] + ([grad_pot] if grad_pot is not None else []):
-        bad = ~np.isfinite(arr).reshape(arr.shape[0], -1).all(axis=1)
-        if bad.any():
-            return int(np.argmax(bad))
-    return None

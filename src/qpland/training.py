@@ -17,9 +17,11 @@ from typing import Optional
 import numpy as np
 
 from . import evaluation
-from .decomposition import (COSINE_NORM_FLOOR, ModelGrads, drift_vjp, drift_with_tape,
-                            fit_center, potential_gradient_vjp, rotation_vjp, safe_cosine)
+from .decomposition import (ModelGrads, drift_vjp, drift_with_tape, fit_center,
+                            floored_cosine, orthogonality_cosine, potential_gradient_vjp,
+                            rotation_vjp)
 from .errors import NonFiniteError, QplandError, TrainingDivergedError
+from .integrators import rk2_step
 
 log = logging.getLogger("qpland.training")
 
@@ -83,14 +85,6 @@ def huber_grad(e, delta):
     return np.clip(e, -delta, delta)
 
 
-def _heun_residual(model, x, x_next, dt):
-    k1 = model.drift(x)
-    k2 = model.drift(x + dt * k1)
-    e = (x + 0.5 * dt * (k1 + k2) - x_next) / dt
-    _check_residual(e)
-    return e
-
-
 def _check_residual(e):
     ok = np.isfinite(e).all(axis=-1)
     if not ok.all():
@@ -101,7 +95,9 @@ def dyn_loss(model, x, x_next, dt, huber_delta):
     """Mean Huber loss of the one-step velocity residual over a pair batch."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
-    return float(huber(_heun_residual(model, x, x_next, dt), huber_delta).mean())
+    e = (rk2_step(model.drift, x, dt, check=False) - x_next) / dt
+    _check_residual(e)
+    return float(huber(e, huber_delta).mean())
 
 
 def cosine_penalty(cos, neg_cos_weight):
@@ -111,7 +107,7 @@ def cosine_penalty(cos, neg_cos_weight):
 def orth_loss(model, points, neg_cos_weight):
     """Mean asymmetric quadratic penalty on the grad-V / g cosine."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    cos = safe_cosine(model.potential_gradient(points), model.rotation(points))
+    cos = orthogonality_cosine(model, points)
     return float(cosine_penalty(cos, neg_cos_weight).mean())
 
 
@@ -145,18 +141,13 @@ def orth_loss_and_grad(model, points, neg_cos_weight, grads):
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     _, tape = drift_with_tape(model, points)
     u, g = tape.grad_v, tape.g
-    nu = np.linalg.norm(u, axis=1)
-    ng = np.linalg.norm(g, axis=1)
-    ok = (nu >= COSINE_NORM_FLOOR) & (ng >= COSINE_NORM_FLOOR)
-    nu_s = np.where(ok, nu, 1.0)
-    ng_s = np.where(ok, ng, 1.0)
-    cos = np.where(ok, (u * g).sum(axis=1) / (nu_s * ng_s), 0.0)
+    cos, ok, nu, ng = floored_cosine(u, g)
     loss = float(cosine_penalty(cos, neg_cos_weight).mean())
     wprime = np.where(cos > 0, 2.0 * cos, 2.0 * neg_cos_weight * cos) / points.shape[0]
     wprime = np.where(ok, wprime, 0.0)[:, None]
-    inv = 1.0 / (nu_s * ng_s)[:, None]
-    cu = wprime * (g * inv - (cos / (nu_s * nu_s))[:, None] * u)
-    cg = wprime * (u * inv - (cos / (ng_s * ng_s))[:, None] * g)
+    inv = 1.0 / (nu * ng)[:, None]
+    cu = wprime * (g * inv - (cos / (nu * nu))[:, None] * u)
+    cg = wprime * (u * inv - (cos / (ng * ng))[:, None] * g)
     potential_gradient_vjp(model, tape.pot_tape, cu, grads)
     rotation_vjp(model, tape, cg, grads)
     return loss
@@ -342,36 +333,3 @@ def grid_search(dataset, representatives, model_factory, loss_cfg, train_cfg,
                 "val_rollout": last["val_rollout"],
             })
     return records
-
-
-# -- regression pre-fit (oracle fixtures) ---------------------------------------
-
-def prefit_to_decomposition(model, states, grad_v_targets, g_targets, steps, lr0,
-                            seed=0, batch_size=2000, decay_to=0.1):
-    """Fit grad V_theta and g_theta to target fields by least squares.
-
-    Used to initialize a model at a known exact decomposition. Returns the
-    final mean-square fit error (summed over both fields).
-    """
-    states = np.asarray(states, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    fit_center(model, states)
-    adam_pot = AdamState.like(model.potential_net.params)
-    adam_rot = AdamState.like(model.rotational_net.params)
-    decay = decay_to ** (1.0 / steps)
-    n = len(states)
-    mse = np.inf
-    for step in range(1, steps + 1):
-        idx = rng.permutation(n)[: min(batch_size, n)]
-        xb, tu, tg = states[idx], grad_v_targets[idx], g_targets[idx]
-        grads = ModelGrads.zeros_like(model)
-        _, tape = drift_with_tape(model, xb)
-        ru = tape.grad_v - tu
-        rg = tape.g - tg
-        mse = float((ru * ru).mean() + (rg * rg).mean())
-        potential_gradient_vjp(model, tape.pot_tape, 2.0 * ru / ru.size, grads)
-        rotation_vjp(model, tape, 2.0 * rg / rg.size, grads)
-        lr = lr0 * decay**step
-        adam_step(model.potential_net.params, grads.potential, adam_pot, lr)
-        adam_step(model.rotational_net.params, grads.rotational, adam_rot, lr)
-    return mse

@@ -49,6 +49,7 @@ class TestGenerate:
         with pytest.raises(QplandError):
             generate(make_system("bistable3d"), 5, 1e-2, 1e-3, 10, seed=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergent_trajectory_reports_index(self):
         blowup = OdeField(1, lambda s: s * s)
 
@@ -238,6 +239,16 @@ class TestPersistence:
         path = tmp_path / "d.qptd"
         save_dataset(bad, path)
         with pytest.raises(FormatError, match="pair 121"):
+            load_dataset(path)
+
+    def test_out_of_range_traj_id_rejected(self, tmp_path):
+        # 12 single-pair trajectories stored with ids 1..12 instead of 0..11
+        dataset = generate(make_system("bistable3d"), 12, 1e-2, 1e-2, 1, seed=0)
+        bad = TrajectoryDataset(dt=dataset.dt, x=dataset.x, x_next=dataset.x_next,
+                                traj_id=dataset.traj_id + 1, n_trajectories=12)
+        path = tmp_path / "d.qptd"
+        save_dataset(bad, path)
+        with pytest.raises(FormatError, match="traj_id 12 at pair 11 is out of range"):
             load_dataset(path)
 
     def test_empty_dataset_round_trip(self, tmp_path):

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from qpland.decomposition import (AnalyticDecomposition, DecompositionModel, Landscape,
-                                  fit_center, fit_offset, init_model, landscape_value,
-                                  load_checkpoint, orthogonality_cosine, potential,
-                                  safe_cosine, save_checkpoint, vhat_bound)
+from qpland.decomposition import (CHECKPOINT_VERSION, AnalyticDecomposition,
+                                  DecompositionModel, fit_center, floored_cosine, init_model,
+                                  load_checkpoint, orthogonality_cosine, safe_cosine,
+                                  save_checkpoint, vhat_bound)
 from qpland.errors import ConfigError
+from qpland.evaluation import export_landscape, make_grid, planar_slice
 from qpland.integrators import rollout
 from qpland.nets import Activation, Mlp, forward, param_count
 from qpland.systems import make_system
@@ -56,12 +59,12 @@ class TestInit:
 class TestPotential:
     def test_zero_net_is_pure_quadratic(self):
         model = zero_model()
-        assert potential(model, np.array([1.0, 1.0])) == 2.0
+        assert model.potential(np.array([1.0, 1.0])) == 2.0
 
     def test_centering_shifts_minimum(self):
         model = zero_model()
         model.center = np.array([1.0, 1.0])
-        assert potential(model, np.array([1.0, 1.0])) == 0.0
+        assert model.potential(np.array([1.0, 1.0])) == 0.0
 
     def test_network_part_matches_forward(self, rng):
         model = init_model(3, 8, "tanh", seed=5)
@@ -69,7 +72,7 @@ class TestPotential:
         model.center = rng.normal(0, 1, 3)
         x = rng.normal(0, 1, (10, 3))
         xt = x - model.center
-        vhat = potential(model, x) - np.square(xt).sum(axis=1)
+        vhat = model.potential(x) - np.square(xt).sum(axis=1)
         assert np.allclose(vhat, forward(model.potential_net, xt)[:, 0], rtol=1e-12, atol=1e-12)
 
     def test_fit_center_uses_mean(self, rng):
@@ -125,23 +128,36 @@ class TestCosine:
         cos = safe_cosine(u, g)
         assert (np.abs(cos) <= 1.0 + 1e-15).all()
 
+    def test_floor_masks_rows_and_floors_norms(self):
+        u = np.array([[3.0, 4.0], [0.0, 0.0], [1e-13, 0.0]])
+        g = np.array([[4.0, -3.0], [1.0, 0.0], [1.0, 0.0]])
+        cos, ok, nu, ng = floored_cosine(u, g)
+        assert ok.tolist() == [True, False, False]
+        assert cos.tolist() == [0.0, 0.0, 0.0]
+        assert nu.tolist() == [5.0, 1.0, 1.0]
+        assert ng.tolist() == [5.0, 1.0, 1.0]
+        assert np.array_equal(safe_cosine(u, g), cos)
+
 
 class TestLandscape:
+    # the one offset convention: C = 2 min V over the evaluated points
     def test_offset_makes_grid_minimum_zero(self, rng):
         model = init_model(2, 6, "tanh", seed=3)
         model.potential_net.params[:] = rng.normal(0, 0.5, model.potential_net.params.shape)
-        pts = rng.uniform(-2, 2, (400, 2))
-        landscape = fit_offset(model, pts)
-        vals = landscape_value(landscape, pts)
-        assert vals.min() == 0.0
-        assert (vals >= 0).all()
+        spec = planar_slice(2, (0, 1), {}, [[-2.0, 2.0], [-2.0, 2.0]], (20, 20))
+        grid = export_landscape(model, spec)
+        assert grid.values.min() == 0.0
+        assert (grid.values >= 0).all()
+        ab, _ = make_grid(spec.box, spec.resolution)
+        assert grid.offset_c == 2.0 * model.potential(spec.to_state(ab)).min()
 
     def test_landscape_is_twice_potential_minus_offset(self, exact_bistable):
-        landscape = Landscape(exact_bistable, 0.0)
-        x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        vals = landscape_value(landscape, x)
-        assert vals[0] == pytest.approx(1.0, abs=1e-15)  # U(origin) = 1
-        assert vals[1] == 0.0
+        # states (0, 0, 0) and (1, 0, 0); min V = 0 at the attractor, so C = 0
+        spec = planar_slice(3, (0, 1), {2: 0.0}, [[0.0, 1.0], [0.0, 0.0]], (2, 1))
+        grid = export_landscape(exact_bistable, spec)
+        assert grid.offset_c == 0.0
+        assert grid.values[0, 0] == pytest.approx(1.0, abs=1e-15)  # U(origin) = 1
+        assert grid.values[1, 0] == 0.0
 
 
 class TestRadialUnboundedness:
@@ -183,20 +199,27 @@ class TestCheckpoint:
         model.rotational_net.params[:] = rng.normal(0, 0.8, model.rotational_net.params.shape)
         model.center = rng.normal(0, 1, 3)
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, offset_c=1.25, training_config_echo={"note": "test"})
-        loaded, offset, echo = load_checkpoint(path)
+        save_checkpoint(path, model, training_config_echo={"note": "test"})
+        loaded, echo = load_checkpoint(path)
         assert np.array_equal(loaded.potential_net.params, model.potential_net.params)
         assert np.array_equal(loaded.rotational_net.params, model.rotational_net.params)
         assert np.array_equal(loaded.center, model.center)
         assert loaded.rotational_net.activation is Activation.RELU_SQUARED
-        assert offset == 1.25
         assert echo == {"note": "test"}
 
-    def test_missing_offset_round_trips_as_none(self, tmp_path):
+    @pytest.mark.parametrize("offset", [None, 1.25])
+    def test_legacy_offset_field_ignored(self, tmp_path, offset):
+        # older checkpoints carry "offset_C"; they load, and the key is ignored
         model = init_model(2, 4, "tanh", seed=0)
-        save_checkpoint(tmp_path / "m.json", model)
-        _, offset, _ = load_checkpoint(tmp_path / "m.json")
-        assert offset is None
+        path = tmp_path / "m.json"
+        payload = save_checkpoint(path, model)
+        assert payload["version"] == CHECKPOINT_VERSION == 1
+        assert "offset_C" not in payload
+        path.write_text(json.dumps({**payload, "offset_C": offset}), encoding="utf-8")
+        loaded, echo = load_checkpoint(path)
+        assert np.array_equal(loaded.potential_net.params, model.potential_net.params)
+        assert np.array_equal(loaded.rotational_net.params, model.rotational_net.params)
+        assert echo == {}
 
     def test_invalid_file_raises_format_error(self, tmp_path):
         from qpland.errors import FormatError

@@ -63,6 +63,7 @@ class TestSteps:
         with pytest.raises(ValueError):
             rk2_step(decayetc, np.array([1.0]), -0.1)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_stage_reports_stage_index(self):
         def exploding(s):
             return np.exp(s)  # overflows to inf for large s
@@ -100,6 +101,7 @@ class TestRollout:
         assert np.abs(coarse - fine).max() < 1e-8  # integration error negligible
         assert np.abs(coarse - np.array([1.0, 0.0, 0.0])).max() < 1e-4
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_step_error_carries_step_index(self):
         def blowup(s):
             return s * s * 1e3

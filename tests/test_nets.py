@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from qpland import nets
-from qpland.errors import DimensionMismatchError, NonFiniteError
+from qpland.errors import DimensionMismatchError
 from qpland.nets import (Activation, ActivationFns, Mlp, forward, forward_tape, grad_backprop,
-                         init_mlp, input_gradient, param_count, parameter_gradient,
-                         value_backprop)
+                         init_mlp, input_gradient, param_count, value_backprop)
 
 from conftest import make_net, tanh_111
 
@@ -226,65 +225,6 @@ class TestGradBackprop:
         _, tape = forward_tape(net, np.zeros((1, 2)))
         with pytest.raises(DimensionMismatchError):
             grad_backprop(net, tape, np.zeros((1, 2)))
-
-
-class TestParameterGradient:
-    def test_value_objective_matches_fd(self, rng):
-        # objective = sum of net outputs (the quadratic |x|^2 part of the
-        # potential carries no parameters, so only the net block matters)
-        net = make_net(2, (4, 3), 1, Activation.TANH, rng)
-        xs = rng.normal(0, 1, (3, 2))
-
-        def objective(values, grads):
-            val = float(values["potential"].sum())
-            return val, {"potential": np.ones((3, 1))}, None
-
-        g = parameter_gradient(objective, {"potential": net}, xs)["potential"]
-        fd = central_fd(
-            lambda p: float(forward(Mlp(2, (4, 3), 1, Activation.TANH, p), xs).sum()),
-            net.params, h=1e-5)
-        assert np.abs(g - fd).max() / np.abs(fd).max() <= 1e-5
-
-    def test_zero_net_quadratic_gradient_value(self):
-        # with Vhat == 0 the potential is |x|^2; |grad V|^2 at (1,0) is 4
-        net = Mlp(2, (3,), 1, Activation.TANH, np.zeros(param_count(2, (3,), 1)))
-        xs = np.array([[1.0, 0.0]])
-
-        def objective(values, grads):
-            u = grads[0] + 2.0 * xs[0]
-            val = float(u @ u)
-            return val, None, (2.0 * u)[None, :]
-
-        grads = parameter_gradient(objective, {"potential": net}, xs)
-        fd = central_fd(
-            lambda p: float(np.square(
-                input_gradient(Mlp(2, (3,), 1, Activation.TANH, p), xs)[0] + 2.0 * xs[0]).sum()),
-            net.params, h=1e-5)
-        u0 = 2.0 * xs[0]
-        assert float(u0 @ u0) == 4.0
-        assert np.abs(grads["potential"] - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
-
-    def test_uninvolved_net_gets_zero_block(self, rng):
-        pot = make_net(2, (3,), 1, Activation.TANH, rng)
-        other = make_net(2, (3,), 2, Activation.TANH, rng)
-
-        def objective(values, grads):
-            return float(values["potential"].sum()), {"potential": np.ones((2, 1))}, None
-
-        out = parameter_gradient(objective, {"potential": pot, "other": other},
-                                 rng.normal(0, 1, (2, 2)))
-        assert np.array_equal(out["other"], np.zeros_like(other.params))
-        assert np.abs(out["potential"]).max() > 0
-
-    def test_nonfinite_objective_carries_batch_index(self, rng):
-        net = make_net(1, (2,), 1, Activation.TANH, rng)
-        xs = np.array([[0.1], [0.2]])
-
-        def objective(values, grads):
-            return float("nan"), None, None
-
-        with pytest.raises(NonFiniteError):
-            parameter_gradient(objective, {"potential": net}, xs)
 
 
 class TestInit:

@@ -144,6 +144,23 @@ class TestTotalLoss:
         assert l2 - l1 == pytest.approx(lo, rel=1e-12)
 
 
+def assert_gradient_matches_fd(model, x, y, reps, cfg, dt=0.01):
+    _, _, _, grads = total_loss_and_grad(model, x, y, dt, reps, cfg)
+    for params, block in ((model.potential_net.params, grads.potential),
+                          (model.rotational_net.params, grads.rotational)):
+        fd = np.zeros_like(params)
+        for i in range(len(params)):
+            old = params[i]
+            params[i] = old + 1e-5
+            up = total_loss(model, x, y, dt, reps, cfg)
+            params[i] = old - 1e-5
+            dn = total_loss(model, x, y, dt, reps, cfg)
+            params[i] = old
+            fd[i] = (up - dn) / 2e-5
+        denom = max(np.abs(fd).max(), 1e-12)
+        assert np.abs(block - fd).max() / denom <= 1e-5
+
+
 class TestGradients:
     def test_total_loss_gradient_matches_fd(self, rng):
         # exercises d/dtheta through the Heun step and through the cosine
@@ -158,20 +175,33 @@ class TestGradients:
             y = x + 0.01 * rng.normal(0, 1, x.shape)
             reps = rng.normal(0, 1, (6, d))
             cfg = LossConfig(huber_delta=0.6, orth_weight=0.8, neg_cos_weight=0.1)
-            _, _, _, grads = total_loss_and_grad(model, x, y, 0.01, reps, cfg)
-            for params, block in ((model.potential_net.params, grads.potential),
-                                  (model.rotational_net.params, grads.rotational)):
-                fd = np.zeros_like(params)
-                for i in range(len(params)):
-                    old = params[i]
-                    params[i] = old + 1e-5
-                    up = total_loss(model, x, y, 0.01, reps, cfg)
-                    params[i] = old - 1e-5
-                    dn = total_loss(model, x, y, 0.01, reps, cfg)
-                    params[i] = old
-                    fd[i] = (up - dn) / 2e-5
-                denom = max(np.abs(fd).max(), 1e-12)
-                assert np.abs(block - fd).max() / denom <= 1e-5
+            assert_gradient_matches_fd(model, x, y, reps, cfg)
+
+    @pytest.mark.parametrize("act", ["tanh", "relu2"])
+    def test_pure_quadratic_potential_matches_fd(self, rng, act):
+        # Vhat == 0 leaves V = |x - center|^2: grad V = 2 (x - center) carries
+        # no parameters, but its input adjoint still reaches the rotational
+        # block through the Heun step and the cosine
+        model = init_model(2, 4, act, seed=1)
+        model.potential_net.params[:] = 0.0
+        model.rotational_net.params[:] = rng.normal(0, 0.5, model.rotational_net.params.shape)
+        model.center = np.array([0.1, -0.2])
+        x = rng.normal(0, 1, (5, 2))
+        assert np.array_equal(model.potential_gradient(x), 2.0 * (x - model.center))
+        y = x + 0.01 * rng.normal(0, 1, x.shape)
+        cfg = LossConfig(huber_delta=0.6, orth_weight=0.8, neg_cos_weight=0.1)
+        assert_gradient_matches_fd(model, x, y, rng.normal(0, 1, (6, 2)), cfg)
+
+    @pytest.mark.parametrize("act", ["tanh", "relu2"])
+    def test_orth_weight_zero_matches_fd(self, rng, act):
+        # with lambda = 0 the gradient is the Heun-step term alone
+        model = init_model(3, 4, act, seed=2)
+        model.potential_net.params[:] = rng.normal(0, 0.5, model.potential_net.params.shape)
+        model.rotational_net.params[:] = rng.normal(0, 0.5, model.rotational_net.params.shape)
+        x = rng.normal(0, 1, (5, 3))
+        y = x + 0.01 * rng.normal(0, 1, x.shape)
+        cfg = LossConfig(huber_delta=0.6, orth_weight=0.0, neg_cos_weight=0.1)
+        assert_gradient_matches_fd(model, x, y, rng.normal(0, 1, (6, 3)), cfg)
 
 
 class TestAdam:
