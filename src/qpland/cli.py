@@ -61,43 +61,50 @@ def _build_parser():
                                      description="Quasipotential landscapes from trajectory data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, model=False, data=False, out=True):
+    def add(name, fn, help_, config=True, model=False, data=False, seed=False, threads=False):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", required=name not in ("decompose",), help="JSON run config")
+        if config:
+            p.add_argument("--config", required=True, help="JSON run config")
         if model:
             p.add_argument("--model", required=True,
                            help="checkpoint path or fixture (exact:bistable3d)")
         if data:
             p.add_argument("--data", required=True, help="QPTD dataset file")
-        if out:
-            p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--seed", type=int, default=None, help="override the command's seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1, deterministic)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", required=True, help="output path")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the command's seed")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads (default 1, deterministic)")
         p.set_defaults(fn=fn)
         return p
 
-    add("generate", cmd_generate, "integrate trajectories into a QPTD dataset")
+    add("generate", cmd_generate, "integrate trajectories into a QPTD dataset", seed=True)
 
-    p = add("representatives", cmd_representatives, "greedy r-net over a dataset split", data=True)
+    p = add("representatives", cmd_representatives, "greedy r-net over a dataset split",
+            data=True, seed=True)
     p.add_argument("--split", choices=("train", "val", "test", "all"), default="train")
 
-    p = add("train", cmd_train, "fit the decomposition to a dataset", data=True)
+    p = add("train", cmd_train, "fit the decomposition to a dataset", data=True, seed=True)
     p.add_argument("--reps", required=True, help="train-split representatives (QPRS)")
     p.add_argument("--val-reps", default=None, help="val-split representatives (QPRS)")
     p.add_argument("--history", default=None, help="write training history CSV here")
 
-    p = add("eval", cmd_eval, "metrics report for a trained model", model=True, data=True)
+    p = add("eval", cmd_eval, "metrics report for a trained model", model=True, data=True,
+            threads=True)
     p.add_argument("--reps", default=None, help="representatives for cosine statistics")
 
-    p = add("landscape", cmd_landscape, "export landscape slices to CSV", model=True)
+    p = add("landscape", cmd_landscape, "export landscape slices to CSV", model=True,
+            threads=True)
     p.add_argument("--slice", dest="slice_name", default=None, help="export only this named slice")
 
     p = add("mep", cmd_mep, "string-method minimum energy path")
     p.add_argument("--model", default=None, help="optionally profile a learned landscape along the path")
 
-    p = add("decompose", cmd_decompose, "per-point drift, grad V, g and cosine", model=True)
+    p = add("decompose", cmd_decompose, "per-point drift, grad V, g and cosine", config=False,
+            model=True)
     p.add_argument("--points", required=True, help="states file (CSV rows or QPRS)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -260,8 +267,7 @@ def cmd_mep(args):
         n_images=int(mep_cfg.get("n_images", 50)),
         n_iters=int(mep_cfg.get("n_iters", 2000)),
         step=float(mep_cfg.get("step", 1e-3)),
-        tol=float(mep_cfg.get("tol", 1e-8)),
-        energy=system.energy)
+        tol=float(mep_cfg.get("tol", 1e-8)))
     path = result.images
     u_exact = 2.0 * system.energy(path)
     u_exact -= u_exact.min()
@@ -274,15 +280,12 @@ def cmd_mep(args):
         profile_cols["U_theta"] = u_learned - u_learned.min()
     s = evaluation.arc_length(path)
     alpha = s / s[-1] if s[-1] > 0 else s
-    with open(args.out, "w", encoding="utf-8") as fh:
-        cols = ["alpha"] + [f"x{i}" for i in range(path.shape[1])] + list(profile_cols)
-        fh.write(",".join(cols) + "\n")
-        for k in range(path.shape[0]):
-            row = [repr(float(alpha[k]))]
-            row += [repr(float(v)) for v in path[k]]
-            row += [repr(float(profile_cols[c][k])) for c in profile_cols]
-            fh.write(",".join(row) + "\n")
-    log.info("wrote %s: %d images, converged=%s", args.out, len(path), result.converged)
+    cols = ["alpha"] + [f"x{i}" for i in range(path.shape[1])] + list(profile_cols)
+    evaluation.write_csv(args.out, cols,
+                         ([alpha[k], *path[k], *(u[k] for u in profile_cols.values())]
+                          for k in range(path.shape[0])))
+    log.info("wrote %s: %d images, converged=%s after %d iterations", args.out, len(path),
+             result.converged, result.iterations)
 
 
 def _load_points(path):
@@ -324,13 +327,11 @@ def cmd_decompose(args):
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            cols = ([f"x{i}" for i in range(d)] + [f"f{i}" for i in range(d)]
-                    + [f"gradV{i}" for i in range(d)] + [f"g{i}" for i in range(d)] + ["cosine"])
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(points)):
-                vals = [*points[i], *f[i], *grad_v[i], *g[i], cos[i]]
-                fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+        cols = ([f"x{i}" for i in range(d)] + [f"f{i}" for i in range(d)]
+                + [f"gradV{i}" for i in range(d)] + [f"g{i}" for i in range(d)] + ["cosine"])
+        evaluation.write_csv(args.out, cols,
+                             ([*points[i], *f[i], *grad_v[i], *g[i], cos[i]]
+                              for i in range(len(points))))
     log.info("wrote %s for %d points", args.out, len(points))
 
 

@@ -131,7 +131,7 @@ def validate_config(doc):
                         problems.append(
                             f"eval.slices[{i}]: give exactly one of 'axes' or 'embedding'")
     for block, key in (("data", "N"), ("data", "m"), ("model", "hidden_width"),
-                       ("train", "batch"), ("train", "steps")):
+                       ("train", "batch"), ("train", "steps"), ("train", "eval_every")):
         sub = doc.get(block) or {}
         if isinstance(sub, dict) and key in sub:
             val = sub[key]

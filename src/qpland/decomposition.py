@@ -106,7 +106,8 @@ class AnalyticDecomposition:
     def from_system(cls, system):
         if system.exact_grad_v is None:
             raise ConfigError([f"system '{system.name}' has no exact decomposition"])
-        return cls(system.dim, system.exact_potential, system.exact_grad_v, system.exact_g)
+        return cls(system.dim, lambda x: 0.5 * system.exact_u(x), system.exact_grad_v,
+                   system.exact_g)
 
 
 def init_model(dim, hidden_width, rot_activation, seed):
@@ -155,13 +156,6 @@ def orthogonality_cosine(model, x):
     return cos[0] if x.ndim == 1 else cos
 
 
-def vhat_bound(model):
-    """A rigorous bound on |Vhat|: tanh hidden activations lie in [-1, 1], so
-    the output is at most the l1 norm of the last layer's weights plus bias."""
-    w, b = model.potential_net.layers()[-1]
-    return float(np.abs(w).sum() + np.abs(b).sum())
-
-
 # -- training-path plumbing: taped drift evaluation and its VJPs ------------
 
 @dataclass
@@ -202,11 +196,8 @@ def drift_vjp(model, tape, cotangent, grads):
     """Accumulate d(sum_b c_b . f(x_b))/dtheta into ``grads``; return the
     input adjoint (needed when the evaluation point depends on theta)."""
     c = np.asarray(cotangent, dtype=np.float64)
-    gp, x_adj_pot = nets.grad_backprop(model.potential_net, tape.pot_tape, -c)
-    gr, x_adj_rot = nets.value_backprop(model.rotational_net, tape.rot_tape, c)
-    grads.potential += gp
-    grads.rotational += gr
-    return x_adj_pot - 2.0 * c + x_adj_rot
+    return (potential_gradient_vjp(model, tape.pot_tape, -c, grads)
+            + rotation_vjp(model, tape, c, grads))
 
 
 def potential_gradient_vjp(model, tape, cotangent, grads):

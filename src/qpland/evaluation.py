@@ -34,14 +34,37 @@ def potential_values(model, points, threads=1):
     return _chunked(points, model.potential, threads)
 
 
+def write_csv(path, columns, rows):
+    """A header line, then one line per row: ints as ``str``, every other
+    value as ``repr(float(v))``, so each field parses back with ``float``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v))
+                              for v in row) + "\n")
+
+
 # -- rollout error -------------------------------------------------------------
+
+def rollout_reference(dataset, split, max_trajectories=None):
+    """``(x0 (K, d), refs (M, K, d), stride)`` from the stored pair-left
+    states of a split's first ``max_trajectories`` trajectories (all when
+    None), or None when there are none."""
+    trajs = dataset.trajectories(split)[:max_trajectories]
+    if not trajs:
+        return None
+    x0 = np.stack([lefts[0] for _, lefts, _ in trajs])
+    refs = np.stack([lefts[1:] for _, lefts, _ in trajs], axis=1)
+    return x0, refs, int(dataset.metadata.get("m", 1))
+
 
 def rollout_errors_against_reference(model, x0, refs, dt, stride, dt_eval=None):
     """Relative L2 rollout error per trajectory.
 
     x0: (K, d) initial states; refs: (M, K, d) true states at the comparison
     times t_j = j*stride*dt, j = 1..M. The learned drift is integrated with
-    Heun steps of dt_eval (default: dt). Diverged rollouts report inf.
+    Heun steps of dt_eval (default: dt). Diverged rollouts report inf; a
+    reference that is zero at every comparison time is rejected.
     """
     dt_eval = dt if dt_eval is None else dt_eval
     sub = stride * dt / dt_eval
@@ -52,8 +75,11 @@ def rollout_errors_against_reference(model, x0, refs, dt, stride, dt_eval=None):
     n_compare = refs.shape[0]
     if n_compare == 0:
         return np.zeros(x0.shape[0])
+    den = sum((ref * ref).sum(axis=1) for ref in refs)
+    if not den.all():
+        raise QplandError(f"rollout reference of trajectory {int(np.argmin(den))} has zero "
+                          f"norm; its relative rollout error is undefined")
     num = np.zeros(x0.shape[0])
-    den = np.zeros(x0.shape[0])
     x = x0.copy()
     with np.errstate(all="ignore"):
         for j in range(n_compare):
@@ -61,22 +87,17 @@ def rollout_errors_against_reference(model, x0, refs, dt, stride, dt_eval=None):
                 x = rk2_step(model.drift, x, dt_eval, check=False)
             diff = x - refs[j]
             num += (diff * diff).sum(axis=1)
-            den += (refs[j] * refs[j]).sum(axis=1)
     err = np.sqrt(num) / np.sqrt(den)
     return np.where(np.isfinite(err), err, np.inf)
 
 
-def split_rollout_errors(model, dataset, split="test", dt_eval=None, max_trajectories=None):
+def split_rollout_errors(model, dataset, split="test", dt_eval=None):
     """Rollout errors for every trajectory of a dataset split, using the
     stored pair-left states as the reference."""
-    trajs = dataset.trajectories(split)
-    if max_trajectories is not None:
-        trajs = trajs[:max_trajectories]
-    if not trajs:
+    ref = rollout_reference(dataset, split)
+    if ref is None:
         return np.zeros(0)
-    x0 = np.stack([lefts[0] for _, lefts, _ in trajs])
-    refs = np.stack([lefts[1:] for _, lefts, _ in trajs], axis=1)
-    stride = int(dataset.metadata.get("m", 1))
+    x0, refs, stride = ref
     return rollout_errors_against_reference(model, x0, refs, dataset.dt, stride, dt_eval)
 
 
@@ -176,11 +197,9 @@ def export_landscape(model, slice_spec, threads=1):
 
 
 def write_landscape_csv(grid, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{grid.axis_names[0]},{grid.axis_names[1]},U\n")
-        for i, a in enumerate(grid.ax1):
-            for j, b in enumerate(grid.ax2):
-                fh.write(f"{a!r},{b!r},{grid.values[i, j]!r}\n")
+    write_csv(path, (*grid.axis_names, "U"),
+              ((a, b, grid.values[i, j]) for i, a in enumerate(grid.ax1)
+               for j, b in enumerate(grid.ax2)))
 
 
 # -- simplified string method ------------------------------------------------------
@@ -190,11 +209,10 @@ class StringResult:
     images: np.ndarray  # (n_images, d)
     iterations: int
     converged: bool
-    max_energy_history: Optional[np.ndarray] = None
 
 
 def string_mep(energy_gradient, a, b, n_images=50, n_iters=2000, step=1e-3,
-               tol=1e-8, energy=None):
+               tol=1e-8):
     """Minimum energy path between two minima by the simplified string
     method: one explicit Euler descent step on the interior images, then
     reparameterization to equal arc length, repeated until the images stop
@@ -205,7 +223,6 @@ def string_mep(energy_gradient, a, b, n_images=50, n_iters=2000, step=1e-3,
     b = np.asarray(b, dtype=np.float64)
     frac = np.linspace(0.0, 1.0, n_images)[:, None]
     images = (1.0 - frac) * a + frac * b
-    hist = [] if energy is not None else None
     converged = False
     it = 0
     for it in range(1, n_iters + 1):
@@ -215,13 +232,10 @@ def string_mep(energy_gradient, a, b, n_images=50, n_iters=2000, step=1e-3,
             raise NonFiniteError("string image", step=it,
                                  index=int(np.argmax(~np.isfinite(images).all(axis=1))))
         images = _equal_arclength(images)
-        if hist is not None:
-            hist.append(float(np.max(energy(images))))
         if np.abs(images - prev).max() < tol:
             converged = True
             break
-    return StringResult(images=images, iterations=it, converged=converged,
-                        max_energy_history=None if hist is None else np.array(hist))
+    return StringResult(images=images, iterations=it, converged=converged)
 
 
 def arc_length(path):

@@ -62,23 +62,3 @@ def rk2_step(field, x, dt, check=True):
         _check_stage(k2, 2)
     return x + 0.5 * dt * (k1 + k2)
 
-
-_STEPPERS = {"rk4": rk4_step, "rk2": rk2_step, "heun": rk2_step}
-
-
-def rollout(field, x0, dt, n_steps, method="rk4"):
-    """Iterated stepping; returns all states including x0 (n_steps+1 of them)."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    stepper = _STEPPERS[method]
-    x = np.asarray(x0, dtype=np.float64)
-    out = np.empty((n_steps + 1, *x.shape))
-    out[0] = x
-    for i in range(n_steps):
-        try:
-            x = stepper(field, x, dt)
-        except NonFiniteError as err:
-            err.step = i + 1
-            raise
-        out[i + 1] = x
-    return out

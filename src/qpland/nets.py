@@ -5,8 +5,9 @@ order (per layer: weight matrix row-major, then bias) so optimizers and
 checkpoints can treat a network as one array. Inputs may be a single state
 ``(d,)`` or a batch ``(B, d)``; outputs match.
 
-Gradients are exact (chain rule), not numerical. Two backprop entry points
-exist:
+Gradients are exact (chain rule), not numerical. The input gradient
+``input_gradient`` is for scalar-output nets only (the potential); two
+backprop entry points exist:
 
 * ``value_backprop``   -- d/dtheta of sum_b c_b . y(x_b)
 * ``grad_backprop``    -- d/dtheta of sum_b [ v_b . grad_x y(x_b) + t_b y(x_b) ]
@@ -182,20 +183,14 @@ def forward(net, x):
 
 
 def input_gradient(net, x):
-    """grad_x of the output: ``(d,)``/``(B, d)`` for scalar nets, the full
-    Jacobian ``(out, d)``/``(B, out, d)`` for vector nets."""
+    """grad_x of a scalar net's output, ``(d,)``/``(B, d)``. Scalar nets
+    only, like ``grad_backprop``: nothing needs a vector net's Jacobian."""
+    if net.output_dim != 1:
+        raise DimensionMismatchError("input_gradient output_dim", 1, net.output_dim)
     x_b, single = _as_batch(net, x)
     _, tape = forward_tape(net, x_b)
-    if net.output_dim == 1:
-        g = tape_gradient(net, tape)
-        return g[0] if single else g
-    d1 = _ACT[net.activation].d1
-    layers = net.layers()
-    w_out = layers[-1][0]
-    jac = np.broadcast_to(w_out, (x_b.shape[0], *w_out.shape)).copy()  # (B, out, n_L)
-    for (w, _), a, h in zip(reversed(layers[:-1]), reversed(tape.pre), reversed(tape.hid)):
-        jac = (jac * d1(a, h)[:, None, :]) @ w
-    return jac[0] if single else jac
+    g = tape_gradient(net, tape)
+    return g[0] if single else g
 
 
 def tape_gradient(net, tape):

@@ -22,16 +22,6 @@ YEAST_PARAM_NAMES = ("j1", "j2", "j3", "k1", "k2", "k3", "ki", "ks", "ka1", "ka2
 
 
 @dataclass(frozen=True)
-class ExactQuasipotential:
-    system: str
-    fn: Callable
-    validity: str
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
 class SystemSpec:
     name: str
     dim: int
@@ -39,8 +29,9 @@ class SystemSpec:
     domain: Optional[np.ndarray]  # (d, 2) sampling box, None for mode-based samplers
     field: OdeField
     sample: Callable  # (rng, n) -> (n, d)
-    exact_u: Optional[ExactQuasipotential] = None
-    exact_potential: Optional[Callable] = None
+    # closed-form quasipotential U, valid on the basins of (+-1, 0, 0) minus the
+    # separatrix (bistable3d) and on the whole plane (limitcycle2d)
+    exact_u: Optional[Callable] = None
     exact_grad_v: Optional[Callable] = None
     exact_g: Optional[Callable] = None
     energy: Optional[Callable] = None
@@ -90,9 +81,7 @@ def _make_bistable3d(params):
         domain=domain,
         field=OdeField(3, rhs_bistable3d),
         sample=sample,
-        exact_u=ExactQuasipotential("bistable3d", exact_u_bistable3d,
-                                    "basins of (+-1,0,0); separatrix excluded"),
-        exact_potential=lambda x: 0.5 * exact_u_bistable3d(x),
+        exact_u=exact_u_bistable3d,
         exact_grad_v=lambda x: exact_decomposition_bistable3d(x)[0],
         exact_g=lambda x: exact_decomposition_bistable3d(x)[1],
     )
@@ -148,9 +137,7 @@ def _make_limitcycle2d(params):
         domain=domain,
         field=OdeField(2, lambda x: rhs_limitcycle2d(x, a, b)),
         sample=sample,
-        exact_u=ExactQuasipotential("limitcycle2d", lambda x: exact_u_limitcycle2d(x, a, b),
-                                    "whole plane (single limit-cycle attractor)"),
-        exact_potential=lambda x: 0.5 * exact_u_limitcycle2d(x, a, b),
+        exact_u=lambda x: exact_u_limitcycle2d(x, a, b),
         exact_grad_v=lambda x: exact_decomposition_limitcycle2d(x, a, b)[0],
         exact_g=lambda x: exact_decomposition_limitcycle2d(x, a, b)[1],
     )
@@ -289,14 +276,6 @@ def gl_stable_states(system, dt=5e-4, tol=1e-8, max_steps=2_000_000):
     return out[0], out[1]
 
 
-def gl_exact_quasipotential(system, u_ref):
-    """U(u) = 2 E_h[u] + C with C pinned so U(u_ref) = 0."""
-    c = -2.0 * system.energy(u_ref)
-    return ExactQuasipotential(
-        "ginzburg_landau", lambda u: 2.0 * system.energy(u) + c,
-        "basins of u_-, u_+")
-
-
 # --------------------------------------------------------------------------
 # Example 5: discretized Brusselator (non-gradient), state (u_0..u_I, v_0..v_I)
 
@@ -401,13 +380,6 @@ def make_system(name, params=None):
     if name not in _MAKERS:
         raise ConfigError([f"unknown system '{name}'; choose one of {SYSTEM_NAMES}"])
     return _MAKERS[name](dict(params or {}))
-
-
-def sample_initial(system, seed, n=None):
-    """n seeded initial states (or one state when n is None)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    states = system.sample(rng, 1 if n is None else int(n))
-    return states[0] if n is None else states
 
 
 def _uniform_box(rng, n, box):

@@ -11,7 +11,7 @@ validation total loss.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import evaluation
 from .decomposition import (ModelGrads, drift_vjp, drift_with_tape, fit_center,
                             floored_cosine, orthogonality_cosine, potential_gradient_vjp,
                             rotation_vjp)
-from .errors import NonFiniteError, QplandError, TrainingDivergedError
+from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .integrators import rk2_step
 
 log = logging.getLogger("qpland.training")
@@ -44,7 +44,7 @@ class LossConfig:
         if self.orth_weight < 0:
             problems.append(f"orth_weight must be >= 0, got {self.orth_weight}")
         if problems:
-            raise QplandError("; ".join(problems))
+            raise ConfigError(problems)
 
 
 @dataclass
@@ -67,8 +67,13 @@ class TrainConfig:
             problems.append(f"decay_rate must be in (0, 1], got {self.decay_rate}")
         if self.max_steps < 1:
             problems.append(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.eval_every < 1:
+            problems.append(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.val_rollout_trajectories < 0:
+            problems.append("val_rollout_trajectories must be >= 0, "
+                            f"got {self.val_rollout_trajectories}")
         if problems:
-            raise QplandError("; ".join(problems))
+            raise ConfigError(problems)
 
     def resolved_decay(self):
         if self.decay_rate is not None:
@@ -198,7 +203,6 @@ def adam_step(params, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 @dataclass
 class TrainResult:
     model: object  # best-validation snapshot
-    final_model: object
     history: list
     best_step: int
     best_val_loss: float
@@ -223,7 +227,7 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     adam_pot = AdamState.like(model.potential_net.params)
     adam_rot = AdamState.like(model.rotational_net.params)
 
-    val_ref = _val_rollout_reference(dataset, train_cfg.val_rollout_trajectories)
+    val_ref = evaluation.rollout_reference(dataset, "val", train_cfg.val_rollout_trajectories)
     history = []
     best = {"loss": np.inf, "model": None, "step": -1}
     running = []
@@ -266,8 +270,8 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
                                     snapshot=snapshot, history=history) from err
     if best["model"] is None:
         best.update(model=model.copy(), step=train_cfg.max_steps, loss=np.nan)
-    return TrainResult(model=best["model"], final_model=model, history=history,
-                       best_step=best["step"], best_val_loss=best["loss"])
+    return TrainResult(model=best["model"], history=history, best_step=best["step"],
+                       best_val_loss=best["loss"])
 
 
 def _evaluate(model, x_va, y_va, dt, reps_va, loss_cfg, val_ref, step, lr, running):
@@ -276,8 +280,8 @@ def _evaluate(model, x_va, y_va, dt, reps_va, loss_cfg, val_ref, step, lr, runni
     tr = np.array(running) if running else np.full((1, 3), np.nan)
     val_rollout = np.nan
     if val_ref is not None:
-        errs = evaluation.rollout_errors_against_reference(
-            model, val_ref["x0"], val_ref["refs"], dt, val_ref["stride"])
+        x0, refs, stride = val_ref
+        errs = evaluation.rollout_errors_against_reference(model, x0, refs, dt, stride)
         val_rollout = float(np.mean(errs))
     return {
         "step": step,
@@ -292,44 +296,6 @@ def _evaluate(model, x_va, y_va, dt, reps_va, loss_cfg, val_ref, step, lr, runni
     }
 
 
-def _val_rollout_reference(dataset, n_trajectories):
-    if n_trajectories < 1:
-        return None
-    trajs = dataset.trajectories("val")[:n_trajectories]
-    if not trajs:
-        return None
-    x0 = np.stack([lefts[0] for _, lefts, _ in trajs])
-    refs = np.stack([lefts[1:] for _, lefts, _ in trajs], axis=1)  # (M, K, d)
-    stride = int(dataset.metadata.get("m", 1))
-    return {"x0": x0, "refs": refs, "stride": stride}
-
-
 def write_history_csv(history, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(HISTORY_COLUMNS) + "\n")
-        for rec in history:
-            fh.write(",".join(repr(rec[c]) if c != "step" else str(rec[c])
-                              for c in HISTORY_COLUMNS) + "\n")
-
-
-# -- (huber_delta, orth_weight) grid helper ------------------------------------
-
-def grid_search(dataset, representatives, model_factory, loss_cfg, train_cfg,
-                huber_deltas, orth_weights):
-    """Train one model per (huber_delta, orth_weight) pair and report the
-    final validation metrics; the choice between them stays with the caller."""
-    records = []
-    for hd in huber_deltas:
-        for ow in orth_weights:
-            cfg = replace(loss_cfg, huber_delta=hd, orth_weight=ow)
-            result = train(dataset, representatives, model_factory(), cfg, train_cfg)
-            last = result.history[-1]
-            records.append({
-                "huber_delta": hd,
-                "orth_weight": ow,
-                "val_loss": result.best_val_loss,
-                "val_dyn": last["val_dyn"],
-                "val_orth": last["val_orth"],
-                "val_rollout": last["val_rollout"],
-            })
-    return records
+    evaluation.write_csv(path, HISTORY_COLUMNS,
+                         ([rec[c] for c in HISTORY_COLUMNS] for rec in history))

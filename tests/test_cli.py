@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from qpland import cli
 from qpland.decomposition import init_model, save_checkpoint
@@ -15,7 +16,7 @@ PINNED_SHA256 = {
     "decompose.json":
         "63c9a084db39a6f2014b92772a30557ebd471b4be6957816cc82364c55168aca",
     "landscape.csv":
-        "d12bc510c5ed90007d07b3a7b17b3c93ec11b3f047cf00391b546fae4a1db976",
+        "bf3e14db0ef43319162f04fa9e18b2067f7646038a3109b5259947bfe699ac07",
     "mep.csv":
         "6260dc7e74332fdd683e4957c4ecb0ab3110a7e3ba9a715b833038099ad9d6bd",
 }
@@ -35,9 +36,31 @@ GL_CONFIG = {
 POINTS = "x0,x1,x2\n-1.0,0.0,0.0\n0.5,-0.25,1.0\n0.0,0.0,0.0\n1.5,1.0,-0.5\n"
 
 
+E2E_CONFIG = {
+    "system": {"name": "bistable3d"},
+    "data": {"N": 10, "dt": 1e-2, "T": 0.5, "m": 5, "seed": 1},
+    "sampling": {"r": 0.3, "seed": 0},
+    "model": {"hidden_width": 6, "init_seed": 0},
+    "train": {"batch": 32, "steps": 4, "eval_every": 2, "seed": 0,
+              "val_rollout_trajectories": 2},
+    "eval": {"grid": {"resolution": [5, 5, 5]}},
+}
+
+
 def _write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def assert_numeric_csv(data):
+    """Every field below the header parses as a float."""
+    header, *rows = data.decode("utf-8").strip().split("\n")
+    assert rows
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(header.split(","))
+        for v in fields:
+            float(v)
 
 
 def _run_pipeline(tmp_path, tag):
@@ -65,7 +88,33 @@ def _run_pipeline(tmp_path, tag):
         path = work / name
         assert cli.main([*argv, "--out", str(path)]) == 0
         out[name] = path.read_bytes()
+        if name.endswith(".csv"):
+            assert_numeric_csv(out[name])
     return out
+
+
+def _run_training_pipeline(tmp_path, tag, monkeypatch):
+    """generate -> representatives -> train -> eval on bistable3d, with
+    relative paths so the outputs do not depend on the directory; returns
+    {file name: bytes} of everything written."""
+    work = tmp_path / tag
+    work.mkdir()
+    monkeypatch.chdir(work)
+    _write_json(work / "run.json", E2E_CONFIG)
+    steps = [
+        ["generate", "--config", "run.json", "--out", "data.qptd"],
+        ["representatives", "--config", "run.json", "--data", "data.qptd",
+         "--out", "reps.qprs"],
+        ["train", "--config", "run.json", "--data", "data.qptd", "--reps", "reps.qprs",
+         "--history", "history.csv", "--out", "model.json"],
+        ["eval", "--config", "run.json", "--model", "model.json", "--data", "data.qptd",
+         "--reps", "reps.qprs", "--out", "report.json"],
+        ["eval", "--config", "run.json", "--model", "exact:bistable3d", "--data", "data.qptd",
+         "--out", "exact_report.json"],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == 0, argv
+    return {p.name: p.read_bytes() for p in sorted(work.iterdir()) if p.name != "run.json"}
 
 
 class TestPipeline:
@@ -84,6 +133,57 @@ class TestPipeline:
         rows = json.loads(out["decompose.json"])
         assert len(rows) == 4
         assert all(abs(r["cosine"]) <= 1e-12 for r in rows)
+
+
+class TestTrainingPipeline:
+    def test_outputs_byte_identical_across_runs(self, tmp_path, monkeypatch):
+        first = _run_training_pipeline(tmp_path, "a", monkeypatch)
+        second = _run_training_pipeline(tmp_path, "b", monkeypatch)
+        assert set(first) == {"data.qptd", "data.qptd.json", "reps.qprs", "model.json",
+                              "history.csv", "report.json", "exact_report.json"}
+        assert first == second
+        assert_numeric_csv(first["history.csv"])
+        report = json.loads(first["report.json"])
+        assert report["rollout_count"] == 1 and report["rollout_diverged"] == 0
+        assert np.isfinite([report["rollout_mean"], report["rRMSE"], report["cos_max_abs"]]).all()
+
+    def test_exact_model_scores_zero(self, tmp_path, monkeypatch):
+        report = json.loads(_run_training_pipeline(tmp_path, "a", monkeypatch)["exact_report.json"])
+        assert report["rRMSE"] == 0.0 and report["rMAE"] == 0.0
+        assert report["grid"]["points"] == 125
+
+
+    def test_bad_train_config_lists_every_problem(self, tmp_path, monkeypatch, capsys):
+        _run_training_pipeline(tmp_path, "a", monkeypatch)
+        _write_json(tmp_path / "a" / "bad.json",
+                    {**E2E_CONFIG, "train": {"lr0": 0.0, "decay": 2.0}})
+        capsys.readouterr()
+        code = cli.main(["train", "--config", "bad.json", "--data", "data.qptd",
+                         "--reps", "reps.qprs", "--out", "bad_model.json"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["problems"] == ["lr0 must be > 0, got 0.0",
+                                       "decay_rate must be in (0, 1], got 2.0"]
+        assert not (tmp_path / "a" / "bad_model.json").exists()
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--config", "c.json", "--threads", "2"],
+        ["representatives", "--config", "c.json", "--data", "d", "--format", "json"],
+        ["train", "--config", "c.json", "--data", "d", "--reps", "r", "--threads", "2"],
+        ["eval", "--config", "c.json", "--model", "m", "--data", "d", "--seed", "1"],
+        ["landscape", "--config", "c.json", "--model", "m", "--seed", "1"],
+        ["mep", "--config", "c.json", "--threads", "2"],
+        ["decompose", "--config", "c.json", "--model", "m", "--points", "p"],
+        ["decompose", "--model", "m", "--points", "p", "--seed", "1"],
+    ])
+    def test_flag_a_command_does_not_read_is_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestErrors:

@@ -33,11 +33,13 @@ class TestGenerate:
 
     def test_pairs_chain_along_trajectory(self, small_bistable):
         # x(t_{j+1}) is reachable from x(t_j + dt) by m-1 more steps
-        from qpland.integrators import rollout
+        from qpland.integrators import rk4_step
 
         system = make_system("bistable3d")
         tid, lefts, rights = small_bistable.trajectories()[0]
-        cont = rollout(system.field, rights[0], 1e-2, 9)[-1]
+        cont = rights[0]
+        for _ in range(9):
+            cont = rk4_step(system.field, cont, 1e-2)
         assert np.allclose(cont, lefts[1], rtol=0, atol=1e-14)
 
     def test_single_pair_boundary_case(self):

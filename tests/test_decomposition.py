@@ -6,10 +6,10 @@ import pytest
 from qpland.decomposition import (CHECKPOINT_VERSION, AnalyticDecomposition,
                                   DecompositionModel, fit_center, floored_cosine, init_model,
                                   load_checkpoint, orthogonality_cosine, safe_cosine,
-                                  save_checkpoint, vhat_bound)
+                                  save_checkpoint)
 from qpland.errors import ConfigError
 from qpland.evaluation import export_landscape, make_grid, planar_slice
-from qpland.integrators import rollout
+from qpland.integrators import rk4_step
 from qpland.nets import Activation, Mlp, forward, param_count
 from qpland.systems import make_system
 
@@ -160,6 +160,13 @@ class TestLandscape:
         assert grid.values[1, 0] == 0.0
 
 
+def vhat_bound(model):
+    """A rigorous bound on |Vhat|: tanh hidden activations lie in [-1, 1], so
+    the output is at most the l1 norm of the last layer's weights plus bias."""
+    w, b = model.potential_net.layers()[-1]
+    return float(np.abs(w).sum() + np.abs(b).sum())
+
+
 class TestRadialUnboundedness:
     def test_quadratic_dominates_at_large_radius(self, rng):
         model = init_model(3, 20, "tanh", seed=7)
@@ -187,8 +194,10 @@ class TestLyapunovDescent:
         # go uphill only at roundoff level
         for _ in range(5):
             x0 = rng.uniform([-2, -1.5, -1.5], [2, 1.5, 1.5])
-            states = rollout(exact_bistable.drift, x0, 1e-2, 500)
-            v = exact_bistable.potential(states)
+            states = [x0]
+            for _ in range(500):
+                states.append(rk4_step(exact_bistable.drift, states[-1], 1e-2))
+            v = exact_bistable.potential(np.array(states))
             assert np.diff(v).max() <= 1e-10
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from qpland.datasets import generate, split
 from qpland.decomposition import AnalyticDecomposition
 from qpland.errors import QplandError
-from qpland.evaluation import _equal_arclength, arc_length, make_grid, quasipotential_errors
-from qpland.systems import make_system
+from qpland.evaluation import (_equal_arclength, arc_length, build_report, make_grid,
+                               quasipotential_errors, rollout_errors_against_reference,
+                               rollout_reference, write_csv)
+from qpland.systems import make_system, rhs_bistable3d
 
 
 @pytest.fixture
@@ -46,3 +49,59 @@ class TestArcLength:
     def test_coincident_endpoints_left_untouched(self):
         images = np.zeros((4, 2))
         assert _equal_arclength(images) is images
+
+
+class FixedStarts:
+    """bistable3d started from given states; the origin is an equilibrium."""
+
+    dim = 3
+    name = "bistable3d"
+    params = {}
+    field = staticmethod(rhs_bistable3d)
+
+    def __init__(self, starts):
+        self.starts = np.asarray(starts, dtype=np.float64)
+
+    def sample(self, rng, n):
+        return self.starts[:n].copy()
+
+
+class TestRolloutReference:
+    def test_matches_stored_trajectories(self):
+        dataset = split(generate(make_system("bistable3d"), 12, 1e-2, 0.5, 5, seed=0), seed=1)
+        x0, refs, stride = rollout_reference(dataset, "train", max_trajectories=3)
+        trajs = dataset.trajectories("train")[:3]
+        assert stride == 5
+        assert refs.shape == (9, 3, 3)  # (comparison times, trajectories, d)
+        for k, (_, lefts, _) in enumerate(trajs):
+            assert np.array_equal(x0[k], lefts[0])
+            assert np.array_equal(refs[:, k], lefts[1:])
+        x0_all, _, _ = rollout_reference(dataset, "train")
+        assert len(x0_all) == len(dataset.trajectories("train"))
+
+    def test_none_without_trajectories(self):
+        dataset = split(generate(make_system("bistable3d"), 10, 1e-2, 0.5, 5, seed=0), seed=1)
+        assert rollout_reference(dataset, "val", max_trajectories=0) is None
+
+    def test_zero_norm_reference_rejected_with_index(self, exact_bistable):
+        x0 = np.array([[0.5, 0.2, 0.0], [0.0, 0.0, 0.0]])
+        refs = np.zeros((3, 2, 3))
+        refs[:, 0] = [0.6, 0.1, 0.0]
+        with pytest.raises(QplandError, match="trajectory 1 has zero norm"):
+            rollout_errors_against_reference(exact_bistable, x0, refs, 1e-2, 1)
+
+    def test_report_rejects_a_trajectory_at_the_origin(self, exact_bistable):
+        # the origin is a fixed point, so its stored reference is all zero;
+        # the report names it instead of counting it as diverged
+        starts = [[0.5, 0.2, 0.0], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.3]]
+        dataset = generate(FixedStarts(starts), 3, 1e-2, 0.5, 5, seed=0)
+        assert not dataset.trajectories()[1][1].any()
+        with pytest.raises(QplandError, match="trajectory 1 has zero norm"):
+            build_report(exact_bistable, dataset=dataset, split=None)
+
+
+class TestWriteCsv:
+    def test_ints_as_str_everything_else_as_float_repr(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("step", "a", "b"), [(3, np.float64(-2.0), 0.1), (4, np.nan, 1)])
+        assert path.read_text(encoding="utf-8") == "step,a,b\n3,-2.0,0.1\n4,nan,1\n"

@@ -94,8 +94,7 @@ def _tanh_consumer_outputs(scalar, vector, xs, v, t):
     _, pot_tape = forward_tape(scalar, xs)
     _, rot_tape = forward_tape(vector, xs)
     return {
-        "input_gradient scalar": [input_gradient(scalar, xs)],
-        "input_gradient jacobian": [input_gradient(vector, xs)],
+        "input_gradient": [input_gradient(scalar, xs)],
         "value_backprop": value_backprop(vector, rot_tape, v),
         "grad_backprop": grad_backprop(scalar, pot_tape, v),
         "grad_backprop with value": grad_backprop(scalar, pot_tape, v, t),
@@ -144,23 +143,18 @@ class TestInputGradient:
             denom = max(np.abs(fd).max(), 1e-12)
             assert np.abs(g - fd).max() / denom <= 1e-6
 
-    def test_vector_net_jacobian(self, rng):
-        net = make_net(3, (6, 5), 4, Activation.TANH, rng)
-        x = rng.normal(0, 1, 3)
-        jac = input_gradient(net, x)
-        assert jac.shape == (4, 3)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1e-6
-            fd = (forward(net, x + e) - forward(net, x - e)) / 2e-6
-            assert np.abs(jac[:, j] - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
-
-    def test_batch_jacobian_shape(self, rng):
-        net = make_net(2, (4,), 3, Activation.RELU_SQUARED, rng)
+    def test_batch_matches_single(self, rng):
+        net = make_net(2, (4,), 1, Activation.RELU_SQUARED, rng)
         xs = rng.normal(0, 1, (5, 2))
-        jac = input_gradient(net, xs)
-        assert jac.shape == (5, 3, 2)
-        assert np.allclose(jac[2], input_gradient(net, xs[2]))
+        g = input_gradient(net, xs)
+        assert g.shape == (5, 2)
+        assert np.allclose(g[2], input_gradient(net, xs[2]), rtol=1e-13, atol=0)
+
+    def test_rejects_vector_output(self, rng):
+        net = make_net(3, (6, 5), 4, Activation.TANH, rng)
+        with pytest.raises(DimensionMismatchError) as exc:
+            input_gradient(net, np.zeros(3))
+        assert (exc.value.expected, exc.value.actual) == (1, 4)
 
 
 class TestTape:

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from qpland.errors import ConfigError, SamplingError
-from qpland.integrators import rollout
-from qpland.systems import (exact_decomposition_bistable3d, exact_u_limitcycle2d,
-                            gl_energy, gl_exact_quasipotential, gl_stable_states,
-                            make_system, rhs_bistable3d, rhs_yeast3d, sample_initial)
+from qpland.integrators import rk4_step
+from qpland.systems import (exact_decomposition_bistable3d, exact_u_limitcycle2d, gl_energy,
+                            gl_stable_states, make_system, rhs_bistable3d, rhs_yeast3d)
 
 YEAST_TEST_PARAMS = {
     "j1": 0.5, "j2": 0.5, "j3": 0.5, "k1": 0.3, "k2": 0.3, "k3": 0.3,
@@ -40,7 +39,7 @@ class TestBistable3d:
 
     def test_samples_lie_in_box(self):
         system = make_system("bistable3d")
-        pts = sample_initial(system, seed=3, n=500)
+        pts = system.sample(np.random.default_rng(3), 500)
         assert (pts[:, 0] >= -2).all() and (pts[:, 0] <= 2).all()
         assert (np.abs(pts[:, 1:]) <= 1.5).all()
 
@@ -90,7 +89,7 @@ class TestYeast3d:
 
     def test_sampler_respects_rejection_predicate(self):
         system = make_system("yeast3d", YEAST_TEST_PARAMS)
-        pts = sample_initial(system, seed=11, n=300)
+        pts = system.sample(np.random.default_rng(11), 300)
         assert pts.shape == (300, 3)
         assert (pts >= 0).all() and (pts <= 5).all()
         assert np.abs(system.field(pts)).max(axis=1).max() < 5.0
@@ -127,9 +126,8 @@ class TestGinzburgLandau:
         assert np.abs(system.field(u_plus)).max() <= 1e-8
         assert u_plus.max() > 0.5 and u_minus.min() < -0.5
         assert np.abs(u_plus + u_minus).max() < 1e-6  # u -> -u symmetry
-        exact_u = gl_exact_quasipotential(system, u_minus)
-        assert exact_u(u_minus) == 0.0
-        assert abs(exact_u(u_plus)) < 1e-6
+        # so U = 2E, pinned to 0 at u_-, vanishes at u_+ too
+        assert abs(2.0 * system.energy(u_plus) - 2.0 * system.energy(u_minus)) < 1e-6
 
     def test_sampler_normalization_is_exact(self):
         system = make_system("ginzburg_landau", {"I": 21, "delta": 0.1})
@@ -168,7 +166,7 @@ class TestBrusselator:
 
     def test_sampler_ranges(self):
         system = make_system("brusselator", {"I": 9})
-        pts = sample_initial(system, seed=9, n=400)
+        pts = system.sample(np.random.default_rng(9), 400)
         m = 10
         u, v = pts[:, :m], pts[:, m:]
         assert (u >= 0.5 - 1e-12).all() and (u <= 1.5 + 1e-12).all()
@@ -176,9 +174,10 @@ class TestBrusselator:
 
     def test_relaxes_to_stable_state(self):
         system = make_system("brusselator", {"I": 9})
-        x0 = sample_initial(system, seed=2)
-        out = rollout(system.field, x0, 1e-4, 40000)
-        assert np.abs(out[-1] - system.extras["stable_state"]).max() < 1e-4
+        x = system.sample(np.random.default_rng(2), 1)[0]
+        for _ in range(40000):
+            x = rk4_step(system.field, x, 1e-4)
+        assert np.abs(x - system.extras["stable_state"]).max() < 1e-4
 
 
 class TestMakeSystem:

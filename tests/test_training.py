@@ -2,13 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qpland.config import parse_config
 from qpland.datasets import generate, representative_sample, split
 from qpland.decomposition import AnalyticDecomposition, init_model
-from qpland.errors import NonFiniteError, QplandError, TrainingDivergedError
+from qpland.errors import ConfigError, NonFiniteError, QplandError, TrainingDivergedError
 from qpland.systems import make_system
 from qpland.training import (AdamState, LossConfig, TrainConfig, adam_step,
-                             cosine_penalty, dyn_loss, grid_search, huber, orth_loss,
+                             cosine_penalty, dyn_loss, huber, orth_loss,
                              total_loss, total_loss_and_grad, train, write_history_csv)
 
 from conftest import make_net
@@ -342,28 +345,14 @@ class TestTrainLoop:
         assert lines[0] == ("step,lr,train_loss,train_dyn,train_orth,val_loss,val_dyn,val_orth,"
                             "val_rollout")
         assert len(lines) == 1 + len(result.history)
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows == [[float(rec[c]) for c in rec] for rec in result.history]
 
     def test_representative_subbatching(self):
         dataset, reps, model, loss_cfg, train_cfg = self._linear_setup(steps=30)
         train_cfg.batch_size = 8  # fewer than both pairs and representatives
         result = train(dataset, reps, model, loss_cfg, train_cfg)
         assert len(result.history) >= 1
-
-
-class TestGridSearch:
-    def test_reports_metrics_per_combination(self):
-        system = Linear1d()
-        dataset = split(generate(system, 20, 0.01, 0.5, 5, seed=3), seed=5)
-        reps = {"train": representative_sample(dataset.states("train"), 0.05, seed=1),
-                "val": representative_sample(dataset.states("val"), 0.05, seed=2)}
-        records = grid_search(
-            dataset, reps, lambda: init_model(1, 4, "tanh", seed=0),
-            LossConfig(), TrainConfig(batch_size=256, lr0=3e-3, max_steps=40, eval_every=20,
-                                      val_rollout_trajectories=0),
-            huber_deltas=[0.5, 1.0], orth_weights=[0.1])
-        assert len(records) == 2
-        assert {r["huber_delta"] for r in records} == {0.5, 1.0}
-        assert all(np.isfinite(r["val_loss"]) for r in records)
 
 
 class TestConfigValidation:
@@ -382,3 +371,56 @@ class TestConfigValidation:
             TrainConfig(lr0=0.0)
         with pytest.raises(QplandError):
             TrainConfig(decay_rate=1.5)
+        with pytest.raises(QplandError):
+            TrainConfig(eval_every=0)  # the loop would reach ``step % 0``
+        with pytest.raises(QplandError):
+            TrainConfig(val_rollout_trajectories=-1)
+
+    def test_run_config_rejects_zero_eval_every(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"train": {"eval_every": 0}})
+        assert exc.value.problems == ["'train.eval_every' must be a positive integer, got 0"]
+
+    @given(st.data())
+    def test_loss_config_names_every_bad_field(self, data):
+        assert_every_bad_field_named(LossConfig, LOSS_FIELDS, data)
+
+    @given(st.data())
+    def test_train_config_names_every_bad_field(self, data):
+        assert_every_bad_field_named(TrainConfig, TRAIN_FIELDS, data)
+
+
+# field -> (strategy of valid values, strategy of invalid values)
+LOSS_FIELDS = {
+    "huber_delta": (st.floats(1e-6, 10.0), st.floats(-10.0, 0.0)),
+    "orth_weight": (st.floats(0.0, 10.0), st.floats(-10.0, -1e-9)),
+    "neg_cos_weight": (st.floats(1e-6, 1.0),
+                       st.floats(-1.0, 0.0) | st.floats(1.0, 10.0, exclude_min=True)),
+}
+TRAIN_FIELDS = {
+    "batch_size": (st.integers(1, 10**6), st.integers(-5, 0)),
+    "lr0": (st.floats(1e-8, 1.0), st.floats(-1.0, 0.0)),
+    "decay_rate": (st.none() | st.floats(1e-3, 1.0),
+                   st.floats(-1.0, 0.0) | st.floats(1.0, 10.0, exclude_min=True)),
+    "max_steps": (st.integers(1, 10**6), st.integers(-5, 0)),
+    "eval_every": (st.integers(1, 10**6), st.integers(-5, 0)),
+    "val_rollout_trajectories": (st.integers(0, 10), st.integers(-5, -1)),
+}
+
+
+def assert_every_bad_field_named(cls, fields, data):
+    """Draw each field valid or invalid; the ConfigError must name exactly
+    the invalid ones, each as the first word of one problem."""
+    values, bad = {}, set()
+    for name, (good, wrong) in fields.items():
+        if data.draw(st.booleans(), label=f"{name} invalid"):
+            values[name] = data.draw(wrong, label=name)
+            bad.add(name)
+        else:
+            values[name] = data.draw(good, label=name)
+    if not bad:
+        cls(**values)
+        return
+    with pytest.raises(ConfigError) as exc:
+        cls(**values)
+    assert sorted(p.split(" ")[0] for p in exc.value.problems) == sorted(bad)
