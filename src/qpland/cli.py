@@ -2,9 +2,9 @@
 landscape / mep / decompose.
 
 Each command is a thin binding from one config file to one module
-operation. Outputs are byte-deterministic for a fixed config and seed in
-single-threaded mode; failures print one machine-readable JSON line to
-stderr and exit nonzero. Set QP_LOG=info (or debug) for progress logs.
+operation. Outputs are byte-deterministic for a fixed config and seed;
+failures print one machine-readable JSON line to stderr and exit nonzero.
+Set QP_LOG=info (or debug) for progress logs.
 """
 
 import argparse
@@ -61,7 +61,7 @@ def _build_parser():
                                      description="Quasipotential landscapes from trajectory data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, config=True, model=False, data=False, seed=False, threads=False):
+    def add(name, fn, help_, config=True, model=False, data=False, seed=False):
         p = sub.add_parser(name, help=help_)
         if config:
             p.add_argument("--config", required=True, help="JSON run config")
@@ -73,9 +73,6 @@ def _build_parser():
         p.add_argument("--out", required=True, help="output path")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the command's seed")
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads (default 1, deterministic)")
         p.set_defaults(fn=fn)
         return p
 
@@ -90,12 +87,10 @@ def _build_parser():
     p.add_argument("--val-reps", default=None, help="val-split representatives (QPRS)")
     p.add_argument("--history", default=None, help="write training history CSV here")
 
-    p = add("eval", cmd_eval, "metrics report for a trained model", model=True, data=True,
-            threads=True)
+    p = add("eval", cmd_eval, "metrics report for a trained model", model=True, data=True)
     p.add_argument("--reps", default=None, help="representatives for cosine statistics")
 
-    p = add("landscape", cmd_landscape, "export landscape slices to CSV", model=True,
-            threads=True)
+    p = add("landscape", cmd_landscape, "export landscape slices to CSV", model=True)
     p.add_argument("--slice", dest="slice_name", default=None, help="export only this named slice")
 
     p = add("mep", cmd_mep, "string-method minimum energy path")
@@ -202,7 +197,6 @@ def cmd_eval(args):
         representatives=reps,
         split=eval_cfg.get("rollout_split", "test"),
         dt_eval=eval_cfg.get("rollout_dt"),
-        threads=args.threads,
         notes={"system": system.name, "model": args.model})
     report.write(args.out)
     log.info("report: rollout %s rRMSE %s rMAE %s", report.rollout_mean, report.rrmse, report.rmae)
@@ -241,10 +235,10 @@ def cmd_landscape(args):
             raise ConfigError([f"no slice named '{args.slice_name}' in config"])
     multi = len(slices) > 1
     for spec in slices:
-        grid = evaluation.export_landscape(model, spec, threads=args.threads)
+        grid = evaluation.export_landscape(model, spec)
         path = _suffixed(args.out, spec.name) if multi else args.out
         evaluation.write_landscape_csv(grid, path)
-        log.info("wrote %s (offset C=%r)", path, grid.offset_c)
+        log.info("wrote %s", path)
 
 
 def _suffixed(path, name):

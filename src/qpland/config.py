@@ -130,6 +130,8 @@ def validate_config(doc):
                     if ("embedding" in sl) == ("axes" in sl):
                         problems.append(
                             f"eval.slices[{i}]: give exactly one of 'axes' or 'embedding'")
+                    if "box" not in sl:
+                        problems.append(f"eval.slices[{i}]: 'box' is required")
     for block, key in (("data", "N"), ("data", "m"), ("model", "hidden_width"),
                        ("train", "batch"), ("train", "steps"), ("train", "eval_every")):
         sub = doc.get(block) or {}

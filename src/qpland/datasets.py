@@ -156,7 +156,6 @@ def split(dataset, seed):
 class RepresentativeSet:
     points: np.ndarray  # (S, d), in selection order
     radius: float
-    seed: Optional[int] = None
 
     @property
     def count(self):
@@ -173,40 +172,47 @@ def representative_sample(states, radius, seed):
     states = np.ascontiguousarray(np.asarray(states, dtype=np.float64))
     order = np.random.default_rng(seed).permutation(states.shape[0])
     points = _greedy_net(states, radius, order)
-    return RepresentativeSet(points=points, radius=float(radius), seed=int(seed))
+    return RepresentativeSet(points=points, radius=float(radius))
 
 
 def _greedy_net(states, radius, order):
     """Deterministic core: scan candidates in ``order``, skipping deleted
     ones. Scanning a uniform permutation reproduces, in distribution, the
-    uniform random selection of the sequential algorithm."""
-    n, d = states.shape
+    uniform random selection of the sequential algorithm.
+
+    A kd-tree over the live states finds each pick's neighbours and the
+    exact ``d2 < r2`` test decides which die. The tree sums squared
+    differences in another order than NumPy, so at radius r its ball can
+    miss a state a few ulps inside the sphere, which would survive to become
+    a representative closer than r; a query radius padded by 1e-9 relative
+    rules that out. Once more than half of the states in the tree have died
+    it is rebuilt on the live ones, so large radii do not query through dead
+    states; tree sizes then shrink geometrically, and the rebuilds cost at
+    most a log factor over the query work already done."""
+    n = states.shape[0]
     if n == 0:
         return states.copy()
     alive = np.ones(n, dtype=bool)
     reps = []
     r2 = radius * radius
-    if d <= 6:
-        tree = cKDTree(states)
-        for i in order:
-            if not alive[i]:
-                continue
-            reps.append(i)
-            nb = np.asarray(tree.query_ball_point(states[i], radius), dtype=np.intp)
-            d2 = ((states[nb] - states[i]) ** 2).sum(axis=1)
-            alive[nb[d2 < r2]] = False
-    else:
-        live_idx = np.arange(n)
-        live_pts = states
-        for i in order:
-            if not alive[i]:
-                continue
-            reps.append(i)
-            d2 = ((live_pts - states[i]) ** 2).sum(axis=1)
-            kill = d2 < r2
-            alive[live_idx[kill]] = False
-            live_idx = live_idx[~kill]
-            live_pts = live_pts[~kill]
+    query_radius = radius * (1.0 + 1e-9)
+    live = np.arange(n)
+    tree = cKDTree(states)
+    hits = 0
+    for i in order:
+        if not alive[i]:
+            continue
+        reps.append(i)
+        if 2 * hits > len(live):
+            live = np.flatnonzero(alive)
+            tree = cKDTree(states[live])
+            hits = 0
+        x = states[i]
+        nb = live[tree.query_ball_point(x, query_radius)]
+        nb = nb[alive[nb]]
+        kill = nb[((states[nb] - x) ** 2).sum(axis=1) < r2]
+        alive[kill] = False
+        hits += len(kill)
     return states[np.array(reps, dtype=np.intp)].copy()
 
 

@@ -3,12 +3,11 @@ trajectories, relative errors against exact quasipotentials on uniform
 grids, landscape slices, and the simplified string method for minimum
 energy paths.
 
-Grid evaluation is chunked (and optionally threaded); reductions stay in
-index order so results do not depend on the chunking.
+Grid evaluation is chunked; reductions stay in index order so results do
+not depend on the chunking.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,17 +20,13 @@ from .integrators import rk2_step
 _CHUNK = 200_000
 
 
-def _chunked(points, fn, threads=1):
+def _chunked(points, fn):
     points = np.asarray(points, dtype=np.float64)
-    blocks = [points[i : i + _CHUNK] for i in range(0, len(points), _CHUNK)]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(fn, blocks)))
-    return np.concatenate([fn(b) for b in blocks])
+    return np.concatenate([fn(points[i : i + _CHUNK]) for i in range(0, len(points), _CHUNK)])
 
 
-def potential_values(model, points, threads=1):
-    return _chunked(points, model.potential, threads)
+def potential_values(model, points):
+    return _chunked(points, model.potential)
 
 
 def write_csv(path, columns, rows):
@@ -91,16 +86,6 @@ def rollout_errors_against_reference(model, x0, refs, dt, stride, dt_eval=None):
     return np.where(np.isfinite(err), err, np.inf)
 
 
-def split_rollout_errors(model, dataset, split="test", dt_eval=None):
-    """Rollout errors for every trajectory of a dataset split, using the
-    stored pair-left states as the reference."""
-    ref = rollout_reference(dataset, split)
-    if ref is None:
-        return np.zeros(0)
-    x0, refs, stride = ref
-    return rollout_errors_against_reference(model, x0, refs, dataset.dt, stride, dt_eval)
-
-
 # -- quasipotential errors ------------------------------------------------------
 
 def make_grid(box, resolution):
@@ -116,7 +101,7 @@ def make_grid(box, resolution):
     return np.stack([m.ravel() for m in mesh], axis=-1), axes
 
 
-def quasipotential_errors(model, exact_u, points, threads=1):
+def quasipotential_errors(model, exact_u, points):
     """(rRMSE, rMAE) between the learned and exact landscapes on a point set.
 
     Both landscapes have C pinned to their minimum over ``points``, so each
@@ -124,9 +109,9 @@ def quasipotential_errors(model, exact_u, points, threads=1):
     the additive constants both are only defined up to. An exact landscape
     that is constant on ``points`` leaves nothing to compare against and is
     rejected."""
-    u_learned = 2.0 * potential_values(model, points, threads)
+    u_learned = 2.0 * potential_values(model, points)
     u_learned -= u_learned.min()
-    u_exact = _chunked(points, exact_u, threads)
+    u_exact = _chunked(points, exact_u)
     u_exact = u_exact - u_exact.min()
     if not u_exact.any():
         raise QplandError(f"the exact landscape has zero norm on the {len(u_exact)} grid "
@@ -147,16 +132,19 @@ class SliceSpec:
     box: np.ndarray  # (2, 2)
     resolution: tuple
     to_state: Callable  # (n, 2) -> (n, d)
-    axis_names: tuple = ("x1", "x2")
+    axis_names: tuple
 
 
-def planar_slice(dim, axes, fixed, box, resolution, name="slice", axis_names=None):
-    """Axis-aligned plane: vary coordinates ``axes``, pin the rest per ``fixed``."""
-    axes = tuple(axes)
+def planar_slice(dim, axes, fixed, box, resolution, name="slice"):
+    """Axis-aligned plane: vary coordinates ``axes``, pin the rest per
+    ``fixed``. The two axes and the fixed keys must name each coordinate
+    0..dim-1 exactly once."""
+    axes = tuple(int(a) for a in axes)
     fixed = {int(k): float(v) for k, v in fixed.items()}
-    missing = set(range(dim)) - set(axes) - set(fixed)
-    if len(axes) != 2 or missing:
-        raise QplandError(f"planar slice must fix all non-swept coordinates; missing {sorted(missing)}")
+    if len(axes) != 2 or sorted([*axes, *fixed]) != list(range(dim)):
+        raise QplandError(f"planar slice '{name}' must sweep 2 axes and fix every other "
+                          f"coordinate of 0..{dim - 1} once; got axes {list(axes)}, "
+                          f"fixed {sorted(fixed)}")
 
     def to_state(ab):
         ab = np.atleast_2d(ab)
@@ -169,31 +157,24 @@ def planar_slice(dim, axes, fixed, box, resolution, name="slice", axis_names=Non
 
     return SliceSpec(name=name, box=np.asarray(box, dtype=np.float64),
                      resolution=tuple(int(r) for r in resolution), to_state=to_state,
-                     axis_names=tuple(axis_names) if axis_names else (f"x{axes[0]}", f"x{axes[1]}"))
+                     axis_names=(f"x{axes[0]}", f"x{axes[1]}"))
 
 
 @dataclass
 class LandscapeGrid:
-    name: str
     ax1: np.ndarray
     ax2: np.ndarray
     values: np.ndarray  # (r1, r2), normalized to min 0
-    offset_c: float
-    axis_names: tuple = ("x1", "x2")
+    axis_names: tuple
 
 
-def export_landscape(model, slice_spec, threads=1):
+def export_landscape(model, slice_spec):
     """Evaluate U = 2V - C on the slice, with C = 2 min V over this very
     grid, so the exported minimum is exactly zero."""
-    r1, r2 = slice_spec.resolution
-    if r1 < 1 or r2 < 1:
-        raise QplandError(f"slice resolution must be positive, got {slice_spec.resolution}")
     ab, (ax1, ax2) = make_grid(slice_spec.box, slice_spec.resolution)
-    states = slice_spec.to_state(ab)
-    v = potential_values(model, states, threads)
-    offset = 2.0 * float(v.min())
-    values = (2.0 * v - offset).reshape(r1, r2)
-    return LandscapeGrid(slice_spec.name, ax1, ax2, values, offset, slice_spec.axis_names)
+    v = potential_values(model, slice_spec.to_state(ab))
+    values = (2.0 * v - 2.0 * float(v.min())).reshape(len(ax1), len(ax2))
+    return LandscapeGrid(ax1, ax2, values, slice_spec.axis_names)
 
 
 def write_landscape_csv(grid, path):
@@ -291,10 +272,15 @@ class MetricsReport:
 
 
 def build_report(model, dataset=None, exact_u=None, grid_points=None, grid_echo=None,
-                 representatives=None, split="test", dt_eval=None, threads=1, notes=None):
+                 representatives=None, split="test", dt_eval=None, notes=None):
     report = MetricsReport(grid=grid_echo or {}, notes=notes or {})
     if dataset is not None:
-        errs = split_rollout_errors(model, dataset, split=split, dt_eval=dt_eval)
+        ref = rollout_reference(dataset, split)
+        errs = np.zeros(0)
+        if ref is not None:
+            x0, refs, stride = ref
+            errs = rollout_errors_against_reference(model, x0, refs, dataset.dt, stride,
+                                                    dt_eval)
         finite = errs[np.isfinite(errs)]
         report.rollout_count = len(errs)
         report.rollout_diverged = int(np.sum(~np.isfinite(errs)))
@@ -302,7 +288,7 @@ def build_report(model, dataset=None, exact_u=None, grid_points=None, grid_echo=
             report.rollout_mean = float(finite.mean())
             report.rollout_std = float(finite.std())
     if exact_u is not None and grid_points is not None:
-        report.rrmse, report.rmae = quasipotential_errors(model, exact_u, grid_points, threads)
+        report.rrmse, report.rmae = quasipotential_errors(model, exact_u, grid_points)
     if representatives is not None:
         cos = np.abs(orthogonality_cosine(model, representatives.points))
         report.cos_mean_abs = float(cos.mean())

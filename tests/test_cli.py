@@ -33,6 +33,8 @@ GL_CONFIG = {
                      "relax_dt": 1e-3, "relax_tol": 1e-8}},
 }
 
+BOX = [[-1.0, 1.0], [-1.0, 1.0]]
+
 POINTS = "x0,x1,x2\n-1.0,0.0,0.0\n0.5,-0.25,1.0\n0.0,0.0,0.0\n1.5,1.0,-0.5\n"
 
 
@@ -174,7 +176,9 @@ class TestFlags:
         ["representatives", "--config", "c.json", "--data", "d", "--format", "json"],
         ["train", "--config", "c.json", "--data", "d", "--reps", "r", "--threads", "2"],
         ["eval", "--config", "c.json", "--model", "m", "--data", "d", "--seed", "1"],
+        ["eval", "--config", "c.json", "--model", "m", "--data", "d", "--threads", "2"],
         ["landscape", "--config", "c.json", "--model", "m", "--seed", "1"],
+        ["landscape", "--config", "c.json", "--model", "m", "--threads", "2"],
         ["mep", "--config", "c.json", "--threads", "2"],
         ["decompose", "--config", "c.json", "--model", "m", "--points", "p"],
         ["decompose", "--model", "m", "--points", "p", "--seed", "1"],
@@ -201,4 +205,24 @@ class TestErrors:
         # every violation is reported at once
         assert payload["problems"] == ["unknown top-level key 'extra'",
                                        "unknown key 'system.colour'"]
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("bad_slice", [
+        {"axes": [0, 1], "fixed": {"2": 0.0}},
+        {"axes": [0, 1], "fixed": {"2": 0.0, "3": 0.0}, "box": BOX},
+        {"axes": [0, 3], "fixed": {"1": 0.0, "2": 0.0}, "box": BOX},
+        {"axes": [0, 1], "fixed": {"2": 0.0, "-1": 5.0}, "box": BOX},
+        {"axes": [0, 0], "fixed": {"1": 0.0, "2": 0.0}, "box": BOX},
+        {"axes": [0, 1], "fixed": {}, "box": BOX},
+    ], ids=["no_box", "fixed_past_last", "axis_past_last", "fixed_negative",
+            "axis_twice", "unpinned"])
+    def test_bad_slice_prints_one_json_line(self, bad_slice, tmp_path, capsys):
+        cfg = _write_json(tmp_path / "bad.json", {"system": {"name": "bistable3d"},
+                                                  "eval": {"slices": [bad_slice]}})
+        code = cli.main(["landscape", "--config", cfg, "--model", "exact:bistable3d",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] in ("ConfigError", "QplandError")
         assert not (tmp_path / "x.csv").exists()

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
+from qpland import datasets
 from qpland.datasets import (SPLIT_CODES, RepresentativeSet, TrajectoryDataset, _greedy_net,
                              generate, load_dataset, load_representatives,
                              representative_sample, save_dataset, save_representatives, split)
@@ -141,6 +144,35 @@ class TestTrajectories:
                                  mask_trajectories(small_bistable, split_name))
 
 
+def brute_force_net(states, radius, order):
+    """The greedy r-net by brute force: each pick tests every live state."""
+    alive = np.ones(states.shape[0], dtype=bool)
+    reps = []
+    r2 = radius * radius
+    live_idx = np.arange(states.shape[0])
+    live_pts = states
+    for i in order:
+        if not alive[i]:
+            continue
+        reps.append(i)
+        d2 = ((live_pts - states[i]) ** 2).sum(axis=1)
+        kill = d2 < r2
+        alive[live_idx[kill]] = False
+        live_idx = live_idx[~kill]
+        live_pts = live_pts[~kill]
+    return states[np.array(reps, dtype=np.intp)]
+
+
+def assert_net(states, points, r):
+    """Representatives lie >= r apart and every state lies < r from one,
+    with distances summed as the r-net's exact test sums them."""
+    cover = np.full(len(states), np.inf)
+    for k, p in enumerate(points):
+        assert (((points[:k] - p) ** 2).sum(axis=1) >= r * r).all()
+        cover = np.minimum(cover, ((states - p) ** 2).sum(axis=1))
+    assert (cover < r * r).all()
+
+
 class TestRepresentativeSample:
     def test_worked_example_in_selection_order(self):
         pts = np.array([[0.0], [0.05], [0.2]])
@@ -163,16 +195,49 @@ class TestRepresentativeSample:
 
     @pytest.mark.parametrize("dim", [1, 3, 5, 9])
     def test_separation_and_coverage(self, dim, rng):
-        # dim > 6 exercises the brute-force path, dim <= 6 the kd-tree path
         pts = rng.normal(0, 1, (2000, dim))
-        r = 0.5
-        reps = representative_sample(pts, r, seed=4)
-        pp = reps.points
-        d2 = ((pp[:, None, :] - pp[None, :, :]) ** 2).sum(-1)
-        np.fill_diagonal(d2, np.inf)
-        assert d2.min() >= r * r  # pairwise separation >= r
-        cover = ((pts[:, None, :] - pp[None, :, :]) ** 2).sum(-1).min(axis=1)
-        assert (cover < r * r).all()  # every point inside some ball
+        assert_net(pts, representative_sample(pts, 0.5, seed=4).points, 0.5)
+
+    @pytest.mark.parametrize("dim", [1, 3, 9, 50])
+    def test_matches_brute_force(self, dim, rng, monkeypatch):
+        # radii from every state kept to a single representative; the middle
+        # ones delete enough states between picks to rebuild the kd-tree
+        builds = []
+
+        def counting_tree(data):
+            builds.append(len(data))
+            return cKDTree(data)
+
+        monkeypatch.setattr(datasets, "cKDTree", counting_tree)
+        pts = rng.normal(0, 1, (500, dim))
+        gaps = pdist(pts)
+        radii = np.geomspace(0.5 * gaps.min(), 1.01 * gaps.max(), 12)
+        order = rng.permutation(len(pts))
+        counts = []
+        for r in radii:
+            builds.clear()
+            got = _greedy_net(pts, r, order)
+            assert np.array_equal(got, brute_force_net(pts, r, order))
+            counts.append((len(got), len(builds)))
+        assert counts[0][0] == len(pts) and counts[-1][0] == 1
+        assert max(n_builds for _, n_builds in counts) > 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_states_just_inside_the_ball_are_deleted(self, seed):
+        # 2000 states within 1e-15 relative inside the radius-r sphere around
+        # the first pick, in 50 dimensions. The kd-tree sums squared
+        # differences in another order than the exact d2 < r2 test and, at
+        # the bare radius, leaves some of them alive in most seeds.
+        rng = np.random.default_rng(seed)
+        r = 1.0
+        center = rng.normal(0, 1, 50)
+        u = rng.normal(0, 1, (2000, 50))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        shell = center + u * (r * (1.0 - rng.uniform(0, 1e-15, (2000, 1))))
+        shell = shell[((shell - center) ** 2).sum(axis=1) < r * r]
+        states = np.vstack([center, shell])
+        points = _greedy_net(states, r, np.arange(len(states)))
+        assert_net(states, points, r)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -184,14 +249,8 @@ class TestRepresentativeSample:
     def test_net_invariants_property(self, n, dim, r, seed):
         pts = np.random.default_rng(seed).normal(0, 1, (n, dim))
         reps = representative_sample(pts, r, seed=seed)
-        pp = reps.points
         assert 1 <= reps.count <= n
-        if reps.count > 1:
-            d2 = ((pp[:, None, :] - pp[None, :, :]) ** 2).sum(-1)
-            np.fill_diagonal(d2, np.inf)
-            assert d2.min() >= r * r
-        cover = ((pts[:, None, :] - pp[None, :, :]) ** 2).sum(-1).min(axis=1)
-        assert (cover < r * r).all()
+        assert_net(pts, reps.points, r)
 
     def test_empty_input(self):
         reps = representative_sample(np.zeros((0, 3)), 0.5, seed=0)
@@ -263,7 +322,7 @@ class TestPersistence:
         assert loaded.dim == 2
 
     def test_representatives_round_trip(self, tmp_path, rng):
-        reps = RepresentativeSet(points=rng.normal(0, 1, (17, 4)), radius=0.3, seed=5)
+        reps = RepresentativeSet(points=rng.normal(0, 1, (17, 4)), radius=0.3)
         path = tmp_path / "r.qprs"
         save_representatives(reps, path)
         loaded = load_representatives(path)
@@ -272,7 +331,7 @@ class TestPersistence:
 
     def test_representatives_bad_magic(self, tmp_path, rng):
         path = tmp_path / "r.qprs"
-        save_representatives(RepresentativeSet(rng.normal(0, 1, (3, 2)), 0.5, 0), path)
+        save_representatives(RepresentativeSet(rng.normal(0, 1, (3, 2)), 0.5), path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"QQQQ"
         path.write_bytes(bytes(blob))

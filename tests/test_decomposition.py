@@ -149,13 +149,15 @@ class TestLandscape:
         assert grid.values.min() == 0.0
         assert (grid.values >= 0).all()
         ab, _ = make_grid(spec.box, spec.resolution)
-        assert grid.offset_c == 2.0 * model.potential(spec.to_state(ab)).min()
+        v = model.potential(spec.to_state(ab))
+        assert np.array_equal(grid.values, (2.0 * v - 2.0 * v.min()).reshape(20, 20))
 
     def test_landscape_is_twice_potential_minus_offset(self, exact_bistable):
         # states (0, 0, 0) and (1, 0, 0); min V = 0 at the attractor, so C = 0
         spec = planar_slice(3, (0, 1), {2: 0.0}, [[0.0, 1.0], [0.0, 0.0]], (2, 1))
         grid = export_landscape(exact_bistable, spec)
-        assert grid.offset_c == 0.0
+        v = exact_bistable.potential(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        assert np.array_equal(grid.values.ravel(), 2.0 * v - 2.0 * v.min())
         assert grid.values[0, 0] == pytest.approx(1.0, abs=1e-15)  # U(origin) = 1
         assert grid.values[1, 0] == 0.0
 
