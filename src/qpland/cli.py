@@ -186,6 +186,9 @@ def cmd_eval(args):
     if system.exact_u is not None and eval_cfg.get("grid") is not None:
         gcfg = eval_cfg["grid"]
         box = np.asarray(gcfg.get("box", cfg.domain(system)), dtype=np.float64)
+        if len(box) != system.dim:
+            raise ConfigError([f"eval.grid.box has {len(box)} axes, system '{system.name}' "
+                               f"has {system.dim}"])
         resolution = gcfg.get("resolution", [101] * system.dim)
         grid_points, _ = evaluation.make_grid(box, resolution)
         grid_echo = {"box": box.tolist(), "resolution": list(np.atleast_1d(resolution).tolist()),

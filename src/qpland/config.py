@@ -108,6 +108,12 @@ def validate_config(doc):
         if isinstance(grid, dict):
             for key in sorted(set(grid) - _GRID_KEYS):
                 problems.append(f"unknown key 'eval.grid.{key}'")
+            if "box" in grid and not _is_box(grid["box"]):
+                problems.append("eval.grid.box must be a list of [lo, hi] number pairs, "
+                                f"got {grid['box']!r}")
+            if "resolution" in grid and not _is_resolution(grid["resolution"]):
+                problems.append("eval.grid.resolution must be a positive integer or a list "
+                                f"of them, got {grid['resolution']!r}")
         elif grid is not None:
             problems.append("eval.grid must be an object")
         mep = eval_block.get("mep")
@@ -130,17 +136,68 @@ def validate_config(doc):
                     if ("embedding" in sl) == ("axes" in sl):
                         problems.append(
                             f"eval.slices[{i}]: give exactly one of 'axes' or 'embedding'")
-                    if "box" not in sl:
-                        problems.append(f"eval.slices[{i}]: 'box' is required")
+                    problems += _slice_problems(f"eval.slices[{i}]", sl)
     for block, key in (("data", "N"), ("data", "m"), ("model", "hidden_width"),
                        ("train", "batch"), ("train", "steps"), ("train", "eval_every")):
         sub = doc.get(block) or {}
         if isinstance(sub, dict) and key in sub:
             val = sub[key]
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            if not _is_int(val) or val < 1:
                 problems.append(f"'{block}.{key}' must be a positive integer, got {val!r}")
     if problems:
         raise ConfigError(problems)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int_key(k):
+    try:
+        int(k)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_box(box):
+    """A non-empty list of [lo, hi] number pairs."""
+    return (isinstance(box, list) and len(box) > 0
+            and all(isinstance(r, list) and len(r) == 2 and all(map(_is_number, r))
+                    for r in box))
+
+
+def _is_resolution(res):
+    """A positive integer, or a non-empty list of them."""
+    values = res if isinstance(res, list) else [res]
+    return len(values) > 0 and all(_is_int(r) and r >= 1 for r in values)
+
+
+def _slice_problems(where, sl):
+    """The shape of one slice: a 2 x 2 numeric box, a positive resolution,
+    integer axes and integer ``fixed`` keys. Which coordinates they name is
+    ``planar_slice``'s check, against the system's dimension."""
+    problems = []
+    box = sl.get("box")
+    if box is None:
+        problems.append(f"{where}: 'box' is required")
+    elif not (_is_box(box) and len(box) == 2):
+        problems.append(f"{where}.box must be 2 x 2 numbers [[lo, hi], [lo, hi]], got {box!r}")
+    if "resolution" in sl and not _is_resolution(sl["resolution"]):
+        problems.append(f"{where}.resolution must be a positive integer or a list of them, "
+                        f"got {sl['resolution']!r}")
+    axes = sl.get("axes")
+    if axes is not None and not (isinstance(axes, list) and all(map(_is_int, axes))):
+        problems.append(f"{where}.axes must be a list of integers, got {axes!r}")
+    fixed = sl.get("fixed")
+    if fixed is not None and not (isinstance(fixed, dict) and all(map(_is_int_key, fixed))
+                                  and all(map(_is_number, fixed.values()))):
+        problems.append(f"{where}.fixed must map integer keys to numbers, got {fixed!r}")
+    return problems
 
 
 def parse_config(doc):

@@ -183,32 +183,44 @@ class DriftTape:
     g: np.ndarray
 
 
-def drift_with_tape(model, x):
-    xt = model.centered(np.atleast_2d(x))
-    _, pot_tape = nets.forward_tape(model.potential_net, xt)
-    g, rot_tape = nets.forward_tape(model.rotational_net, xt)
-    grad_v = nets.tape_gradient(model.potential_net, pot_tape) + 2.0 * xt
+def drift_with_tape(model, x, *, workspace=None):
+    """f at the rows of x, and the tape its VJPs read. Through a workspace
+    part, the tape holds the part's arrays (see ``nets``)."""
+    ws = workspace or nets.NO_WORKSPACE
+    x = np.atleast_2d(x)
+    xt = np.subtract(x, model.center, out=ws.take("xt", x.shape))
+    _, pot_tape = nets.forward_tape(model.potential_net, xt, workspace=ws.part("pot"))
+    g, rot_tape = nets.forward_tape(model.rotational_net, xt, workspace=ws.part("rot"))
+    grad_v = np.multiply(2.0, xt, out=ws.take("grad_v", xt.shape))
+    grad_v += nets.tape_gradient(model.potential_net, pot_tape, workspace=ws.shared())
     tape = DriftTape(xt, pot_tape, rot_tape, grad_v, g)
-    return g - grad_v, tape
+    return np.subtract(g, grad_v, out=ws.take("f", xt.shape)), tape
 
 
-def drift_vjp(model, tape, cotangent, grads):
+def drift_vjp(model, tape, cotangent, grads, *, workspace=None):
     """Accumulate d(sum_b c_b . f(x_b))/dtheta into ``grads``; return the
     input adjoint (needed when the evaluation point depends on theta)."""
+    ws = workspace or nets.NO_WORKSPACE
     c = np.asarray(cotangent, dtype=np.float64)
-    return (potential_gradient_vjp(model, tape.pot_tape, -c, grads)
-            + rotation_vjp(model, tape, c, grads))
+    neg_c = np.negative(c, out=ws.take("drift_vjp.neg_c", c.shape))
+    x_adj = potential_gradient_vjp(model, tape.pot_tape, neg_c, grads, workspace=ws)
+    x_adj += rotation_vjp(model, tape, c, grads, workspace=ws)
+    return x_adj
 
 
-def potential_gradient_vjp(model, tape, cotangent, grads):
+def potential_gradient_vjp(model, tape, cotangent, grads, *, workspace=None):
+    ws = workspace or nets.NO_WORKSPACE
     c = np.asarray(cotangent, dtype=np.float64)
-    gp, x_adj = nets.grad_backprop(model.potential_net, tape, c)
+    gp, x_adj = nets.grad_backprop(model.potential_net, tape, c, workspace=ws)
     grads.potential += gp
-    return x_adj + 2.0 * c
+    out = np.multiply(2.0, c, out=ws.take("potential_gradient_vjp.x_adj", c.shape))
+    out += x_adj
+    return out
 
 
-def rotation_vjp(model, tape, cotangent, grads):
-    gr, x_adj = nets.value_backprop(model.rotational_net, tape.rot_tape, cotangent)
+def rotation_vjp(model, tape, cotangent, grads, *, workspace=None):
+    gr, x_adj = nets.value_backprop(model.rotational_net, tape.rot_tape, cotangent,
+                                    workspace=workspace)
     grads.rotational += gr
     return x_adj
 

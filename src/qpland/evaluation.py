@@ -17,7 +17,10 @@ from .decomposition import orthogonality_cosine
 from .errors import NonFiniteError, QplandError
 from .integrators import rk2_step
 
-_CHUNK = 200_000
+# Rows per model call on a grid. Small on purpose: the tape of one call holds
+# rows x width x 2 layers x (pre + hid) x 8 B per net, about 320 MB at 200k
+# rows of width 50, and memory that large is paged in afresh on every call.
+_CHUNK = 10_000
 
 
 def _chunked(points, fn):
@@ -92,8 +95,13 @@ def make_grid(box, resolution):
     """Uniform inclusive mesh over an axis-aligned box: (points (L, d), axes)."""
     box = np.asarray(box, dtype=np.float64)
     resolution = [int(r) for r in np.atleast_1d(resolution)]
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise QplandError(f"grid box must be d x 2 ([lo, hi] per axis), got shape {box.shape}")
     if len(resolution) == 1:
         resolution = resolution * len(box)
+    if len(resolution) != len(box):
+        raise QplandError(f"grid resolution {resolution} must give 1 or {len(box)} values, "
+                          f"one per axis of the box")
     if any(r < 1 for r in resolution):
         raise QplandError(f"grid resolution must be positive, got {resolution}")
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]

@@ -32,6 +32,24 @@ memory for as long as the tape lives.
   exactly that value, and they save one ``tanh`` per layer per derivative.
 * ReLU^2 reads ``pre``. ``max(z, 0)`` cannot be recovered bit-exactly from
   its square, so the derivative ``2 max(z, 0)`` is taken from ``pre``.
+
+The value and both derivatives take ``out=``, the array to write into.
+
+Workspace: ``forward_tape``, ``tape_gradient``, ``value_backprop`` and
+``grad_backprop`` take a keyword-only ``workspace`` and write every
+batch-sized array into it: a tape's pre-activations, activations and
+value, and the derivatives, tangents and adjoints of the sweeps.
+``training.train`` owns one for the whole run, so that a step after the
+first allocates no batch-sized array and touches no fresh pages. Each
+array is kept under a name and reused by the next call that asks for that
+name. So a tape recorded through a part of a workspace is valid until the
+next tape is recorded in that part (in training, until the next step), and
+the gradient or adjoint that a sweep returns until the next sweep. Without
+a workspace (``NO_WORKSPACE``), every ``out=`` is None and NumPy allocates
+each array as a plain expression would; the arithmetic is the same, and so
+are the bits.
+The workspace belongs to the training loop, not to the tape, which still
+caches nothing.
 """
 
 from dataclasses import dataclass, field
@@ -48,39 +66,93 @@ class Activation(str, Enum):
     RELU_SQUARED = "relu2"
 
 
-def _tanh_d(pre, hid):
-    return 1.0 - hid * hid
+def _tanh_d(pre, hid, out=None):
+    out = np.multiply(hid, hid, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
-def _tanh_dd(pre, hid):
-    return -2.0 * hid * (1.0 - hid * hid)
+def _tanh_dd(pre, hid, out=None):
+    # (1 - h^2) h (-2) in one array: multiplying by -2 is exact above the
+    # subnormal range, so this is -2 h (1 - h^2) to the bit
+    out = _tanh_d(pre, hid, out=out)
+    out *= hid
+    out *= -2.0
+    return out
 
 
-def _relu2(z):
-    return np.square(np.maximum(z, 0.0))
+def _relu2(z, out=None):
+    out = np.maximum(z, 0.0, out=out)
+    return np.square(out, out=out)
 
 
-def _relu2_d(pre, hid):
-    return 2.0 * np.maximum(pre, 0.0)
+def _relu2_d(pre, hid, out=None):
+    out = np.maximum(pre, 0.0, out=out)
+    return np.multiply(2.0, out, out=out)
 
 
-def _relu2_dd(pre, hid):
+def _relu2_dd(pre, hid, out=None):
     # second derivative jumps at z=0; the value there is pinned to 0
-    return np.where(pre > 0.0, 2.0, 0.0)
+    return np.multiply(np.greater(pre, 0.0, out=out), 2.0, out=out)
 
 
 class ActivationFns(NamedTuple):
     """The value and the ``(pre, hid)`` derivatives of one activation."""
 
-    value: Callable
-    d1: Callable
-    d2: Callable
+    value: Callable  # (z, out=None)
+    d1: Callable  # (pre, hid, out=None)
+    d2: Callable  # (pre, hid, out=None)
 
 
 _ACT = {
     Activation.TANH: ActivationFns(np.tanh, _tanh_d, _tanh_dd),
     Activation.RELU_SQUARED: ActivationFns(_relu2, _relu2_d, _relu2_dd),
 }
+
+
+class Workspace:
+    """Named arrays, reused from call to call (see the module docstring).
+
+    ``take(name, shape)`` returns a ``shape`` view of the array kept under
+    ``name`` and ``shape[1:]``, allocated or grown to ``shape[0]`` rows
+    first, so a workspace holds each array at the most rows it was asked
+    for. ``part(name)`` is a view of the same store whose names cannot meet
+    those of another part; ``shared()`` is the view of the whole store, in
+    which arrays that die with a call are kept.
+    """
+
+    def __init__(self, _arrays=None, _prefix=()):
+        self._arrays = {} if _arrays is None else _arrays
+        self._prefix = _prefix
+
+    def part(self, name):
+        return Workspace(self._arrays, (*self._prefix, name))
+
+    def shared(self):
+        return Workspace(self._arrays)
+
+    def take(self, name, shape):
+        key = (*self._prefix, name, *shape[1:])
+        array = self._arrays.get(key)
+        if array is None or len(array) < shape[0]:
+            array = self._arrays[key] = np.empty(shape)
+        return array[: shape[0]]
+
+
+class _NoWorkspace:
+    """What a call without a workspace uses: every ``take`` is None, so each
+    ``out=`` lets NumPy allocate, as a plain expression would."""
+
+    def part(self, name):
+        return self
+
+    def shared(self):
+        return self
+
+    def take(self, name, shape):
+        return None
+
+
+NO_WORKSPACE = _NoWorkspace()
 
 
 def layer_shapes(input_dim, hidden_widths, output_dim):
@@ -160,19 +232,23 @@ class Tape:
     value: np.ndarray = None
 
 
-def forward_tape(net, x):
+def forward_tape(net, x, *, workspace=None):
+    ws = workspace or NO_WORKSPACE
     x, single = _as_batch(net, x)
     act = _ACT[net.activation].value
     tape = Tape(x=x)
+    rows = x.shape[0]
     h = x
     layers = net.layers()
-    for w, b in layers[:-1]:
-        a = h @ w.T + b
-        h = act(a)
+    for l, (w, b) in enumerate(layers[:-1]):
+        a = np.matmul(h, w.T, out=ws.take(f"pre{l}", (rows, len(w))))
+        a += b
+        h = act(a, out=ws.take(f"hid{l}", (rows, len(w))))
         tape.pre.append(a)
         tape.hid.append(h)
     w, b = layers[-1]
-    tape.value = tape.hid[-1] @ w.T + b if tape.hid else x @ w.T + b
+    tape.value = np.matmul(h, w.T, out=ws.take("value", (rows, len(w))))
+    tape.value += b
     return (tape.value[0] if single else tape.value), tape
 
 
@@ -193,37 +269,52 @@ def input_gradient(net, x):
     return g[0] if single else g
 
 
-def tape_gradient(net, tape):
+# Scratch arrays of the three sweeps below, in the shared view of a
+# workspace: "abar" and "hbar" (tape_gradient, value_backprop and
+# grad_backprop), and "d1_<l>", "adot<l>", "hdot<l>", "adotbar" and "hdotbar"
+# (grad_backprop). A sweep returns its input gradient or adjoint in "hbar".
+
+def tape_gradient(net, tape, *, workspace=None):
     """grad_x of a scalar net's output at the tape points, ``(B, d)``."""
+    ws = workspace or NO_WORKSPACE
     d1 = _ACT[net.activation].d1
     layers = net.layers()
     w_row = layers[-1][0][0]
-    t = np.broadcast_to(w_row, (tape.x.shape[0], w_row.shape[0]))
+    rows = tape.x.shape[0]
+    t = np.broadcast_to(w_row, (rows, w_row.shape[0]))
     for (w, _), a, h in zip(reversed(layers[:-1]), reversed(tape.pre), reversed(tape.hid)):
-        t = (t * d1(a, h)) @ w
+        s = d1(a, h, out=ws.take("abar", a.shape))
+        s *= t
+        t = np.matmul(s, w, out=ws.take("hbar", (rows, w.shape[1])))
     return t
 
 
-def value_backprop(net, tape, cotangent):
+def value_backprop(net, tape, cotangent, *, workspace=None):
     """Gradient of sum_b cotangent_b . y_b w.r.t. params, plus input adjoint.
 
     cotangent: (B, out). Returns (flat_grad, x_adjoint (B, d)).
     """
+    ws = workspace or NO_WORKSPACE
     c = np.atleast_2d(np.asarray(cotangent, dtype=np.float64))
     d1 = _ACT[net.activation].d1
     layers = net.layers()
+    rows = c.shape[0]
     grads = [None] * len(layers)
     hs = [tape.x, *tape.hid]
     hbar = None
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
-        abar = c if l == len(layers) - 1 else hbar * d1(tape.pre[l], tape.hid[l])
+        if l == len(layers) - 1:
+            abar = c
+        else:
+            abar = d1(tape.pre[l], tape.hid[l], out=ws.take("abar", hbar.shape))
+            abar *= hbar
         grads[l] = (abar.T @ hs[l], abar.sum(axis=0))
-        hbar = abar @ w
+        hbar = np.matmul(abar, w, out=ws.take("hbar", (rows, w.shape[1])))
     return _flatten_grads(net, grads), hbar
 
 
-def grad_backprop(net, tape, grad_cotangent, value_cotangent=None):
+def grad_backprop(net, tape, grad_cotangent, value_cotangent=None, *, workspace=None):
     """Parameter gradient of  sum_b [ v_b . grad_x y(x_b) + t_b y(x_b) ]
     for a scalar-output net, plus the input adjoint (= H(x_b) v_b + t_b grad y).
 
@@ -233,18 +324,22 @@ def grad_backprop(net, tape, grad_cotangent, value_cotangent=None):
     """
     if net.output_dim != 1:
         raise DimensionMismatchError("grad_backprop output_dim", 1, net.output_dim)
+    ws = workspace or NO_WORKSPACE
     v = np.atleast_2d(np.asarray(grad_cotangent, dtype=np.float64))
     act = _ACT[net.activation]
     layers = net.layers()
     nh = len(layers) - 1
-    d1s = [act.d1(a, h) for a, h in zip(tape.pre, tape.hid)]
+    rows = v.shape[0]
+    d1s = [act.d1(a, h, out=ws.take(f"d1_{l}", a.shape))
+           for l, (a, h) in enumerate(zip(tape.pre, tape.hid))]
 
     # tangent pass: adot_l = hdot_{l-1} W_l^T, hdot_l = d1 * adot_l
     adots, hdots = [], []
     hdot = v
     for l in range(nh):
-        adot = hdot @ layers[l][0].T
-        hdot = d1s[l] * adot
+        w = layers[l][0]
+        adot = np.matmul(hdot, w.T, out=ws.take(f"adot{l}", (rows, len(w))))
+        hdot = np.multiply(d1s[l], adot, out=ws.take(f"hdot{l}", adot.shape))
         adots.append(adot)
         hdots.append(hdot)
 
@@ -254,26 +349,35 @@ def grad_backprop(net, tape, grad_cotangent, value_cotangent=None):
 
     # output layer: y = h_L w^T + b, ydot = hdot_L w^T
     w_out = layers[-1][0]
+    hbar = ws.take("hbar", (rows, w_out.shape[1]))
     if value_cotangent is not None:
         t = np.asarray(value_cotangent, dtype=np.float64).reshape(-1, 1)
         g_w = t.T @ hs[-1] + hdots_in[-1].sum(axis=0)[None, :]
         g_b = np.array([t.sum()])
-        hbar = t @ w_out
+        hbar = np.matmul(t, w_out, out=hbar)
     else:
         g_w = hdots_in[-1].sum(axis=0)[None, :]
         g_b = np.zeros(1)
-        hbar = np.zeros((v.shape[0], w_out.shape[1]))
+        if hbar is None:
+            hbar = np.zeros((rows, w_out.shape[1]))
+        else:
+            hbar.fill(0.0)
     grads[-1] = (g_w, g_b)
-    hdotbar = np.broadcast_to(w_out[0], (v.shape[0], w_out.shape[1]))
+    hdotbar = np.broadcast_to(w_out[0], (rows, w_out.shape[1]))
 
     for l in range(nh - 1, -1, -1):
         w, _ = layers[l]
-        # hdot_l = d1(a_l) * adot_l couples the primal adjoint to curvature
-        abar = d1s[l] * hbar + (act.d2(tape.pre[l], tape.hid[l]) * adots[l]) * hdotbar
-        adotbar = d1s[l] * hdotbar
+        # hdot_l = d1(a_l) * adot_l couples the primal adjoint to curvature:
+        # abar = d1 * hbar + (d2 * adot) * hdotbar, with d2 written over d1
+        abar = np.multiply(d1s[l], hbar, out=ws.take("abar", hbar.shape))
+        adotbar = np.multiply(d1s[l], hdotbar, out=ws.take("adotbar", hbar.shape))
+        curv = act.d2(tape.pre[l], tape.hid[l], out=d1s[l])
+        curv *= adots[l]
+        curv *= hdotbar
+        abar += curv
         grads[l] = (abar.T @ hs[l] + adotbar.T @ hdots_in[l], abar.sum(axis=0))
-        hbar = abar @ w
-        hdotbar = adotbar @ w
+        hbar = np.matmul(abar, w, out=ws.take("hbar", (rows, w.shape[1])))
+        hdotbar = np.matmul(adotbar, w, out=ws.take("hdotbar", (rows, w.shape[1])))
     return _flatten_grads(net, grads), hbar
 
 

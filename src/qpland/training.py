@@ -7,7 +7,9 @@ measured by a componentwise Huber loss. L_orth penalizes the cosine between
 grad V and g at representative points, quadratically, with negative cosines
 down-weighted. Optimization is plain Adam with a per-step exponential
 learning-rate decay; model selection keeps the snapshot with the best
-validation total loss.
+validation total loss. One ``nets.Workspace``, a local of ``train``, holds
+every batch-sized array of a step from one step to the next; it is dropped
+before each validation and freed when ``train`` returns or raises.
 """
 
 import logging
@@ -22,6 +24,7 @@ from .decomposition import (ModelGrads, drift_vjp, drift_with_tape, fit_center,
                             rotation_vjp)
 from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .integrators import rk2_step
+from .nets import NO_WORKSPACE, Workspace
 
 log = logging.getLogger("qpland.training")
 
@@ -81,13 +84,19 @@ class TrainConfig:
         return 0.1 ** (1.0 / self.max_steps)
 
 
-def huber(e, delta):
-    ae = np.abs(e)
-    return np.where(ae < delta, 0.5 * e * e, delta * ae - 0.5 * delta * delta)
+def huber(e, delta, out=None):
+    """0.5 e^2 where |e| < delta, else delta |e| - 0.5 delta^2, componentwise."""
+    out = np.abs(e, out=np.empty(np.shape(e)) if out is None else out)
+    quadratic = out < delta
+    out *= delta
+    out -= 0.5 * delta * delta
+    np.multiply(0.5, e, out=out, where=quadratic)
+    np.multiply(out, e, out=out, where=quadratic)
+    return out
 
 
-def huber_grad(e, delta):
-    return np.clip(e, -delta, delta)
+def huber_grad(e, delta, out=None):
+    return np.clip(e, -delta, delta, out=out)
 
 
 def _check_residual(e):
@@ -121,48 +130,71 @@ def total_loss(model, x, x_next, dt, rep_points, cfg):
             + cfg.orth_weight * orth_loss(model, rep_points, cfg.neg_cos_weight))
 
 
-def dyn_loss_and_grad(model, x, x_next, dt, huber_delta, grads):
+def dyn_loss_and_grad(model, x, x_next, dt, huber_delta, grads, *, workspace=None):
     """dyn_loss plus its parameter gradient, accumulated into ``grads``.
 
     The reverse sweep follows the Heun step: the second drift evaluation
     sits at a theta-dependent point, so its input adjoint feeds back into
-    the first evaluation's cotangent.
+    the first evaluation's cotangent. The two drift tapes are the
+    workspace's parts "A" and "B".
     """
+    ws = workspace or NO_WORKSPACE
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
-    f1, tape1 = drift_with_tape(model, x)
-    x2 = x + dt * f1
-    f2, tape2 = drift_with_tape(model, x2)
-    e = (x + 0.5 * dt * (f1 + f2) - x_next) / dt
+    f1, tape1 = drift_with_tape(model, x, workspace=ws.part("A"))
+    x2 = np.multiply(dt, f1, out=ws.take("x2", x.shape))
+    x2 += x
+    f2, tape2 = drift_with_tape(model, x2, workspace=ws.part("B"))
+    # e = (x + 0.5 dt (f1 + f2) - x_next) / dt
+    e = np.add(f1, f2, out=ws.take("e", x.shape))
+    e *= 0.5 * dt
+    np.add(x, e, out=e)
+    e -= x_next
+    e /= dt
     _check_residual(e)
-    loss = float(huber(e, huber_delta).mean())
-    ibar = huber_grad(e, huber_delta) / (e.size * dt)
-    x2bar = drift_vjp(model, tape2, 0.5 * dt * ibar, grads)
-    drift_vjp(model, tape1, 0.5 * dt * ibar + dt * x2bar, grads)
+    loss = float(huber(e, huber_delta, out=ws.take("huber", e.shape)).mean())
+    # cotangent of f2: 0.5 dt ibar, with ibar = huber_grad(e) / (e.size dt)
+    cot = huber_grad(e, huber_delta, out=ws.take("cot", e.shape))
+    cot /= e.size * dt
+    cot *= 0.5 * dt
+    x2bar = drift_vjp(model, tape2, cot, grads, workspace=ws)
+    # cotangent of f1: 0.5 dt ibar + dt x2bar
+    x2bar *= dt
+    cot += x2bar
+    drift_vjp(model, tape1, cot, grads, workspace=ws)
     return loss
 
 
-def orth_loss_and_grad(model, points, neg_cos_weight, grads):
+def orth_loss_and_grad(model, points, neg_cos_weight, grads, *, workspace=None):
+    """orth_loss plus its parameter gradient, accumulated into ``grads``.
+    The drift tape is the workspace's part "A"."""
+    ws = workspace or NO_WORKSPACE
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    _, tape = drift_with_tape(model, points)
+    _, tape = drift_with_tape(model, points, workspace=ws.part("A"))
     u, g = tape.grad_v, tape.g
     cos, ok, nu, ng = floored_cosine(u, g)
     loss = float(cosine_penalty(cos, neg_cos_weight).mean())
     wprime = np.where(cos > 0, 2.0 * cos, 2.0 * neg_cos_weight * cos) / points.shape[0]
     wprime = np.where(ok, wprime, 0.0)[:, None]
     inv = 1.0 / (nu * ng)[:, None]
-    cu = wprime * (g * inv - (cos / (nu * nu))[:, None] * u)
-    cg = wprime * (u * inv - (cos / (ng * ng))[:, None] * g)
-    potential_gradient_vjp(model, tape.pot_tape, cu, grads)
-    rotation_vjp(model, tape, cg, grads)
+    along = ws.take("orth.along", u.shape)
+    # cu = wprime (g inv - cos / nu^2 u), cg = wprime (u inv - cos / ng^2 g)
+    cu = np.multiply(g, inv, out=ws.take("orth.cu", u.shape))
+    cu -= np.multiply((cos / (nu * nu))[:, None], u, out=along)
+    cu *= wprime
+    cg = np.multiply(u, inv, out=ws.take("orth.cg", u.shape))
+    cg -= np.multiply((cos / (ng * ng))[:, None], g, out=along)
+    cg *= wprime
+    potential_gradient_vjp(model, tape.pot_tape, cu, grads, workspace=ws)
+    rotation_vjp(model, tape, cg, grads, workspace=ws)
     return loss
 
 
-def total_loss_and_grad(model, x, x_next, dt, rep_points, cfg):
+def total_loss_and_grad(model, x, x_next, dt, rep_points, cfg, *, workspace=None):
     grads = ModelGrads.zeros_like(model)
-    ld = dyn_loss_and_grad(model, x, x_next, dt, cfg.huber_delta, grads)
+    ld = dyn_loss_and_grad(model, x, x_next, dt, cfg.huber_delta, grads, workspace=workspace)
     ogr = ModelGrads.zeros_like(model)
-    lo = orth_loss_and_grad(model, rep_points, cfg.neg_cos_weight, ogr)
+    lo = orth_loss_and_grad(model, rep_points, cfg.neg_cos_weight, ogr, workspace=workspace)
     grads.add_scaled(ogr, cfg.orth_weight)
     return ld + cfg.orth_weight * lo, ld, lo, grads
 
@@ -228,6 +260,7 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     adam_rot = AdamState.like(model.rotational_net.params)
 
     val_ref = evaluation.rollout_reference(dataset, "val", train_cfg.val_rollout_trajectories)
+    ws = Workspace()
     history = []
     best = {"loss": np.inf, "model": None, "step": -1}
     running = []
@@ -241,11 +274,14 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
             pos += batch
             if len(reps_tr) > train_cfg.batch_size:
                 ridx = rng.permutation(len(reps_tr))[: train_cfg.batch_size]
-                rep_batch = reps_tr[ridx]
+                rep_batch = np.take(reps_tr, ridx, axis=0,
+                                    out=ws.take("reps", (len(ridx), reps_tr.shape[1])))
             else:
                 rep_batch = reps_tr
+            x = np.take(x_tr, idx, axis=0, out=ws.take("x", (batch, x_tr.shape[1])))
+            x_next = np.take(y_tr, idx, axis=0, out=ws.take("x_next", x.shape))
             loss, ld, lo, grads = total_loss_and_grad(
-                model, x_tr[idx], y_tr[idx], dataset.dt, rep_batch, loss_cfg)
+                model, x, x_next, dataset.dt, rep_batch, loss_cfg, workspace=ws)
             if not np.isfinite(loss):
                 raise NonFiniteError("training loss", step=step)
             lr = train_cfg.lr0 * decay**step
@@ -253,6 +289,7 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
             adam_step(model.rotational_net.params, grads.rotational, adam_rot, lr)
             running.append((loss, ld, lo))
             if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
+                ws = Workspace()  # validation needs none of it: free the memory first
                 rec = _evaluate(model, x_va, y_va, dataset.dt, reps_va, loss_cfg,
                                 val_ref, step, lr, running)
                 running = []

@@ -214,8 +214,11 @@ class TestErrors:
         {"axes": [0, 1], "fixed": {"2": 0.0, "-1": 5.0}, "box": BOX},
         {"axes": [0, 0], "fixed": {"1": 0.0, "2": 0.0}, "box": BOX},
         {"axes": [0, 1], "fixed": {}, "box": BOX},
+        {"axes": [0, 1], "fixed": {"2": 0.0}, "box": [[-1.0, 1.0]]},
+        {"axes": ["a", 1], "fixed": {"2": 0.0}, "box": BOX},
+        {"axes": [0, 1], "fixed": {"z": 0.0}, "box": BOX},
     ], ids=["no_box", "fixed_past_last", "axis_past_last", "fixed_negative",
-            "axis_twice", "unpinned"])
+            "axis_twice", "unpinned", "box_not_2x2", "axis_not_int", "fixed_key_not_int"])
     def test_bad_slice_prints_one_json_line(self, bad_slice, tmp_path, capsys):
         cfg = _write_json(tmp_path / "bad.json", {"system": {"name": "bistable3d"},
                                                   "eval": {"slices": [bad_slice]}})
@@ -226,3 +229,41 @@ class TestErrors:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] in ("ConfigError", "QplandError")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_every_bad_slice_and_grid_field_is_reported_at_once(self, tmp_path, capsys):
+        cfg = _write_json(tmp_path / "bad.json", {
+            "system": {"name": "bistable3d"},
+            "eval": {"grid": {"box": [[-1.0]], "resolution": [0]},
+                     "slices": [{"axes": ["a", 1], "fixed": {"2": 0.0}, "box": [[-1.0, 1.0]]},
+                                {"axes": [0, 1], "fixed": {"z": 0.0}, "box": BOX,
+                                 "resolution": "9"}]}})
+        code = cli.main(["landscape", "--config", cfg, "--model", "exact:bistable3d",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["problems"] == [
+            "eval.grid.box must be a list of [lo, hi] number pairs, got [[-1.0]]",
+            "eval.grid.resolution must be a positive integer or a list of them, got [0]",
+            "eval.slices[0].box must be 2 x 2 numbers [[lo, hi], [lo, hi]], got [[-1.0, 1.0]]",
+            "eval.slices[0].axes must be a list of integers, got ['a', 1]",
+            "eval.slices[1].resolution must be a positive integer or a list of them, got '9'",
+            "eval.slices[1].fixed must map integer keys to numbers, got {'z': 0.0}",
+        ]
+
+    def test_grid_resolution_short_of_the_dimension_prints_one_json_line(
+            self, tmp_path, capsys, monkeypatch):
+        # a 2-entry resolution on the 3-d system used to build a 2-column
+        # grid and fail later with a bare broadcast ValueError
+        monkeypatch.chdir(tmp_path)
+        _write_json(tmp_path / "run.json",
+                    {**E2E_CONFIG, "eval": {"grid": {"resolution": [5, 5]}}})
+        assert cli.main(["generate", "--config", "run.json", "--out", "data.qptd"]) == 0
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", "run.json", "--model", "exact:bistable3d",
+                         "--data", "data.qptd", "--out", "report.json"])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "QplandError" and "resolution" in payload["detail"]
+        assert not (tmp_path / "report.json").exists()

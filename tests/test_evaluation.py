@@ -36,6 +36,25 @@ class TestQuasipotentialErrors:
             quasipotential_errors(exact_bistable, lambda x: np.full(len(x), 3.0), points)
 
 
+class TestMakeGrid:
+    def test_one_resolution_for_every_axis(self):
+        points, axes = make_grid([[-1.0, 1.0], [0.0, 2.0], [0.0, 1.0]], 3)
+        assert points.shape == (27, 3)
+        assert [a.tolist() for a in axes] == [[-1.0, 0.0, 1.0], [0.0, 1.0, 2.0],
+                                              [0.0, 0.5, 1.0]]
+
+    @pytest.mark.parametrize("box,resolution", [
+        ([[-1.0, 1.0]] * 3, [5, 5]),
+        ([[-1.0, 1.0]] * 2, [5, 5, 5]),
+        ([-1.0, 1.0], 5),
+        ([[-1.0, 0.0, 1.0]] * 2, 5),
+    ], ids=["short_resolution", "long_resolution", "flat_box", "three_column_box"])
+    def test_box_and_resolution_must_agree(self, box, resolution):
+        # the resolution used to be zipped with the box, dropping axes
+        with pytest.raises(QplandError, match="grid"):
+            make_grid(box, resolution)
+
+
 class TestArcLength:
     def test_cumulative_lengths(self):
         path = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [3.0, 5.0]])

@@ -79,14 +79,14 @@ class TestActivations:
         assert forward(net, [-2.0])[0] == 0.0
 
 
-def _recomputed_tanh_d(pre, hid):
+def _recomputed_tanh_d(pre, hid, out=None):
     t = np.tanh(pre)
-    return 1.0 - t * t
+    return np.subtract(1.0, t * t, out=out)
 
 
-def _recomputed_tanh_dd(pre, hid):
+def _recomputed_tanh_dd(pre, hid, out=None):
     t = np.tanh(pre)
-    return -2.0 * t * (1.0 - t * t)
+    return np.multiply(-2.0 * t, 1.0 - t * t, out=out)
 
 
 def _tanh_consumer_outputs(scalar, vector, xs, v, t):

@@ -9,6 +9,7 @@ from qpland.config import parse_config
 from qpland.datasets import generate, representative_sample, split
 from qpland.decomposition import AnalyticDecomposition, init_model
 from qpland.errors import ConfigError, NonFiniteError, QplandError, TrainingDivergedError
+from qpland.nets import Workspace
 from qpland.systems import make_system
 from qpland.training import (AdamState, LossConfig, TrainConfig, adam_step,
                              cosine_penalty, dyn_loss, huber, orth_loss,
@@ -205,6 +206,71 @@ class TestGradients:
         y = x + 0.01 * rng.normal(0, 1, x.shape)
         cfg = LossConfig(huber_delta=0.6, orth_weight=0.0, neg_cos_weight=0.1)
         assert_gradient_matches_fd(model, x, y, rng.normal(0, 1, (6, 3)), cfg)
+
+
+def loss_case(n_pairs, n_reps, act="relu2", seed=None):
+    """A fixed model, pairs and representatives, with the orthogonality term
+    on. With a ReLU^2 rotational net this is the arithmetic that the
+    tanh-only training pin cannot see."""
+    rng = np.random.default_rng(n_pairs * 1000 + n_reps if seed is None else seed)
+    model = init_model(3, 16, act, seed=11)
+    model.potential_net.params[:] = rng.normal(0, 0.25, model.potential_net.params.shape)
+    model.rotational_net.params[:] = rng.normal(0, 0.25, model.rotational_net.params.shape)
+    model.center = np.array([0.2, -0.1, 0.05])
+    x = rng.normal(0, 1, (n_pairs, 3))
+    y = x + 0.01 * rng.normal(0, 2, x.shape)
+    reps = rng.normal(0, 1, (n_reps, 3))
+    cfg = LossConfig(huber_delta=0.6, orth_weight=0.8, neg_cos_weight=0.1)
+    return model, x, y, 0.01, reps, cfg
+
+
+def sha256_f8(a):
+    return hashlib.sha256(np.asarray(a).astype("<f8").tobytes()).hexdigest()
+
+
+# loss_case(n_pairs, n_reps): (total, dyn, orth) as float.hex(), then
+# the sha256 of the potential and rotational gradients as little-endian float64
+PINNED_RELU2_ORTH = {
+    (64, 40): (("0x1.4d3871f3584d1p+0", "0x1.1c3a20fbc6cfcp+0", "0x1.e9ef29abaee52p-3"),
+               "60cb4a45cc88dd16b03c07f90088dab3f07d3bf47dd694847258d36267ea5f9a",
+               "105d1161bbd1d7a6ff75eea3e67170a07635bb0464535954a05c2f78627dc8ec"),
+    (300, 250): (("0x1.45bd6acf5cc61p+0", "0x1.216109e55e498p+0", "0x1.6b9bc923f0dddp-3"),
+                 "d8dc06ac1bacc36e634fc0424bc0fb3e8579e9fb5c6014763e155fe19d0e4969",
+                 "7df4ff4308be765d345ec510134e741196311051ca2d3b8e362f946d5e8c0049"),
+}
+
+
+class TestPinnedArithmetic:
+    @pytest.mark.parametrize("rows", sorted(PINNED_RELU2_ORTH))
+    def test_relu2_orth_loss_and_grad_pinned(self, rows):
+        # a change that moves the ReLU^2 path or the orthogonality gradient
+        # by one ulp changes these values
+        total, ld, lo, grads = total_loss_and_grad(*loss_case(*rows))
+        losses, pot, rot = PINNED_RELU2_ORTH[rows]
+        assert (total.hex(), ld.hex(), lo.hex()) == losses
+        assert (sha256_f8(grads.potential), sha256_f8(grads.rotational)) == (pot, rot)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("act", ["tanh", "relu2"])
+    def test_reuse_across_row_counts_matches_fresh_arrays(self, act):
+        # rows grow, shrink and grow again with new data each call, so an
+        # array read while another role holds it, or a stale row, shows
+        ws = Workspace()
+        arrays = None
+        for seed, rows in enumerate([(24, 16), (64, 40), (40, 24), (64, 40)]):
+            case = loss_case(*rows, act, seed=seed)
+            want = total_loss_and_grad(*case)
+            got = total_loss_and_grad(*case, workspace=ws)
+            assert got[:3] == want[:3]
+            assert np.array_equal(got[3].potential, want[3].potential)
+            assert np.array_equal(got[3].rotational, want[3].rotational)
+            if rows == (64, 40) and arrays is None:
+                arrays = dict(ws._arrays)
+            if arrays is not None:
+                # after the first 64-row call, no array is allocated or replaced
+                assert ws._arrays.keys() == arrays.keys()
+                assert all(ws._arrays[k] is a for k, a in arrays.items())
 
 
 class TestAdam:
