@@ -39,6 +39,11 @@ def main(argv=None):
     except QplandError as err:
         _emit_error(err)
         return 1
+    except OSError as err:
+        # an input file that is missing or unreadable, or an output that
+        # cannot be written; the detail names the path
+        _emit_error(err, extra={"path": err.filename})
+        return 1
 
 
 def _emit_error(err, extra=None):

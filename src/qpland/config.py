@@ -102,6 +102,8 @@ def validate_config(doc):
         params = sys_block.get("params")
         if params is not None and not isinstance(params, dict):
             problems.append("system.params must be an object")
+        if "domain" in sys_block:
+            problems += _domain_problems(sys_block)
     eval_block = doc.get("eval") or {}
     if isinstance(eval_block, dict):
         grid = eval_block.get("grid")
@@ -175,6 +177,25 @@ def _is_resolution(res):
     """A positive integer, or a non-empty list of them."""
     values = res if isinstance(res, list) else [res]
     return len(values) > 0 and all(_is_int(r) and r >= 1 for r in values)
+
+
+def _domain_problems(sys_block):
+    """``system.domain`` must be d x 2 numbers, d the system's dimension.
+    The dimension is checked only when the system can be built; a system
+    that cannot reports its own problems when a command builds it."""
+    domain = sys_block["domain"]
+    if not _is_box(domain):
+        return [f"system.domain must be a list of [lo, hi] number pairs, got {domain!r}"]
+    name, params = sys_block.get("name"), sys_block.get("params") or {}
+    if name not in SYSTEM_NAMES or not isinstance(params, dict):
+        return []
+    try:
+        dim = make_system(name, params).dim
+    except (ConfigError, TypeError, ValueError):
+        return []
+    if len(domain) != dim:
+        return [f"system.domain has {len(domain)} rows, system '{name}' has dimension {dim}"]
+    return []
 
 
 def _slice_problems(where, sl):

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import FormatError, NonFiniteError, QplandError
+from .fileio import atomic_write
 from .integrators import rk4_step
 
 QPTD_MAGIC = b"QPTD"
@@ -233,14 +234,15 @@ def save_dataset(dataset, path):
     rec["tid"] = dataset.traj_id
     rec["x"] = dataset.x
     rec["y"] = dataset.x_next
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(rec.tobytes())
     meta = dict(dataset.metadata)
     if dataset.split_seed is not None:
         meta["split_seed"] = dataset.split_seed
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
+    # both files are written in full before either replaces its old copy
+    with (atomic_write(path, "wb") as fh,
+          atomic_write(str(path) + ".json", "w", encoding="utf-8") as sidecar):
+        fh.write(header)
+        fh.write(rec.tobytes())
+        json.dump(meta, sidecar, sort_keys=True)
 
 
 def load_dataset(path):
@@ -289,7 +291,7 @@ def load_dataset(path):
 def save_representatives(reps, path):
     header = _QPRS_HEADER.pack(QPRS_MAGIC, FILE_VERSION, reps.points.shape[1],
                                reps.radius, reps.count)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(reps.points, dtype="<f8").tobytes())
 

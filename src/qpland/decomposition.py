@@ -21,6 +21,7 @@ import numpy as np
 
 from . import nets
 from .errors import ConfigError, FormatError
+from .fileio import atomic_write
 from .nets import Activation, Mlp
 
 COSINE_NORM_FLOOR = 1e-12
@@ -238,7 +239,7 @@ def save_checkpoint(path, model, training_config_echo=None):
         "rotational_params": model.rotational_net.params.tolist(),
         "training_config_echo": training_config_echo or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     return payload
 

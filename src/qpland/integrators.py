@@ -30,35 +30,56 @@ def _check_stage(k, stage):
 
 
 def rk4_step(field, x, dt, check=True):
-    """One classical RK4 step. ``x`` may be a state or a batch of states."""
+    """One classical RK4 step. ``x`` may be a state or a batch of states.
+
+    Stage inputs and the final combination are built in place, in arrays
+    this step allocates itself, with every rounding of
+    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) kept. Neither ``x`` nor a stage is
+    ever written, since a field may return its argument."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     x = np.asarray(x, dtype=np.float64)
     k1 = field(x)
     if check:
         _check_stage(k1, 1)
-    k2 = field(x + 0.5 * dt * k1)
+    k2 = field(_stage_input(x, k1, 0.5 * dt))
     if check:
         _check_stage(k2, 2)
-    k3 = field(x + 0.5 * dt * k2)
+    k3 = field(_stage_input(x, k2, 0.5 * dt))
     if check:
         _check_stage(k3, 3)
-    k4 = field(x + dt * k3)
+    k4 = field(_stage_input(x, k3, dt))
     if check:
         _check_stage(k4, 4)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = np.multiply(k2, 2.0)
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= dt / 6.0
+    acc += x
+    return acc
 
 
 def rk2_step(field, x, dt, check=True):
-    """One Heun step: x + dt/2 (k1 + k2), k1 = f(x), k2 = f(x + dt k1)."""
+    """One Heun step: x + dt/2 (k1 + k2), k1 = f(x), k2 = f(x + dt k1);
+    built in place like ``rk4_step``."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     x = np.asarray(x, dtype=np.float64)
     k1 = field(x)
     if check:
         _check_stage(k1, 1)
-    k2 = field(x + dt * k1)
+    k2 = field(_stage_input(x, k1, dt))
     if check:
         _check_stage(k2, 2)
-    return x + 0.5 * dt * (k1 + k2)
+    acc = k1 + k2
+    acc *= 0.5 * dt
+    acc += x
+    return acc
 
+
+def _stage_input(x, k, c):
+    """x + c k, in a new array."""
+    s = np.multiply(k, c)
+    s += x
+    return s

@@ -9,7 +9,8 @@ from qpland.decomposition import init_model, save_checkpoint
 
 # sha256 of each command's output file, recorded with NumPy 2.4.6 and
 # scipy-openblas 0.3.31; a BLAS that rounds differently would need them
-# recorded again
+# recorded again. The Ginzburg-Landau field cubes by products, so the mep
+# digest no longer depends on how NumPy's SIMD pow rounds on the host.
 PINNED_SHA256 = {
     "decompose.csv":
         "7f3cbdaeea9908899c654ee129c91fed43cda1545641459ac2086f3226f50302",
@@ -18,7 +19,7 @@ PINNED_SHA256 = {
     "landscape.csv":
         "bf3e14db0ef43319162f04fa9e18b2067f7646038a3109b5259947bfe699ac07",
     "mep.csv":
-        "6260dc7e74332fdd683e4957c4ecb0ab3110a7e3ba9a715b833038099ad9d6bd",
+        "17044f5ed064dfb1d3caef55705aed3e5c86d9e71bc2b69ac44087dcc1beff55",
 }
 
 BISTABLE_CONFIG = {
@@ -266,4 +267,52 @@ class TestErrors:
         assert len(lines) == 1
         payload = json.loads(lines[0])
         assert payload["error"] == "QplandError" and "resolution" in payload["detail"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--data", "--reps", "--model"])
+    def test_missing_input_file_prints_one_json_line(self, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_json(tmp_path / "run.json", E2E_CONFIG)
+        assert cli.main(["generate", "--config", "run.json", "--out", "data.qptd"]) == 0
+        assert cli.main(["representatives", "--config", "run.json", "--data", "data.qptd",
+                         "--out", "reps.qprs"]) == 0
+        model = tmp_path / "model.json"
+        save_checkpoint(model, init_model(3, 6, "tanh", seed=0))
+        inputs = {"--data": "data.qptd", "--reps": "reps.qprs", "--model": str(model)}
+        inputs[flag] = "missing.file"
+        argv = ["eval", "--config", "run.json", "--out", "report.json"]
+        for key, value in inputs.items():
+            argv += [key, value]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "FileNotFoundError"
+        assert payload["path"] == "missing.file" and "missing.file" in payload["detail"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("domain, problem", [
+        ([[-1.0, 1.0], [0.0]], "system.domain must be a list of [lo, hi] number pairs, "
+                               "got [[-1.0, 1.0], [0.0]]"),
+        ([[-1.0, 1.0], ["a", 1.0], [0.0, 1.0]], "system.domain must be a list of [lo, hi] "
+                                                "number pairs, got [[-1.0, 1.0], ['a', 1.0], "
+                                                "[0.0, 1.0]]"),
+        ([[-1.0, 1.0], [-1.0, 1.0]], "system.domain has 2 rows, system 'bistable3d' has "
+                                     "dimension 3"),
+    ], ids=["ragged", "non_numeric", "not_d_rows"])
+    def test_bad_domain_is_reported_with_every_other_problem(self, domain, problem, tmp_path,
+                                                             capsys):
+        cfg = _write_json(tmp_path / "bad.json",
+                          {**E2E_CONFIG, "system": {"name": "bistable3d", "domain": domain},
+                           "eval": {"grid": {"resolution": 3}}, "extra": {}})
+        code = cli.main(["eval", "--config", cfg, "--model", "exact:bistable3d",
+                         "--data", str(tmp_path / "data.qptd"),
+                         "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert payload["problems"] == ["unknown top-level key 'extra'", problem]
         assert not (tmp_path / "report.json").exists()

@@ -87,6 +87,41 @@ class TestSteps:
         assert exc.value.stage == 2
 
 
+def rk4_reference(field, x, dt):
+    k1 = field(x)
+    k2 = field(x + 0.5 * dt * k1)
+    k3 = field(x + 0.5 * dt * k2)
+    k4 = field(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk2_reference(field, x, dt):
+    k1 = field(x)
+    k2 = field(x + dt * k1)
+    return x + 0.5 * dt * (k1 + k2)
+
+
+class TestInPlaceStages:
+    """The steps build their stages in place; they must round exactly as the
+    textbook expressions do and never write into the state or a stage."""
+
+    @pytest.mark.parametrize("name, field, x", [
+        ("bistable3d", make_system("bistable3d").field,
+         np.random.default_rng(1).uniform(-2.0, 2.0, (500, 3))),
+        ("ginzburg_landau", make_system("ginzburg_landau", {"I": 11}).field,
+         np.random.default_rng(2).uniform(-1.0, 1.0, (60, 10))),
+        ("returns_its_argument", lambda s: s,
+         np.random.default_rng(3).normal(0.0, 1.0, (40, 4))),
+        ("single_state", decayetc, np.array([1.0, -0.5])),
+    ])
+    @pytest.mark.parametrize("dt", [1e-3, 0.37])
+    def test_bit_identical_to_reference(self, name, field, x, dt):
+        before = x.copy()
+        assert np.array_equal(rk4_step(field, x, dt), rk4_reference(field, before.copy(), dt))
+        assert np.array_equal(rk2_step(field, x, dt), rk2_reference(field, before.copy(), dt))
+        assert np.array_equal(x, before)
+
+
 class TestRollout:
     def test_brusselator_stable_state_is_fixed(self):
         system = make_system("brusselator", {"I": 9})

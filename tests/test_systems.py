@@ -1,6 +1,12 @@
+import ast
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qpland import systems
+from qpland.datasets import generate
 from qpland.errors import ConfigError, SamplingError
 from qpland.integrators import rk4_step
 from qpland.systems import (exact_decomposition_bistable3d, exact_u_limitcycle2d, gl_energy,
@@ -190,3 +196,65 @@ class TestMakeSystem:
             make_system("bistable3d", {"gamma": 1.0})
         with pytest.raises(ConfigError):
             make_system("ginzburg_landau", {"depth": 3})
+
+
+# sha256 of the float64 bytes of a tiny dataset's x and x_next, recorded with
+# NumPy 2.4.6. The right-hand sides use only + - * /, so these do not depend
+# on the host's vector unit; the Ginzburg-Landau sampler's sines and 4-term
+# matmul are the only library arithmetic in them.
+PINNED_GENERATE_SHA256 = {
+    "bistable3d": ("6ec1f7ed0962c5803956acb64120f2d39c9882fe106f3989e2bc7e1a4b0b15c7",
+                   "d95f1b77890d59c6a0adb19df701f286e2c4f8db253bb23192f84efcf68a7da5"),
+    "ginzburg_landau": ("b3caf8690a50a2a3b35bcd33f37c22ae8037d28d730c95c2c2d927a9718bf74a",
+                        "2a57abbe8c879ca37c69d12b8f673f52e88e4bb6af46156d8ff19c296100e68c"),
+}
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestGeneratedBytes:
+    # the Ginzburg-Landau run is large enough that, with NumPy 2.4.6 on an
+    # AVX-512 x86_64 CPU, u**3 in place of the product cube changes its digests
+    @pytest.mark.parametrize("name, params, n, dt, pairs", [
+        ("bistable3d", {}, 4, 1e-2, 3),
+        ("ginzburg_landau", {"I": 6, "delta": 0.1}, 8, 1e-3, 20),
+    ])
+    def test_generated_pairs_match_pinned_bytes(self, name, params, n, dt, pairs):
+        dataset = generate(make_system(name, params), n, dt, 2 * pairs * dt, 2, seed=11)
+        assert dataset.n_pairs == n * pairs
+        assert (_sha256(dataset.x), _sha256(dataset.x_next)) == PINNED_GENERATE_SHA256[name]
+
+
+def non_square_powers(source):
+    """(line, text) of each ``a ** b`` or ``np.power(a, b)`` in ``source``
+    whose exponent is not the literal 2 and whose base is not a number
+    literal: cubes of arrays are written as products (see rhs_bistable3d)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, exponent = node.left, node.right
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("power", "float_power") and len(node.args) == 2):
+            base, exponent = node.args
+        else:
+            continue
+        if isinstance(exponent, ast.Constant) and exponent.value == 2:
+            continue
+        if isinstance(base, ast.Constant) and isinstance(base.value, (int, float)):
+            continue
+        found.append((node.lineno, ast.get_source_segment(source, node)))
+    return sorted(found)
+
+
+class TestCubesAreProducts:
+    def test_systems_raise_arrays_to_no_power_but_two(self):
+        source = Path(systems.__file__).read_text(encoding="utf-8")
+        assert non_square_powers(source) == []
+
+    def test_guard_flags_a_cube(self):
+        source = ("def f(u, x, p):\n"
+                  "    a = u**3 - u + x[..., 0] ** 2 + 10**6 + p['j'] ** 2\n"
+                  "    return a + np.power(x, 3) + np.power(x, 2)\n")
+        assert non_square_powers(source) == [(2, "u**3"), (3, "np.power(x, 3)")]
