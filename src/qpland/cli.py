@@ -20,7 +20,7 @@ from .config import load_config
 from .decomposition import (AnalyticDecomposition, init_model, load_checkpoint,
                             safe_cosine, save_checkpoint)
 from .errors import ConfigError, QplandError, TrainingDivergedError
-from .evaluation import SliceSpec, planar_slice
+from .fileio import atomic_write
 
 log = logging.getLogger("qpland.cli")
 
@@ -116,14 +116,11 @@ def _resolve_model(spec):
 
 def cmd_generate(args):
     cfg = load_config(args.config)
-    system = cfg.make_system()
-    data = cfg.data
-    for key in ("N", "dt", "T", "m"):
-        if key not in data:
-            raise ConfigError([f"data.{key} is required for generate"])
-    seed = args.seed if args.seed is not None else cfg.data_seed()
-    dataset = datasets.generate(system, data["N"], data["dt"], data["T"], data["m"], seed)
-    datasets.split(dataset, cfg.split_seed())
+    system = cfg.system()
+    n, dt, horizon, stride = cfg.get("data.N", "data.dt", "data.T", "data.m")
+    seed = args.seed if args.seed is not None else cfg.get("data.seed")
+    dataset = datasets.generate(system, n, dt, horizon, stride, seed)
+    datasets.split(dataset, cfg.get("data.split_seed"))
     datasets.save_dataset(dataset, args.out)
     log.info("wrote %s: %d pairs, %d trajectories", args.out, dataset.n_pairs,
              dataset.n_trajectories)
@@ -131,14 +128,13 @@ def cmd_generate(args):
 
 def cmd_representatives(args):
     cfg = load_config(args.config)
-    if "r" not in cfg.sampling:
-        raise ConfigError(["sampling.r is required for representatives"])
+    radius = cfg.get("sampling.r")
     dataset = datasets.load_dataset(args.data)
     split = None if args.split == "all" else args.split
     states = dataset.states(split)
-    base_seed = args.seed if args.seed is not None else int(cfg.sampling.get("seed", 0))
+    base_seed = args.seed if args.seed is not None else cfg.get("sampling.seed")
     seed = base_seed + {"train": 0, "val": 1, "test": 2, None: 3}[split]
-    reps = datasets.representative_sample(states, float(cfg.sampling["r"]), seed)
+    reps = datasets.representative_sample(states, radius, seed)
     datasets.save_representatives(reps, args.out)
     log.info("wrote %s: %d representatives (r=%g) from %d states", args.out,
              reps.count, reps.radius, len(states))
@@ -151,18 +147,15 @@ def cmd_train(args):
     if args.val_reps:
         reps_val = datasets.load_representatives(args.val_reps)
     else:
-        seed = int(cfg.sampling.get("seed", 0)) + 1
-        reps_val = datasets.representative_sample(dataset.states("val"),
-                                                  reps_train.radius, seed)
-    model = init_model(dataset.dim, int(cfg.model.get("hidden_width", 50)),
-                       cfg.model.get("rot_activation", "tanh"),
-                       int(cfg.model.get("init_seed", 0)))
-    train_cfg = cfg.train_config()
+        reps_val = datasets.representative_sample(dataset.states("val"), reps_train.radius,
+                                                  cfg.get("sampling.seed") + 1)
+    model = init_model(dataset.dim, *cfg.get("model.hidden_width", "model.rot_activation",
+                                             "model.init_seed"))
     if args.seed is not None:
-        train_cfg.seed = args.seed
+        cfg.train_config.seed = args.seed
     try:
         result = training.train(dataset, {"train": reps_train, "val": reps_val},
-                                model, cfg.loss_config(), train_cfg)
+                                model, cfg.loss_config, cfg.train_config)
     except TrainingDivergedError as err:
         if err.snapshot is not None:
             save_checkpoint(args.out, err.snapshot, training_config_echo=cfg.raw)
@@ -181,60 +174,32 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = load_config(args.config)
-    system = cfg.make_system()
+    system = cfg.system()
     model = _resolve_model(args.model)
     if model.dim != system.dim:
         raise ConfigError([f"model dim {model.dim} != system dim {system.dim}"])
     dataset = datasets.load_dataset(args.data)
-    eval_cfg = cfg.eval
     grid_points, grid_echo = None, {}
-    if system.exact_u is not None and eval_cfg.get("grid") is not None:
-        gcfg = eval_cfg["grid"]
-        box = np.asarray(gcfg.get("box", cfg.domain(system)), dtype=np.float64)
-        if len(box) != system.dim:
-            raise ConfigError([f"eval.grid.box has {len(box)} axes, system '{system.name}' "
-                               f"has {system.dim}"])
-        resolution = gcfg.get("resolution", [101] * system.dim)
-        grid_points, _ = evaluation.make_grid(box, resolution)
-        grid_echo = {"box": box.tolist(), "resolution": list(np.atleast_1d(resolution).tolist()),
-                     "points": int(len(grid_points))}
+    if system.exact_u is not None and cfg.get("eval.grid") is not None:
+        box = np.asarray(cfg.get("eval.grid.box"), dtype=np.float64)
+        grid_points, axes = evaluation.make_grid(box, cfg.get("eval.grid.resolution"))
+        grid_echo = {"box": box.tolist(), "resolution": [len(a) for a in axes],
+                     "points": len(grid_points)}
     reps = datasets.load_representatives(args.reps) if args.reps else None
     report = evaluation.build_report(
         model, dataset=dataset,
         exact_u=system.exact_u, grid_points=grid_points, grid_echo=grid_echo,
         representatives=reps,
-        split=eval_cfg.get("rollout_split", "test"),
-        dt_eval=eval_cfg.get("rollout_dt"),
+        split=cfg.get("eval.rollout_split"), dt_eval=cfg.get("eval.rollout_dt"),
         notes={"system": system.name, "model": args.model})
     report.write(args.out)
     log.info("report: rollout %s rRMSE %s rMAE %s", report.rollout_mean, report.rrmse, report.rmae)
 
 
-def _build_slices(cfg, system):
-    out = []
-    for i, sl in enumerate(cfg.eval.get("slices", [])):
-        name = sl.get("name", f"slice{i}")
-        box = np.asarray(sl["box"], dtype=np.float64)
-        resolution = tuple(sl.get("resolution", (101, 101)))
-        if "embedding" in sl:
-            makers = {"brusselator_mean": systems.brusselator_mean_embedding,
-                      "brusselator_mode1": systems.brusselator_mode1_embedding}
-            if sl["embedding"] not in makers:
-                raise ConfigError([f"unknown embedding '{sl['embedding']}'"])
-            to_state = makers[sl["embedding"]](system)
-            out.append(SliceSpec(name=name, box=box, resolution=resolution,
-                                 to_state=to_state, axis_names=("a1", "a2")))
-        else:
-            out.append(planar_slice(system.dim, sl["axes"], sl.get("fixed", {}),
-                                    box, resolution, name=name))
-    return out
-
-
 def cmd_landscape(args):
     cfg = load_config(args.config)
-    system = cfg.make_system()
     model = _resolve_model(args.model)
-    slices = _build_slices(cfg, system)
+    slices = cfg.slices()
     if not slices:
         raise ConfigError(["eval.slices is empty; nothing to export"])
     if args.slice_name is not None:
@@ -256,20 +221,14 @@ def _suffixed(path, name):
 
 def cmd_mep(args):
     cfg = load_config(args.config)
-    system = cfg.make_system()
+    system = cfg.system()
     if system.energy is None:
         raise ConfigError([f"system '{system.name}' has no energy; the mep command "
                            "needs a gradient system"])
-    mep_cfg = cfg.eval.get("mep", {})
     u_minus, u_plus = systems.gl_stable_states(
-        system, dt=float(mep_cfg.get("relax_dt", 5e-4)),
-        tol=float(mep_cfg.get("relax_tol", 1e-8)))
-    result = evaluation.string_mep(
-        system.energy_gradient, u_minus, u_plus,
-        n_images=int(mep_cfg.get("n_images", 50)),
-        n_iters=int(mep_cfg.get("n_iters", 2000)),
-        step=float(mep_cfg.get("step", 1e-3)),
-        tol=float(mep_cfg.get("tol", 1e-8)))
+        system, *cfg.get("eval.mep.relax_dt", "eval.mep.relax_tol"))
+    result = evaluation.string_mep(system.energy_gradient, u_minus, u_plus, *cfg.get(
+        "eval.mep.n_images", "eval.mep.n_iters", "eval.mep.step", "eval.mep.tol"))
     path = result.images
     u_exact = 2.0 * system.energy(path)
     u_exact -= u_exact.min()
@@ -325,7 +284,7 @@ def cmd_decompose(args):
         payload = [{"x": points[i].tolist(), "f": f[i].tolist(),
                     "grad_v": grad_v[i].tolist(), "g": g[i].tolist(),
                     "cosine": float(cos[i])} for i in range(len(points))]
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     else:

@@ -1,169 +1,43 @@
 """Run configuration: one strict JSON document drives the whole pipeline.
 
-Unknown keys are rejected and every violation is reported at once, so a
-config diff review catches typos before a long run burns time on them.
+``_TABLE`` is the one reference for every key of the document: the check
+its value must pass, and its default or that it is required. A default that
+a Python API shares (a ``LossConfig``/``TrainConfig`` field, a keyword of
+``build_report``, ``string_mep`` or ``gl_stable_states``) is read from that
+signature, so each is written once. Commands read values through
+``RunConfig.get``. ``load_config`` reports every problem in the file at
+once, so a config diff review catches typos before a long run burns time.
 """
 
+import inspect
 import json
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .systems import SYSTEM_NAMES, make_system
+from . import systems
+from .errors import ConfigError, QplandError
+from .evaluation import SliceSpec, build_report, planar_slice, string_mep
+from .nets import Activation
+from .systems import SYSTEM_NAMES, _is_number, gl_stable_states, make_system
 from .training import LossConfig, TrainConfig
 
-_BLOCK_KEYS = {
-    "system": {"name", "params", "domain"},
-    "data": {"N", "dt", "T", "m", "seed", "split_seed"},
-    "sampling": {"r", "seed"},
-    "model": {"hidden_width", "rot_activation", "init_seed"},
-    "loss": {"huber_delta", "orth_weight", "neg_cos_weight"},
-    "train": {"batch", "lr0", "decay", "steps", "eval_every", "seed",
-              "val_rollout_trajectories"},
-    "eval": {"grid", "rollout_dt", "rollout_split", "slices", "mep"},
-}
-
-_SLICE_KEYS = {"name", "axes", "fixed", "box", "resolution", "embedding"}
-_GRID_KEYS = {"box", "resolution"}
-_MEP_KEYS = {"n_images", "n_iters", "step", "tol", "relax_dt", "relax_tol"}
+_REQUIRED = object()  # the default of a key that a command reading it cannot do without
 
 
-@dataclass
-class RunConfig:
-    system: dict = field(default_factory=dict)
-    data: dict = field(default_factory=dict)
-    sampling: dict = field(default_factory=dict)
-    model: dict = field(default_factory=dict)
-    loss: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    eval: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
-
-    def make_system(self):
-        if "name" not in self.system:
-            raise ConfigError(["system.name is required"])
-        return make_system(self.system["name"], self.system.get("params", {}))
-
-    def domain(self, system):
-        if "domain" in self.system:
-            return np.asarray(self.system["domain"], dtype=np.float64)
-        if system.domain is None:
-            raise ConfigError([f"system '{system.name}' has no default domain; set system.domain"])
-        return system.domain
-
-    def data_seed(self):
-        return int(self.data.get("seed", 0))
-
-    def split_seed(self):
-        return int(self.data.get("split_seed", self.data_seed() + 1))
-
-    def loss_config(self):
-        return LossConfig(
-            huber_delta=float(self.loss.get("huber_delta", 1.0)),
-            orth_weight=float(self.loss.get("orth_weight", 1.0)),
-            neg_cos_weight=float(self.loss.get("neg_cos_weight", 0.1)),
-        )
-
-    def train_config(self):
-        t = self.train
-        return TrainConfig(
-            batch_size=int(t.get("batch", 5000)),
-            lr0=float(t.get("lr0", 1e-3)),
-            decay_rate=None if t.get("decay") is None else float(t["decay"]),
-            max_steps=int(t.get("steps", 100_000)),
-            eval_every=int(t.get("eval_every", 1000)),
-            seed=int(t.get("seed", 0)),
-            val_rollout_trajectories=int(t.get("val_rollout_trajectories", 4)),
-        )
+class _Check(NamedTuple):
+    test: Callable  # value -> bool
+    problem: str  # format string of (key, value)
 
 
-def validate_config(doc):
-    """Collect every schema violation before raising."""
-    problems = []
-    if not isinstance(doc, dict):
-        raise ConfigError(["config root must be a JSON object"])
-    for key in sorted(set(doc) - set(_BLOCK_KEYS)):
-        problems.append(f"unknown top-level key '{key}'")
-    for block, allowed in _BLOCK_KEYS.items():
-        sub = doc.get(block)
-        if sub is None:
-            continue
-        if not isinstance(sub, dict):
-            problems.append(f"'{block}' must be an object")
-            continue
-        for key in sorted(set(sub) - allowed):
-            problems.append(f"unknown key '{block}.{key}'")
-    sys_block = doc.get("system") or {}
-    if isinstance(sys_block, dict):
-        name = sys_block.get("name")
-        if name is not None and name not in SYSTEM_NAMES:
-            problems.append(f"system.name '{name}' not one of {SYSTEM_NAMES}")
-        params = sys_block.get("params")
-        if params is not None and not isinstance(params, dict):
-            problems.append("system.params must be an object")
-        if "domain" in sys_block:
-            problems += _domain_problems(sys_block)
-    eval_block = doc.get("eval") or {}
-    if isinstance(eval_block, dict):
-        grid = eval_block.get("grid")
-        if isinstance(grid, dict):
-            for key in sorted(set(grid) - _GRID_KEYS):
-                problems.append(f"unknown key 'eval.grid.{key}'")
-            if "box" in grid and not _is_box(grid["box"]):
-                problems.append("eval.grid.box must be a list of [lo, hi] number pairs, "
-                                f"got {grid['box']!r}")
-            if "resolution" in grid and not _is_resolution(grid["resolution"]):
-                problems.append("eval.grid.resolution must be a positive integer or a list "
-                                f"of them, got {grid['resolution']!r}")
-        elif grid is not None:
-            problems.append("eval.grid must be an object")
-        mep = eval_block.get("mep")
-        if isinstance(mep, dict):
-            for key in sorted(set(mep) - _MEP_KEYS):
-                problems.append(f"unknown key 'eval.mep.{key}'")
-        elif mep is not None:
-            problems.append("eval.mep must be an object")
-        slices = eval_block.get("slices")
-        if slices is not None:
-            if not isinstance(slices, list):
-                problems.append("eval.slices must be a list")
-            else:
-                for i, sl in enumerate(slices):
-                    if not isinstance(sl, dict):
-                        problems.append(f"eval.slices[{i}] must be an object")
-                        continue
-                    for key in sorted(set(sl) - _SLICE_KEYS):
-                        problems.append(f"unknown key 'eval.slices[{i}].{key}'")
-                    if ("embedding" in sl) == ("axes" in sl):
-                        problems.append(
-                            f"eval.slices[{i}]: give exactly one of 'axes' or 'embedding'")
-                    problems += _slice_problems(f"eval.slices[{i}]", sl)
-    for block, key in (("data", "N"), ("data", "m"), ("model", "hidden_width"),
-                       ("train", "batch"), ("train", "steps"), ("train", "eval_every")):
-        sub = doc.get(block) or {}
-        if isinstance(sub, dict) and key in sub:
-            val = sub[key]
-            if not _is_int(val) or val < 1:
-                problems.append(f"'{block}.{key}' must be a positive integer, got {val!r}")
-    if problems:
-        raise ConfigError(problems)
+class _Key(NamedTuple):
+    check: _Check
+    default: object  # a value, _REQUIRED, or a function of the RunConfig
+    field: Optional[str] = None  # the LossConfig or TrainConfig field the key sets
 
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int_key(k):
-    try:
-        int(k)
-    except ValueError:
-        return False
-    return True
 
 
 def _is_box(box):
@@ -179,60 +53,220 @@ def _is_resolution(res):
     return len(values) > 0 and all(_is_int(r) and r >= 1 for r in values)
 
 
-def _domain_problems(sys_block):
-    """``system.domain`` must be d x 2 numbers, d the system's dimension.
-    The dimension is checked only when the system can be built; a system
-    that cannot reports its own problems when a command builds it."""
-    domain = sys_block["domain"]
-    if not _is_box(domain):
-        return [f"system.domain must be a list of [lo, hi] number pairs, got {domain!r}"]
-    name, params = sys_block.get("name"), sys_block.get("params") or {}
-    if name not in SYSTEM_NAMES or not isinstance(params, dict):
-        return []
-    try:
-        dim = make_system(name, params).dim
-    except (ConfigError, TypeError, ValueError):
-        return []
-    if len(domain) != dim:
-        return [f"system.domain has {len(domain)} rows, system '{name}' has dimension {dim}"]
-    return []
+def _one_of(*choices):
+    return _Check(lambda v: v in choices, f"'{{}}' must be one of {choices}, got {{!r}}")
 
 
-def _slice_problems(where, sl):
-    """The shape of one slice: a 2 x 2 numeric box, a positive resolution,
-    integer axes and integer ``fixed`` keys. Which coordinates they name is
-    ``planar_slice``'s check, against the system's dimension."""
-    problems = []
-    box = sl.get("box")
-    if box is None:
-        problems.append(f"{where}: 'box' is required")
-    elif not (_is_box(box) and len(box) == 2):
-        problems.append(f"{where}.box must be 2 x 2 numbers [[lo, hi], [lo, hi]], got {box!r}")
-    if "resolution" in sl and not _is_resolution(sl["resolution"]):
-        problems.append(f"{where}.resolution must be a positive integer or a list of them, "
-                        f"got {sl['resolution']!r}")
-    axes = sl.get("axes")
-    if axes is not None and not (isinstance(axes, list) and all(map(_is_int, axes))):
-        problems.append(f"{where}.axes must be a list of integers, got {axes!r}")
-    fixed = sl.get("fixed")
-    if fixed is not None and not (isinstance(fixed, dict) and all(map(_is_int_key, fixed))
-                                  and all(map(_is_number, fixed.values()))):
-        problems.append(f"{where}.fixed must map integer keys to numbers, got {fixed!r}")
-    return problems
+_OBJECT = _Check(lambda v: isinstance(v, dict), "'{}' must be an object, got {!r}")
+_LIST = _Check(lambda v: isinstance(v, list), "'{}' must be a list, got {!r}")
+_NUMBER = _Check(_is_number, "'{}' must be a number, got {!r}")
+_NUMBER_OR_NULL = _Check(lambda v: v is None or _is_number(v),
+                         "'{}' must be a number or null, got {!r}")
+_POSITIVE = _Check(lambda v: _is_number(v) and v > 0, "'{}' must be a positive number, got {!r}")
+_POSITIVE_OR_NULL = _Check(lambda v: v is None or _is_number(v) and v > 0,
+                           "'{}' must be a positive number or null, got {!r}")
+_INT = _Check(_is_int, "'{}' must be an integer, got {!r}")
+_POSITIVE_INT = _Check(lambda v: _is_int(v) and v > 0, "'{}' must be a positive integer, got {!r}")
+_SEED = _Check(lambda v: _is_int(v) and v >= 0, "'{}' must be a non-negative integer, got {!r}")
+_BOX = _Check(_is_box, "{} must be a list of [lo, hi] number pairs, got {!r}")
+_RESOLUTION = _Check(_is_resolution, "{} must be a positive integer or a list of them, got {!r}")
+
+
+def _default_of(fn, name):
+    """The default of ``fn``'s parameter ``name``, read rather than restated."""
+    return inspect.signature(fn).parameters[name].default
+
+
+def _field(cls, name, check):
+    """A key that sets field ``name`` of ``cls``, with that field's default."""
+    return _Key(check, _default_of(cls, name), name)
+
+
+# Every key of the document. The objects are the blocks, eval.grid and
+# eval.mep, the prefixes of the keys; any other key in one is unknown.
+# system.params is an object whose keys the system's maker checks.
+_TABLE = {
+    "system.name": _Key(_one_of(*SYSTEM_NAMES), _REQUIRED),
+    "system.params": _Key(_OBJECT, {}),
+    "system.domain": _Key(_BOX, lambda cfg: cfg.system().domain),
+    "data.N": _Key(_POSITIVE_INT, _REQUIRED),
+    "data.dt": _Key(_POSITIVE, _REQUIRED),
+    "data.T": _Key(_POSITIVE, _REQUIRED),
+    "data.m": _Key(_POSITIVE_INT, _REQUIRED),
+    "data.seed": _Key(_SEED, 0),
+    "data.split_seed": _Key(_SEED, lambda cfg: cfg.get("data.seed") + 1),
+    "sampling.r": _Key(_POSITIVE, _REQUIRED),
+    "sampling.seed": _Key(_SEED, 0),
+    "model.hidden_width": _Key(_POSITIVE_INT, 50),
+    "model.rot_activation": _Key(_one_of(*(a.value for a in Activation)), "tanh"),
+    "model.init_seed": _Key(_SEED, 0),
+    "loss.huber_delta": _field(LossConfig, "huber_delta", _NUMBER),
+    "loss.orth_weight": _field(LossConfig, "orth_weight", _NUMBER),
+    "loss.neg_cos_weight": _field(LossConfig, "neg_cos_weight", _NUMBER),
+    "train.batch": _field(TrainConfig, "batch_size", _POSITIVE_INT),
+    "train.lr0": _field(TrainConfig, "lr0", _NUMBER),
+    "train.decay": _field(TrainConfig, "decay_rate", _NUMBER_OR_NULL),
+    "train.steps": _field(TrainConfig, "max_steps", _POSITIVE_INT),
+    "train.eval_every": _field(TrainConfig, "eval_every", _POSITIVE_INT),
+    "train.seed": _field(TrainConfig, "seed", _SEED),
+    "train.val_rollout_trajectories": _field(TrainConfig, "val_rollout_trajectories", _INT),
+    "eval.rollout_dt": _Key(_POSITIVE_OR_NULL, _default_of(build_report, "dt_eval")),
+    "eval.rollout_split": _Key(_one_of("train", "val", "test", None),
+                               _default_of(build_report, "split")),
+    "eval.grid": _Key(_OBJECT, None),  # absent: no grid metrics
+    "eval.grid.box": _Key(_BOX, lambda cfg: cfg.get("system.domain")),
+    "eval.grid.resolution": _Key(_RESOLUTION, 101),
+    "eval.slices": _Key(_LIST, []),  # each entry is checked by _slice_problems
+    "eval.mep.n_images": _Key(_POSITIVE_INT, _default_of(string_mep, "n_images")),
+    "eval.mep.n_iters": _Key(_POSITIVE_INT, _default_of(string_mep, "n_iters")),
+    "eval.mep.step": _Key(_POSITIVE, _default_of(string_mep, "step")),
+    "eval.mep.tol": _Key(_POSITIVE, _default_of(string_mep, "tol")),
+    "eval.mep.relax_dt": _Key(_POSITIVE, _default_of(gl_stable_states, "dt")),
+    "eval.mep.relax_tol": _Key(_POSITIVE, _default_of(gl_stable_states, "tol")),
+}
+
+# every path of the document, each object before the keys in it
+_PATHS = list(dict.fromkeys(p for key in _TABLE for p in (key.rpartition(".")[0], key)))
+# object path ('' for the root) -> the names allowed in it
+_CHILDREN = {parent: {p.rpartition(".")[2] for p in _PATHS if p.rpartition(".")[0] == parent}
+             for parent in {p.rpartition(".")[0] for p in _PATHS}}
+
+_EMBEDDINGS = {"brusselator_mean": systems.brusselator_mean_embedding,
+               "brusselator_mode1": systems.brusselator_mode1_embedding}
+# the keys of one entry of eval.slices; _build_slice holds their defaults
+_SLICE = {
+    "box": _Check(lambda v: _is_box(v) and len(v) == 2,
+                  "{} must be 2 x 2 numbers [[lo, hi], [lo, hi]], got {!r}"),
+    "resolution": _RESOLUTION,
+    "axes": _Check(lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                   "{} must be a list of integers, got {!r}"),
+    "fixed": _Check(lambda v: isinstance(v, dict) and all(map(_is_number, v.values()))
+                    and all(str(k).removeprefix("-").isdecimal() for k in v),
+                    "{} must map integer keys to numbers, got {!r}"),
+    "embedding": _one_of(*_EMBEDDINGS),
+    "name": _Check(lambda v: isinstance(v, str), "'{}' must be a string, got {!r}"),
+}
+
+
+class RunConfig:
+    """A checked run config. ``get`` reads the table's keys; ``parse_config``
+    built and checked the system, the slices and the loss and train configs."""
+
+    def __init__(self, raw, given):
+        self.raw = raw  # the document as read; checkpoints echo it
+        self.given = given  # table key -> the document's value, for each key it gives
+        self.built_system = None  # None without system.name
+        self.built_slices = []  # a SliceSpec per eval.slices entry; none without a system
+        self.loss_config = self.train_config = None
+
+    def get(self, *keys):
+        """Each key's value: the document's, else the table's default. One key
+        gives its value, several a tuple. Raises one ConfigError naming every
+        key among ``keys`` that is required and absent."""
+        missing = [f"'{k}' is required" for k in keys
+                   if k not in self.given and _TABLE[k].default is _REQUIRED]
+        if missing:
+            raise ConfigError(missing)
+        values = [self.given[k] if k in self.given else _TABLE[k].default for k in keys]
+        values = [v(self) if callable(v) else v for v in values]
+        return values[0] if len(values) == 1 else tuple(values)
+
+    def system(self):
+        """The system that system.name names."""
+        self.get("system.name")
+        return self.built_system
+
+    def slices(self):
+        """The SliceSpec of each eval.slices entry, built on the system."""
+        self.system()
+        return self.built_slices
 
 
 def parse_config(doc):
-    validate_config(doc)
-    return RunConfig(
-        system=doc.get("system", {}) or {},
-        data=doc.get("data", {}) or {},
-        sampling=doc.get("sampling", {}) or {},
-        model=doc.get("model", {}) or {},
-        loss=doc.get("loss", {}) or {},
-        train=doc.get("train", {}) or {},
-        eval=doc.get("eval", {}) or {},
-        raw=doc,
-    )
+    """The RunConfig of a JSON document. Raises one ConfigError listing every
+    unknown key and failed check, then what building the system, the slices
+    and the loss and train configs from the values that passed raises."""
+    if not isinstance(doc, dict):
+        raise ConfigError(["config root must be a JSON object"])
+    problems = [f"unknown top-level key '{k}'" for k in sorted(set(doc) - _CHILDREN[""])]
+    given = {}
+    for path in _PATHS:
+        parent, _, name = path.rpartition(".")
+        obj = given.get(parent) if parent else doc
+        if obj is None or name not in obj:
+            continue
+        value, check = obj[name], _TABLE[path].check if path in _TABLE else _OBJECT
+        if not check.test(value):
+            problems.append(check.problem.format(path, value))
+            continue
+        given[path] = value
+        if path in _CHILDREN:
+            problems += [f"unknown key '{path}.{k}'" for k in sorted(set(value) - _CHILDREN[path])]
+    cfg = RunConfig(raw=doc, given=given)
+    if "system.name" in given:
+        try:
+            cfg.built_system = make_system(*cfg.get("system.name", "system.params"))
+        except ConfigError as err:
+            problems += err.problems
+    system = cfg.built_system
+    for key in ("system.domain", "eval.grid.box"):
+        if system is not None and key in given and len(given[key]) != system.dim:
+            problems.append(f"{key} has {len(given[key])} rows, system '{system.name}' "
+                            f"has dimension {system.dim}")
+    for i, sl in enumerate(cfg.get("eval.slices")):
+        found = _slice_problems(f"eval.slices[{i}]", sl)
+        problems += found
+        if not found and system is not None:
+            try:
+                cfg.built_slices.append(_build_slice(i, sl, system))
+            except QplandError as err:
+                problems.append(str(err))
+    cfg.loss_config = _build(LossConfig, "loss.", given, problems)
+    cfg.train_config = _build(TrainConfig, "train.", given, problems)
+    if problems:
+        raise ConfigError(problems)
+    return cfg
+
+
+def _build(cls, prefix, given, problems):
+    """``cls`` from the keys under ``prefix`` that passed their checks; every
+    other field keeps its default. Appends the problems ``cls`` raises."""
+    try:
+        return cls(**{_TABLE[k].field: v for k, v in given.items() if k.startswith(prefix)})
+    except ConfigError as err:
+        problems += err.problems
+        return None
+
+
+def _slice_problems(where, sl):
+    """The shape of one entry of eval.slices. Which coordinates it names is
+    ``planar_slice``'s check, against the system's dimension."""
+    if not isinstance(sl, dict):
+        return [_OBJECT.problem.format(where, sl)]
+    problems = [f"unknown key '{where}.{key}'" for key in sorted(set(sl) - set(_SLICE))]
+    if ("embedding" in sl) == ("axes" in sl):
+        problems.append(f"{where}: give exactly one of 'axes' or 'embedding'")
+    if "box" not in sl:
+        problems.append(f"{where}: 'box' is required")
+    return problems + [check.problem.format(f"{where}.{key}", sl[key])
+                       for key, check in _SLICE.items() if key in sl and not check.test(sl[key])]
+
+
+def _build_slice(i, sl, system):
+    """The SliceSpec of entry ``i`` of eval.slices, whose shape has passed
+    ``_slice_problems``."""
+    name = sl.get("name", f"slice{i}")
+    resolution = sl.get("resolution", 101)
+    resolution = (resolution, resolution) if _is_int(resolution) else tuple(resolution)
+    if "axes" in sl:
+        return planar_slice(system.dim, sl["axes"], sl.get("fixed", {}), sl["box"], resolution,
+                            name=name)
+    if system.name != "brusselator":
+        raise ConfigError([f"eval.slices[{i}]: embedding '{sl['embedding']}' needs the "
+                           f"brusselator system, not '{system.name}'"])
+    return SliceSpec(name=name, box=np.asarray(sl["box"], dtype=np.float64),
+                     resolution=resolution, to_state=_EMBEDDINGS[sl["embedding"]](system),
+                     axis_names=("a1", "a2"))
 
 
 def load_config(path):

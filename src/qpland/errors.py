@@ -34,8 +34,6 @@ class ConfigError(QplandError):
     """Invalid configuration. ``problems`` lists every violation found."""
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 

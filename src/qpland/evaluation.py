@@ -15,6 +15,7 @@ import numpy as np
 
 from .decomposition import orthogonality_cosine
 from .errors import NonFiniteError, QplandError
+from .fileio import atomic_write
 from .integrators import rk2_step
 
 # Rows per model call on a grid. Small on purpose: the tape of one call holds
@@ -35,7 +36,7 @@ def potential_values(model, points):
 def write_csv(path, columns, rows):
     """A header line, then one line per row: ints as ``str``, every other
     value as ``repr(float(v))``, so each field parses back with ``float``."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v))
@@ -274,7 +275,7 @@ class MetricsReport:
         }
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 

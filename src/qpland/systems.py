@@ -8,6 +8,7 @@ Ginzburg-Landau chain carries its energy instead (the quasipotential there
 is twice the energy up to a constant).
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -72,8 +73,7 @@ def exact_decomposition_bistable3d(x):
 
 
 def _make_bistable3d(params):
-    if params:
-        raise ConfigError([f"bistable3d takes no parameters, got {sorted(params)}"])
+    _params("bistable3d", params, {})
     domain = np.array([[-2.0, 2.0], [-1.5, 1.5], [-1.5, 1.5]])
 
     def sample(rng, n):
@@ -124,11 +124,7 @@ def exact_decomposition_limitcycle2d(x, a=1.0, b=2.5):
 
 
 def _make_limitcycle2d(params):
-    known = {"a": 1.0, "b": 2.5}
-    bad = sorted(set(params) - set(known))
-    if bad:
-        raise ConfigError([f"limitcycle2d: unknown parameter '{k}'" for k in bad])
-    known.update(params)
+    known = _params("limitcycle2d", params, {"a": 1.0, "b": 2.5})
     a, b = known["a"], known["b"]
     domain = np.array([[-0.5, 2.5], [1.0, 4.0]])
 
@@ -166,13 +162,10 @@ def rhs_yeast3d(x, params):
 
 
 def _make_yeast3d(params):
-    problems = [f"yeast3d: missing parameter '{k}'" for k in YEAST_PARAM_NAMES if k not in params]
-    problems += [f"yeast3d: unknown parameter '{k}'" for k in sorted(set(params) - set(YEAST_PARAM_NAMES))]
-    problems += [f"yeast3d: parameter '{k}' must be positive" for k in YEAST_PARAM_NAMES
-                 if k in params and not params[k] > 0]
-    if problems:
-        raise ConfigError(problems)
-    p = dict(params)
+    p = _params("yeast3d", params, dict.fromkeys(YEAST_PARAM_NAMES))
+    bad = [k for k in YEAST_PARAM_NAMES if not p[k] > 0]
+    if bad:
+        raise ConfigError([f"yeast3d: parameter '{k}' must be positive" for k in bad])
     domain = np.array([[0.0, 5.0]] * 3)
     fld = OdeField(3, lambda x: rhs_yeast3d(x, p))
 
@@ -234,11 +227,7 @@ def rhs_ginzburg_landau(u, n_cells, delta):
 
 
 def _make_ginzburg_landau(params):
-    known = {"I": 51, "delta": 0.1}
-    bad = sorted(set(params) - set(known))
-    if bad:
-        raise ConfigError([f"ginzburg_landau: unknown parameter '{k}'" for k in bad])
-    known.update(params)
+    known = _params("ginzburg_landau", params, {"I": 51, "delta": 0.1})
     n_cells, delta = int(known["I"]), float(known["delta"])
     if n_cells < 2 or delta <= 0:
         raise ConfigError(["ginzburg_landau: need I >= 2 and delta > 0"])
@@ -308,11 +297,7 @@ def rhs_brusselator(x, n_cells, alpha, a_param):
 
 
 def _make_brusselator(params):
-    known = {"I": 19, "alpha": 0.1, "A": 0.5}
-    bad = sorted(set(params) - set(known))
-    if bad:
-        raise ConfigError([f"brusselator: unknown parameter '{k}'" for k in bad])
-    known.update(params)
+    known = _params("brusselator", params, {"I": 19, "alpha": 0.1, "A": 0.5})
     n_cells, alpha, a_param = int(known["I"]), float(known["alpha"]), float(known["A"])
     if n_cells < 2 or alpha <= 0:
         raise ConfigError(["brusselator: need I >= 2 and alpha > 0"])
@@ -388,6 +373,26 @@ def make_system(name, params=None):
     if name not in _MAKERS:
         raise ConfigError([f"unknown system '{name}'; choose one of {SYSTEM_NAMES}"])
     return _MAKERS[name](dict(params or {}))
+
+
+def _is_number(v):
+    """An int, or a finite float; ``True`` and ``False`` are not numbers."""
+    return not isinstance(v, bool) and (isinstance(v, int)
+                                        or isinstance(v, float) and math.isfinite(v))
+
+
+def _params(name, params, defaults):
+    """``defaults`` updated by ``params``. Raises one ConfigError naming every
+    parameter that ``defaults`` lacks, that is not a number, or that is
+    missing where its default is None."""
+    problems = [f"{name}: missing parameter '{k}'" for k, v in defaults.items()
+                if v is None and k not in params]
+    problems += [f"{name}: unknown parameter '{k}'" for k in sorted(set(params) - set(defaults))]
+    problems += [f"{name}: parameter '{k}' must be a number, got {v!r}"
+                 for k, v in params.items() if k in defaults and not _is_number(v)]
+    if problems:
+        raise ConfigError(problems)
+    return {**defaults, **params}
 
 
 def _uniform_box(rng, n, box):

@@ -50,6 +50,31 @@ E2E_CONFIG = {
 }
 
 
+# id -> (config, command, text its one problem contains); the command reads
+# DATA and REPS from the ``inputs`` fixture
+BAD_VALUES = {
+    "sampling_r": ({**E2E_CONFIG, "sampling": {"r": "x"}}, ["representatives", "--data", "DATA"],
+                   "'sampling.r'"),
+    "rot_activation": ({**E2E_CONFIG, "model": {"hidden_width": 6, "rot_activation": "relu"}},
+                       ["train", "--data", "DATA", "--reps", "REPS"], "'model.rot_activation'"),
+    "lr0": ({**E2E_CONFIG, "train": {**E2E_CONFIG["train"], "lr0": "x"}},
+            ["train", "--data", "DATA", "--reps", "REPS"], "'train.lr0'"),
+    "rollout_split": ({**E2E_CONFIG, "eval": {"rollout_split": "foo"}},
+                      ["eval", "--model", "exact:bistable3d", "--data", "DATA"],
+                      "'eval.rollout_split'"),
+    "rollout_dt": ({**E2E_CONFIG, "eval": {"rollout_dt": 0}},
+                   ["eval", "--model", "exact:bistable3d", "--data", "DATA"], "'eval.rollout_dt'"),
+    "mep_n_images": ({**GL_CONFIG, "eval": {"mep": {**GL_CONFIG["eval"]["mep"], "n_images": "x"}}},
+                     ["mep"], "'eval.mep.n_images'"),
+    "data_seed": ({**E2E_CONFIG, "data": {**E2E_CONFIG["data"], "seed": "x"}}, ["generate"],
+                  "'data.seed'"),
+    "data_dt": ({**E2E_CONFIG, "data": {**E2E_CONFIG["data"], "dt": "x"}}, ["generate"],
+                "'data.dt'"),
+    "system_param": ({**E2E_CONFIG, "system": {"name": "ginzburg_landau", "params": {"I": "x"}}},
+                     ["generate"], "parameter 'I'"),
+}
+
+
 def _write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
@@ -191,7 +216,47 @@ class TestFlags:
         assert not (tmp_path / "x").exists()
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """{"DATA": dataset path, "REPS": representatives path} made from E2E_CONFIG."""
+    work = tmp_path_factory.mktemp("inputs")
+    cfg = _write_json(work / "run.json", E2E_CONFIG)
+    paths = {"DATA": str(work / "data.qptd"), "REPS": str(work / "reps.qprs")}
+    assert cli.main(["generate", "--config", cfg, "--out", paths["DATA"]]) == 0
+    assert cli.main(["representatives", "--config", cfg, "--data", paths["DATA"],
+                     "--out", paths["REPS"]]) == 0
+    return paths
+
+
 class TestErrors:
+    @pytest.mark.parametrize("case", BAD_VALUES)
+    def test_bad_value_prints_one_json_line(self, case, inputs, tmp_path, capsys):
+        doc, command, named = BAD_VALUES[case]
+        cfg = _write_json(tmp_path / "bad.json", doc)
+        capsys.readouterr()
+        code = cli.main([command[0], "--config", cfg, *(inputs.get(a, a) for a in command[1:]),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert len(payload["problems"]) == 1 and named in payload["problems"][0]
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_every_problem_in_the_file_is_reported_at_once(self, tmp_path, capsys):
+        cfg = _write_json(tmp_path / "bad.json", {
+            **E2E_CONFIG, "data": {**E2E_CONFIG["data"], "dt": -0.01},
+            "loss": {"orth_weight": -1}, "train": {**E2E_CONFIG["train"], "batch": 0, "lr0": -1}})
+        code = cli.main(["generate", "--config", cfg, "--out", str(tmp_path / "data.qptd")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["problems"] == ["'data.dt' must be a positive number, got -0.01",
+                                       "'train.batch' must be a positive integer, got 0",
+                                       "orth_weight must be >= 0, got -1",
+                                       "lr0 must be > 0, got -1"]
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
     def test_bad_config_prints_one_json_line(self, tmp_path, capsys):
         bad = _write_json(tmp_path / "bad.json",
                           {"system": {"name": "bistable3d", "colour": 1}, "extra": {}})

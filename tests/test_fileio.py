@@ -8,6 +8,7 @@ from qpland import fileio
 from qpland.datasets import (RepresentativeSet, generate, load_dataset, save_dataset,
                              save_representatives, split)
 from qpland.decomposition import init_model, save_checkpoint
+from qpland.evaluation import MetricsReport, write_csv
 from qpland.systems import make_system
 
 
@@ -99,6 +100,19 @@ class TestInterruptedSaves:
         interrupt_writes(monkeypatch, lambda name: True, 3)
         with pytest.raises(_Interrupted):
             save_checkpoint(path, init_model(3, 4, "tanh", seed=1))
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("write", [
+        lambda path, v: write_csv(path, ("step", "loss"), [(k, v) for k in range(3)]),
+        lambda path, v: MetricsReport(rrmse=v, notes={"run": v}).write(path),
+    ], ids=["csv", "report"])
+    def test_csv_and_report(self, write, tmp_path, monkeypatch):
+        path = tmp_path / "out"
+        write(path, 0.5)
+        before = snapshot(tmp_path)
+        interrupt_writes(monkeypatch, lambda name: True, 1)
+        with pytest.raises(_Interrupted):
+            write(path, 0.25)
         assert snapshot(tmp_path) == before
 
     def test_first_save_interrupted_leaves_nothing(self, dataset, tmp_path, monkeypatch):

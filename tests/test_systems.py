@@ -197,6 +197,13 @@ class TestMakeSystem:
         with pytest.raises(ConfigError):
             make_system("ginzburg_landau", {"depth": 3})
 
+    def test_every_unknown_or_non_numeric_parameter_is_named_at_once(self):
+        with pytest.raises(ConfigError) as exc:
+            make_system("brusselator", {"I": "x", "depth": 3, "alpha": True, "A": 0.5})
+        assert exc.value.problems == ["brusselator: unknown parameter 'depth'",
+                                      "brusselator: parameter 'I' must be a number, got 'x'",
+                                      "brusselator: parameter 'alpha' must be a number, got True"]
+
 
 # sha256 of the float64 bytes of a tiny dataset's x and x_next, recorded with
 # NumPy 2.4.6. The right-hand sides use only + - * /, so these do not depend
