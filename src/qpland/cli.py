@@ -32,6 +32,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError([f"'--seed' must be a non-negative integer, got {args.seed}"])
         return args.fn(args) or 0
     except TrainingDivergedError as err:
         _emit_error(err, extra={"step": err.step})

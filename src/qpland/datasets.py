@@ -9,6 +9,7 @@ generation provenance, so a dataset is reproducible from its sidecar alone.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -241,25 +242,31 @@ def save_dataset(dataset, path):
     with (atomic_write(path, "wb") as fh,
           atomic_write(str(path) + ".json", "w", encoding="utf-8") as sidecar):
         fh.write(header)
-        fh.write(rec.tobytes())
+        fh.write(rec.data)
         json.dump(meta, sidecar, sort_keys=True)
 
 
 def load_dataset(path):
+    """The dataset in a QPTD file and its sidecar. The records are read
+    straight into one structured array, whose fields are then copied out."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _QPTD_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, d, n_pairs, n_traj, dt = _QPTD_HEADER.unpack_from(blob)
-    if magic != QPTD_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {QPTD_MAGIC!r}")
-    if version != FILE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    body = blob[_QPTD_HEADER.size :]
-    expect = n_pairs * _pair_dtype(d).itemsize
-    if len(body) != expect:
-        raise FormatError(f"{path}: body has {len(body)} bytes, expected {expect}")
-    rec = np.frombuffer(body, dtype=_pair_dtype(d))
+        head = fh.read(_QPTD_HEADER.size)
+        if len(head) < _QPTD_HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, d, n_pairs, n_traj, dt = _QPTD_HEADER.unpack(head)
+        if magic != QPTD_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {QPTD_MAGIC!r}")
+        if version != FILE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        # the body's size is checked before the records are allocated, and
+        # again by what was read into them
+        expect = n_pairs * _pair_dtype(d).itemsize
+        body = os.fstat(fh.fileno()).st_size - _QPTD_HEADER.size
+        if body == expect:
+            rec = np.empty(n_pairs, dtype=_pair_dtype(d))
+            body = fh.readinto(rec.view(np.uint8))
+        if body != expect:
+            raise FormatError(f"{path}: body has {body} bytes, expected {expect}")
     decreasing = np.flatnonzero(rec["tid"][1:] < rec["tid"][:-1])
     if decreasing.size:
         i = int(decreasing[0]) + 1

@@ -55,9 +55,10 @@ class DecompositionModel:
     def centered(self, x):
         return np.asarray(x, dtype=np.float64) - self.center
 
-    def potential(self, x):
+    def potential(self, x, *, workspace=None):
+        """V at x. A workspace holds the net's tape from call to call."""
         xt = self.centered(x)
-        vhat = nets.forward(self.potential_net, xt)
+        vhat = nets.forward(self.potential_net, xt, workspace=workspace)
         return vhat[..., 0] + np.square(xt).sum(axis=-1)
 
     def potential_gradient(self, x):
@@ -91,7 +92,7 @@ class AnalyticDecomposition:
     grad_v_fn: Callable
     g_fn: Callable
 
-    def potential(self, x):
+    def potential(self, x, *, workspace=None):
         return self.potential_fn(np.asarray(x, dtype=np.float64))
 
     def potential_gradient(self, x):

@@ -27,20 +27,31 @@ for it. Backprop reads both off the ``Tape`` and computes each derivative
 where it is used. Nothing is cached on the tape, where it would hold
 memory for as long as the tape lives.
 
+What a tape holds follows from what the derivatives read, which an
+activation declares in ``ActivationFns.reads_pre``:
+
 * Tanh reads ``hid``. ``1 - h^2`` and ``-2 h (1 - h^2)`` are bit-identical
   to the same formulas on a recomputed ``np.tanh(pre)``, because ``hid`` is
   exactly that value, and they save one ``tanh`` per layer per derivative.
+  Nothing reads ``pre``, so tanh declares ``reads_pre=False`` and
+  ``forward_tape`` writes the activation over the pre-activation: a tanh
+  tape holds one array per hidden layer, and its ``pre`` entries are None.
 * ReLU^2 reads ``pre``. ``max(z, 0)`` cannot be recovered bit-exactly from
-  its square, so the derivative ``2 max(z, 0)`` is taken from ``pre``.
+  its square, so the derivative ``2 max(z, 0)`` is taken from ``pre``. It
+  keeps the default ``reads_pre=True``, and its tape holds two arrays per
+  hidden layer, ``pre`` and ``hid``.
 
 The value and both derivatives take ``out=``, the array to write into.
 
-Workspace: ``forward_tape``, ``tape_gradient``, ``value_backprop`` and
-``grad_backprop`` take a keyword-only ``workspace`` and write every
-batch-sized array into it: a tape's pre-activations, activations and
-value, and the derivatives, tangents and adjoints of the sweeps.
+Workspace: ``forward``, ``forward_tape``, ``tape_gradient``,
+``value_backprop`` and ``grad_backprop`` take a keyword-only ``workspace``
+and write every batch-sized array into it: a tape's activations
+``hid<l>``, its pre-activations ``pre<l>`` only where the activation reads
+them, and its ``value``, and the derivatives, tangents and adjoints of the
+sweeps.
 ``training.train`` owns one for the whole run, so that a step after the
-first allocates no batch-sized array and touches no fresh pages. Each
+first allocates no batch-sized array and touches no fresh pages, and
+``evaluation.potential_values`` one for the chunks of a grid. Each
 array is kept under a name and reused by the next call that asks for that
 name. So a tape recorded through a part of a workspace is valid until the
 next tape is recorded in that part (in training, until the next step), and
@@ -48,8 +59,8 @@ the gradient or adjoint that a sweep returns until the next sweep. Without
 a workspace (``NO_WORKSPACE``), every ``out=`` is None and NumPy allocates
 each array as a plain expression would; the arithmetic is the same, and so
 are the bits.
-The workspace belongs to the training loop, not to the tape, which still
-caches nothing.
+A workspace belongs to its caller, not to the tape, which still caches
+nothing.
 """
 
 from dataclasses import dataclass, field
@@ -96,15 +107,18 @@ def _relu2_dd(pre, hid, out=None):
 
 
 class ActivationFns(NamedTuple):
-    """The value and the ``(pre, hid)`` derivatives of one activation."""
+    """The value and the ``(pre, hid)`` derivatives of one activation.
+    ``reads_pre`` False declares that ``d1`` and ``d2`` never read ``pre``,
+    so a tape need not keep it."""
 
     value: Callable  # (z, out=None)
     d1: Callable  # (pre, hid, out=None)
     d2: Callable  # (pre, hid, out=None)
+    reads_pre: bool = True
 
 
 _ACT = {
-    Activation.TANH: ActivationFns(np.tanh, _tanh_d, _tanh_dd),
+    Activation.TANH: ActivationFns(np.tanh, _tanh_d, _tanh_dd, reads_pre=False),
     Activation.RELU_SQUARED: ActivationFns(_relu2, _relu2_d, _relu2_dd),
 }
 
@@ -223,7 +237,9 @@ class Tape:
     """One forward evaluation, retained for backprop.
 
     ``pre[l]``/``hid[l]`` are the pre-activations and activations of hidden
-    layer l for the whole batch; ``value`` is the forward output.
+    layer l for the whole batch; ``value`` is the forward output. ``pre[l]``
+    is None when the activation's derivatives do not read it: the activation
+    was written over it.
     """
 
     x: np.ndarray
@@ -235,16 +251,18 @@ class Tape:
 def forward_tape(net, x, *, workspace=None):
     ws = workspace or NO_WORKSPACE
     x, single = _as_batch(net, x)
-    act = _ACT[net.activation].value
+    act = _ACT[net.activation]
     tape = Tape(x=x)
     rows = x.shape[0]
     h = x
     layers = net.layers()
     for l, (w, b) in enumerate(layers[:-1]):
-        a = np.matmul(h, w.T, out=ws.take(f"pre{l}", (rows, len(w))))
+        shape = (rows, len(w))
+        a = np.matmul(h, w.T, out=ws.take(f"pre{l}" if act.reads_pre else f"hid{l}", shape))
         a += b
-        h = act(a, out=ws.take(f"hid{l}", (rows, len(w))))
-        tape.pre.append(a)
+        # an activation whose derivatives do not read pre is written over it
+        h = act.value(a, out=ws.take(f"hid{l}", shape) if act.reads_pre else a)
+        tape.pre.append(a if act.reads_pre else None)
         tape.hid.append(h)
     w, b = layers[-1]
     tape.value = np.matmul(h, w.T, out=ws.take("value", (rows, len(w))))
@@ -252,9 +270,10 @@ def forward_tape(net, x, *, workspace=None):
     return (tape.value[0] if single else tape.value), tape
 
 
-def forward(net, x):
-    """Feed-forward value; deterministic for identical (params, x)."""
-    y, _ = forward_tape(net, x)
+def forward(net, x, *, workspace=None):
+    """Feed-forward value; deterministic for identical (params, x). Through a
+    workspace the value is a view, valid until the next call with it."""
+    y, _ = forward_tape(net, x, workspace=workspace)
     return y
 
 
@@ -283,7 +302,7 @@ def tape_gradient(net, tape, *, workspace=None):
     rows = tape.x.shape[0]
     t = np.broadcast_to(w_row, (rows, w_row.shape[0]))
     for (w, _), a, h in zip(reversed(layers[:-1]), reversed(tape.pre), reversed(tape.hid)):
-        s = d1(a, h, out=ws.take("abar", a.shape))
+        s = d1(a, h, out=ws.take("abar", h.shape))
         s *= t
         t = np.matmul(s, w, out=ws.take("hbar", (rows, w.shape[1])))
     return t
@@ -330,7 +349,7 @@ def grad_backprop(net, tape, grad_cotangent, value_cotangent=None, *, workspace=
     layers = net.layers()
     nh = len(layers) - 1
     rows = v.shape[0]
-    d1s = [act.d1(a, h, out=ws.take(f"d1_{l}", a.shape))
+    d1s = [act.d1(a, h, out=ws.take(f"d1_{l}", h.shape))
            for l, (a, h) in enumerate(zip(tape.pre, tape.hid))]
 
     # tangent pass: adot_l = hdot_{l-1} W_l^T, hdot_l = d1 * adot_l

@@ -227,8 +227,8 @@ def rhs_ginzburg_landau(u, n_cells, delta):
 
 
 def _make_ginzburg_landau(params):
-    known = _params("ginzburg_landau", params, {"I": 51, "delta": 0.1})
-    n_cells, delta = int(known["I"]), float(known["delta"])
+    known = _params("ginzburg_landau", params, {"I": 51, "delta": 0.1}, integers=("I",))
+    n_cells, delta = known["I"], float(known["delta"])
     if n_cells < 2 or delta <= 0:
         raise ConfigError(["ginzburg_landau: need I >= 2 and delta > 0"])
     dim = n_cells - 1
@@ -297,8 +297,8 @@ def rhs_brusselator(x, n_cells, alpha, a_param):
 
 
 def _make_brusselator(params):
-    known = _params("brusselator", params, {"I": 19, "alpha": 0.1, "A": 0.5})
-    n_cells, alpha, a_param = int(known["I"]), float(known["alpha"]), float(known["A"])
+    known = _params("brusselator", params, {"I": 19, "alpha": 0.1, "A": 0.5}, integers=("I",))
+    n_cells, alpha, a_param = known["I"], float(known["alpha"]), float(known["A"])
     if n_cells < 2 or alpha <= 0:
         raise ConfigError(["brusselator: need I >= 2 and alpha > 0"])
     dim = 2 * (n_cells + 1)
@@ -381,15 +381,19 @@ def _is_number(v):
                                         or isinstance(v, float) and math.isfinite(v))
 
 
-def _params(name, params, defaults):
+def _params(name, params, defaults, integers=()):
     """``defaults`` updated by ``params``. Raises one ConfigError naming every
-    parameter that ``defaults`` lacks, that is not a number, or that is
-    missing where its default is None."""
+    parameter that ``defaults`` lacks, that is not a number, that is named in
+    ``integers`` but is not an integer, or that is missing where its default
+    is None."""
     problems = [f"{name}: missing parameter '{k}'" for k, v in defaults.items()
                 if v is None and k not in params]
     problems += [f"{name}: unknown parameter '{k}'" for k in sorted(set(params) - set(defaults))]
-    problems += [f"{name}: parameter '{k}' must be a number, got {v!r}"
-                 for k, v in params.items() if k in defaults and not _is_number(v)]
+    for k, v in params.items():
+        if k in defaults and not _is_number(v):
+            problems.append(f"{name}: parameter '{k}' must be a number, got {v!r}")
+        elif k in integers and not isinstance(v, int):
+            problems.append(f"{name}: parameter '{k}' must be an integer, got {v!r}")
     if problems:
         raise ConfigError(problems)
     return {**defaults, **params}

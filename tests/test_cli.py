@@ -244,6 +244,25 @@ class TestErrors:
         assert len(payload["problems"]) == 1 and named in payload["problems"][0]
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
+    @pytest.mark.parametrize("command", [
+        ["generate"],
+        ["representatives", "--data", "DATA"],
+        ["train", "--data", "DATA", "--reps", "REPS"],
+    ], ids=["generate", "representatives", "train"])
+    def test_negative_seed_prints_one_json_line(self, command, inputs, tmp_path, capsys):
+        # NumPy's SeedSequence rejects a negative seed with a bare ValueError
+        cfg = _write_json(tmp_path / "run.json", E2E_CONFIG)
+        capsys.readouterr()
+        code = cli.main([command[0], "--config", cfg, *(inputs.get(a, a) for a in command[1:]),
+                         "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert payload["problems"] == ["'--seed' must be a non-negative integer, got -1"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     def test_every_problem_in_the_file_is_reported_at_once(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "bad.json", {
             **E2E_CONFIG, "data": {**E2E_CONFIG["data"], "dt": -0.01},

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qpland.datasets import generate, split
-from qpland.decomposition import AnalyticDecomposition
+from qpland.decomposition import AnalyticDecomposition, init_model
 from qpland.errors import QplandError
-from qpland.evaluation import (_equal_arclength, arc_length, build_report, make_grid,
+from qpland.evaluation import (_CHUNK, _equal_arclength, arc_length, build_report, make_grid,
                                quasipotential_errors, rollout_errors_against_reference,
                                rollout_reference, write_csv)
 from qpland.systems import make_system, rhs_bistable3d
@@ -36,7 +36,41 @@ class TestQuasipotentialErrors:
             quasipotential_errors(exact_bistable, lambda x: np.full(len(x), 3.0), points)
 
 
+    def test_same_bits_as_whole_array_expressions(self):
+        # the reference takes every step as a plain expression on full-size
+        # temporaries; the grid spans two chunks, the second one partial
+        model = init_model(3, 8, "tanh", seed=4)
+        model.center = np.array([0.3, -0.2, 0.1])
+        exact_u = make_system("bistable3d").exact_u
+        points, _ = make_grid([[-2.0, 2.0], [-1.5, 1.5], [-1.0, 1.0]], [23, 21, 29])
+        assert len(points) > _CHUNK and len(points) % _CHUNK
+        starts = range(0, len(points), _CHUNK)
+        u_learned = 2.0 * np.concatenate([model.potential(points[i : i + _CHUNK])
+                                          for i in starts])
+        u_learned -= u_learned.min()
+        u_exact = np.concatenate([exact_u(points[i : i + _CHUNK]) for i in starts])
+        u_exact = u_exact - u_exact.min()
+        diff = u_learned - u_exact
+        want = (float(np.sqrt((diff * diff).sum()) / np.sqrt((u_exact * u_exact).sum())),
+                float(np.abs(diff).sum() / np.abs(u_exact).sum()))
+        got = quasipotential_errors(model, exact_u, points)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 class TestMakeGrid:
+    @pytest.mark.parametrize("box,resolution", [
+        ([[-1.0, 2.0]], [7]),
+        ([[-1.0, 1.0], [0.0, 3.0]], [4, 6]),
+        ([[-1.0, 1.0], [0.0, 3.0], [-0.5, 0.5]], [3, 5, 2]),
+    ], ids=["1d", "2d", "3d"])
+    def test_equals_meshgrid_stack(self, box, resolution):
+        axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
+        want = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        points, got_axes = make_grid(box, resolution)
+        assert np.array_equal(points, want)
+        assert points.flags.c_contiguous
+        assert all(np.array_equal(a, b) for a, b in zip(got_axes, axes, strict=True))
+
     def test_one_resolution_for_every_axis(self):
         points, axes = make_grid([[-1.0, 1.0], [0.0, 2.0], [0.0, 1.0]], 3)
         assert points.shape == (27, 3)

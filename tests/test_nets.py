@@ -3,8 +3,8 @@ import pytest
 
 from qpland import nets
 from qpland.errors import DimensionMismatchError
-from qpland.nets import (Activation, ActivationFns, Mlp, forward, forward_tape, grad_backprop,
-                         init_mlp, input_gradient, param_count, value_backprop)
+from qpland.nets import (Activation, ActivationFns, Mlp, Workspace, forward, forward_tape,
+                         grad_backprop, init_mlp, input_gradient, param_count, value_backprop)
 
 from conftest import make_net, tanh_111
 
@@ -164,6 +164,24 @@ class TestTape:
         y, tape = forward_tape(net, x)
         assert np.array_equal(tape.value, forward(net, x))
         assert np.array_equal(y, tape.value)
+
+
+    @pytest.mark.parametrize("act, kept", [(Activation.TANH, False),
+                                           (Activation.RELU_SQUARED, True)])
+    def test_pre_activations_kept_only_where_derivatives_read_them(self, act, kept, rng):
+        # tanh's derivatives read only hid, so its activation is written over
+        # the pre-activation; relu2's read pre, so the tape keeps both
+        net = make_net(3, (5, 4), 2, act, rng)
+        x = rng.normal(0, 1, (6, 3))
+        ws = Workspace()
+        _, tape = forward_tape(net, x, workspace=ws)
+        pre = {("pre0", 5), ("pre1", 4)} if kept else set()
+        assert set(ws._arrays) == pre | {("hid0", 5), ("hid1", 4), ("value", 2)}
+        assert [a is not None for a in tape.pre] == [kept, kept]
+        _, plain = forward_tape(net, x)
+        assert [a is not None for a in plain.pre] == [kept, kept]
+        for a, b in zip(tape.hid, plain.hid, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestValueBackprop:

@@ -204,6 +204,16 @@ class TestMakeSystem:
                                       "brusselator: parameter 'I' must be a number, got 'x'",
                                       "brusselator: parameter 'alpha' must be a number, got True"]
 
+    @pytest.mark.parametrize("name, value, kind", [("ginzburg_landau", 6.5, "an integer"),
+                                                   ("brusselator", 5.9, "an integer"),
+                                                   ("ginzburg_landau", True, "a number")])
+    def test_non_integer_cell_count_named_with_every_other_problem(self, name, value, kind):
+        # I counts grid cells, so a fractional value has no meaning to round
+        with pytest.raises(ConfigError) as exc:
+            make_system(name, {"I": value, "depth": 3})
+        assert exc.value.problems == [f"{name}: unknown parameter 'depth'",
+                                      f"{name}: parameter 'I' must be {kind}, got {value!r}"]
+
 
 # sha256 of the float64 bytes of a tiny dataset's x and x_next, recorded with
 # NumPy 2.4.6. The right-hand sides use only + - * /, so these do not depend

@@ -273,6 +273,26 @@ class TestWorkspace:
                 assert all(ws._arrays[k] is a for k, a in arrays.items())
 
 
+    def test_tanh_step_keeps_one_array_per_hidden_layer(self):
+        # the names after one step on tanh nets of width 16 at d = 3: every
+        # tape holds hid0 and hid1 and no pre-activation
+        ws = Workspace()
+        total_loss_and_grad(*loss_case(64, 40, "tanh"), workspace=ws)
+        tapes = {(part, net, f"hid{l}", 16) for part in "AB" for net in ("pot", "rot")
+                 for l in (0, 1)}
+        tapes |= {(part, net, "value", out) for part in "AB"
+                  for net, out in (("pot", 1), ("rot", 3))}
+        tapes |= {(part, name, 3) for part in "AB" for name in ("xt", "grad_v", "f")}
+        sweeps = {(name, 16) for name in ("abar", "adotbar", "hbar", "hdotbar", "d1_0", "d1_1",
+                                          "adot0", "adot1", "hdot0", "hdot1")}
+        sweeps |= {("hbar", 3), ("hdotbar", 3)}
+        losses = {(name, 3) for name in ("x2", "e", "huber", "cot", "drift_vjp.neg_c",
+                                         "potential_gradient_vjp.x_adj", "orth.along",
+                                         "orth.cu", "orth.cg")}
+        assert set(ws._arrays) == tapes | sweeps | losses
+        assert len(ws._arrays) == 39
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = np.array([1.0, -2.0])
