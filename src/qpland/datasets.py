@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import FormatError, NonFiniteError, QplandError
 from .fileio import atomic_write
@@ -168,13 +167,25 @@ def representative_sample(states, radius, seed):
     """Greedy cover: repeatedly pick a uniformly random remaining state,
     keep it, and delete every state strictly inside the radius-r ball
     around it. Survivor pairs end up >= r apart and every input state lies
-    within < r of some representative."""
+    within < r of some representative.
+
+    The states must be finite: a NaN or inf state raises NonFiniteError
+    naming its row, since it lies in no ball and no grid cell
+    (see ``_greedy_net``)."""
     if radius <= 0:
         raise QplandError(f"representative radius must be positive, got {radius}")
     states = np.ascontiguousarray(np.asarray(states, dtype=np.float64))
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError("representative states", index=int(np.argmax(~finite)))
     order = np.random.default_rng(seed).permutation(states.shape[0])
     points = _greedy_net(states, radius, order)
     return RepresentativeSet(points=points, radius=float(radius))
+
+
+# cells per grid axis at most, so that three axes of cell indices make an
+# int64 key and a cell index is rounded by less than 2**-32 of a cell
+_MAX_CELLS = 2**20
 
 
 def _greedy_net(states, radius, order):
@@ -182,46 +193,105 @@ def _greedy_net(states, radius, order):
     ones. Scanning a uniform permutation reproduces, in distribution, the
     uniform random selection of the sequential algorithm.
 
-    A kd-tree over the live states finds each pick's neighbours and the
-    exact ``d2 < r2`` test decides which die. The tree sums squared
-    differences in another order than NumPy, so at radius r its ball can
-    miss a state a few ulps inside the sphere, which would survive to become
-    a representative closer than r; a query radius padded by 1e-9 relative
-    rules that out. Once more than half of the states in the tree have died
-    it is rebuilt on the live ones, so large radii do not query through dead
-    states; tree sizes then shrink geometrically, and the rebuilds cost at
-    most a log factor over the query work already done."""
+    A pick ``x`` deletes every live state with ``((s - x) ** 2).sum() < r2``,
+    the exact test; a fixed-radius cell grid (Bentley, Stanat & Williams,
+    IPL 1977) only narrows down which states it tests. Cell coordinates
+    are the states themselves for d <= 3, and above that their projections
+    onto the top three principal axes of the states (``eigh`` of the d x d
+    Gram matrix of the centred states). Either map is a contraction, so a
+    state that the exact test deletes lies at most one cell from the pick
+    along every axis, provided the cell side covers r plus the rounding:
+
+    - the relative margin r * 1e-6 covers the exact test passing a state
+      up to d ulps outside r, the computed axes' departure from unit
+      length, and the rounding of the cell index (below 2**-32 of a cell
+      for each state, given the cap below);
+    - the absolute pad covers the rounding of the projection. A computed
+      coordinate ``fl(s . v)`` is off from ``s . v`` by at most
+      gamma_d * sum |s_i| |v_i| <= d u |s| (1 + d u) in any summation
+      order, with u = 2**-53 and |v| = 1. The pick and the state both carry
+      that error, and a factor 2 on top covers |v| > 1 and the rounding of
+      the norms, so the pad is 4 d u max |s|; 0 for d <= 3, which is not
+      projected.
+
+    The side is then coarsened, if needed, so that no axis has more than
+    ``_MAX_CELLS`` cells. Each grid row along the last axis is a contiguous
+    range of the sorted cell keys, so one ``searchsorted`` call finds the
+    3**(k-1) rows next to a pick. Once more than half of the indexed states
+    have died, the index is rebuilt on the live ones, so large radii do not
+    scan dead states; index sizes then shrink geometrically, and the
+    rebuilds cost at most a log factor over the scanning already done."""
     n = states.shape[0]
     if n == 0:
         return states.copy()
-    alive = np.ones(n, dtype=bool)
+    keys, rows = _cell_keys(states, radius)
+    alive = bytearray(b"\x01") * n
+    alive_mask = np.frombuffer(alive, dtype=bool)
     reps = []
     r2 = radius * radius
-    query_radius = radius * (1.0 + 1e-9)
     live = np.arange(n)
-    tree = cKDTree(states)
+    sorted_keys, ids = _cell_index(keys, live)
+    # a row's keys run from its key - 1 to its key + 1; keys being integers,
+    # the run ends where its key + 2 would be inserted
+    edges = np.column_stack([rows - 1, rows + 2]).ravel()
     hits = 0
-    for i in order:
+    for i in order.tolist():
         if not alive[i]:
             continue
         reps.append(i)
         if 2 * hits > len(live):
-            live = np.flatnonzero(alive)
-            tree = cKDTree(states[live])
+            live = np.flatnonzero(alive_mask)
+            sorted_keys, ids = _cell_index(keys, live)
             hits = 0
+        bounds = sorted_keys.searchsorted(keys[i] + edges).tolist()
+        nb = np.concatenate([ids[a:b] for a, b in zip(bounds[::2], bounds[1::2])])
+        nb = nb[alive_mask[nb]]
         x = states[i]
-        nb = live[tree.query_ball_point(x, query_radius)]
-        nb = nb[alive[nb]]
         kill = nb[((states[nb] - x) ** 2).sum(axis=1) < r2]
-        alive[kill] = False
+        alive_mask[kill] = False
         hits += len(kill)
     return states[np.array(reps, dtype=np.intp)].copy()
+
+
+def _cell_keys(states, radius):
+    """(int64 cell key of each state, key offsets of the grid rows next to
+    a cell, the cell's own row included); see ``_greedy_net``."""
+    d = states.shape[1]
+    if d <= 3:
+        coords, pad = states, 0.0
+    else:
+        centred = states - states.mean(axis=0)
+        axes = np.linalg.eigh(centred.T @ centred)[1][:, -3:]
+        coords = states @ axes
+        norm = np.sqrt(np.max((states**2).sum(axis=1)))
+        pad = 4.0 * d * (np.finfo(np.float64).eps / 2) * norm
+    low = coords.min(axis=0)
+    extent = float((coords.max(axis=0) - low).max())
+    side = max(radius * (1.0 + 1e-6) + pad, extent / (_MAX_CELLS - 1))
+    cells = ((coords - low) / side).astype(np.int64)
+    # one empty cell after the last along each axis: a neighbour off either
+    # end of a row lands there, not in a cell of the next or previous row
+    spans = cells.max(axis=0) + 2
+    strides = np.ones(len(spans), dtype=np.int64)
+    for a in range(len(spans) - 1, 0, -1):
+        strides[a - 1] = strides[a] * spans[a]
+    rows = np.zeros(1, dtype=np.int64)
+    for stride in strides[:-1]:
+        rows = (rows[:, None] + stride * np.array([-1, 0, 1])).ravel()
+    return cells @ strides, rows
+
+
+def _cell_index(keys, live):
+    """(sorted cell keys of the ``live`` states, their state indices)."""
+    ids = live[np.argsort(keys[live], kind="stable")]
+    return keys[ids], ids
 
 
 # -- persistence --------------------------------------------------------------
 
 _QPTD_HEADER = struct.Struct("<4sIIQQd")
 _QPRS_HEADER = struct.Struct("<4sIIdQ")
+_LOAD_BLOCK_BYTES = 1 << 18
 
 
 def _pair_dtype(d):
@@ -247,8 +317,9 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """The dataset in a QPTD file and its sidecar. The records are read
-    straight into one structured array, whose fields are then copied out."""
+    """The dataset in a QPTD file and its sidecar. The records are read in
+    blocks of about ``_LOAD_BLOCK_BYTES``, each scattered into the three
+    arrays, so loading holds little more than the dataset itself."""
     with open(path, "rb") as fh:
         head = fh.read(_QPTD_HEADER.size)
         if len(head) < _QPTD_HEADER.size:
@@ -258,24 +329,36 @@ def load_dataset(path):
             raise FormatError(f"{path}: bad magic {magic!r}, expected {QPTD_MAGIC!r}")
         if version != FILE_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        # the body's size is checked before the records are allocated, and
+        # the body's size is checked before the arrays are allocated, and
         # again by what was read into them
-        expect = n_pairs * _pair_dtype(d).itemsize
+        dtype = _pair_dtype(d)
+        expect = n_pairs * dtype.itemsize
         body = os.fstat(fh.fileno()).st_size - _QPTD_HEADER.size
         if body == expect:
-            rec = np.empty(n_pairs, dtype=_pair_dtype(d))
-            body = fh.readinto(rec.view(np.uint8))
+            x = np.empty((n_pairs, d))
+            x_next = np.empty((n_pairs, d))
+            traj_id = np.empty(n_pairs, dtype=np.uint32)
+            block = np.empty(max(1, _LOAD_BLOCK_BYTES // dtype.itemsize), dtype=dtype)
+            body = 0
+            for start in range(0, n_pairs, len(block)):
+                rec = block[: n_pairs - start]
+                got = fh.readinto(rec.view(np.uint8))
+                body += got
+                if got < rec.nbytes:
+                    break
+                rows = slice(start, start + len(rec))
+                traj_id[rows], x[rows], x_next[rows] = rec["tid"], rec["x"], rec["y"]
         if body != expect:
             raise FormatError(f"{path}: body has {body} bytes, expected {expect}")
-    decreasing = np.flatnonzero(rec["tid"][1:] < rec["tid"][:-1])
+    decreasing = np.flatnonzero(traj_id[1:] < traj_id[:-1])
     if decreasing.size:
         i = int(decreasing[0]) + 1
         raise FormatError(f"{path}: traj_id decreases at pair {i} "
-                          f"({rec['tid'][i - 1]} -> {rec['tid'][i]}); pairs must be "
+                          f"({traj_id[i - 1]} -> {traj_id[i]}); pairs must be "
                           f"stored trajectory-major")
-    if n_pairs and rec["tid"][-1] >= n_traj:
-        i = int(np.searchsorted(rec["tid"], n_traj))
-        raise FormatError(f"{path}: traj_id {rec['tid'][i]} at pair {i} is out of range "
+    if n_pairs and traj_id[-1] >= n_traj:
+        i = int(np.searchsorted(traj_id, n_traj))
+        raise FormatError(f"{path}: traj_id {traj_id[i]} at pair {i} is out of range "
                           f"for {n_traj} trajectories")
     meta, split_seed = {}, None
     try:
@@ -286,9 +369,9 @@ def load_dataset(path):
         pass
     return TrajectoryDataset(
         dt=float(dt),
-        x=rec["x"].reshape(n_pairs, d).copy(),
-        x_next=rec["y"].reshape(n_pairs, d).copy(),
-        traj_id=rec["tid"].copy(),
+        x=x,
+        x_next=x_next,
+        traj_id=traj_id,
         n_trajectories=int(n_traj),
         split_seed=split_seed,
         metadata=meta,

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qpland import cli
+from qpland import cli, datasets
 from qpland.decomposition import init_model, save_checkpoint
 
 # sha256 of each command's output file, recorded with NumPy 2.4.6 and
@@ -375,6 +375,23 @@ class TestErrors:
         assert payload["error"] == "FileNotFoundError"
         assert payload["path"] == "missing.file" and "missing.file" in payload["detail"]
         assert not (tmp_path / "report.json").exists()
+
+    def test_non_finite_state_prints_one_json_line(self, inputs, tmp_path, capsys):
+        dataset = datasets.load_dataset(inputs["DATA"])
+        train = np.flatnonzero(dataset.pair_mask("train"))
+        dataset.x_next[train[2], 1] = np.nan  # train states list every x, then every x_next
+        datasets.save_dataset(dataset, tmp_path / "nan.qptd")
+        cfg = _write_json(tmp_path / "run.json", E2E_CONFIG)
+        capsys.readouterr()
+        assert cli.main(["representatives", "--config", cfg, "--data", str(tmp_path / "nan.qptd"),
+                         "--out", str(tmp_path / "reps.qprs")]) == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "NonFiniteError"
+        assert payload["detail"] == ("non-finite value in representative states, "
+                                     f"index {len(train) + 2}")
+        assert not (tmp_path / "reps.qprs").exists()
 
     @pytest.mark.parametrize("domain, problem", [
         ([[-1.0, 1.0], [0.0]], "system.domain must be a list of [lo, hi] number pairs, "

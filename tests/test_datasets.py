@@ -1,9 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from qpland import datasets
 from qpland.datasets import (SPLIT_CODES, RepresentativeSet, TrajectoryDataset, _greedy_net,
@@ -163,6 +163,12 @@ def brute_force_net(states, radius, order):
     return states[np.array(reps, dtype=np.intp)]
 
 
+def pairwise_distances(pts):
+    """The distance between every two rows, one row against the rows after it."""
+    return np.concatenate([np.sqrt(((pts[i + 1:] - pts[i]) ** 2).sum(axis=1))
+                           for i in range(len(pts) - 1)])
+
+
 def assert_net(states, points, r):
     """Representatives lie >= r apart and every state lies < r from one,
     with distances summed as the r-net's exact test sums them."""
@@ -193,24 +199,33 @@ class TestRepresentativeSample:
         with pytest.raises(QplandError):
             representative_sample(np.zeros((3, 1)), 0.0, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_is_located(self, bad, rng):
+        pts = rng.normal(0, 1, (20, 3))
+        pts[13, 1] = bad
+        with pytest.raises(NonFiniteError, match="representative states, index 13$") as exc:
+            representative_sample(pts, 0.5, seed=0)
+        assert exc.value.index == 13
+
     @pytest.mark.parametrize("dim", [1, 3, 5, 9])
     def test_separation_and_coverage(self, dim, rng):
         pts = rng.normal(0, 1, (2000, dim))
         assert_net(pts, representative_sample(pts, 0.5, seed=4).points, 0.5)
 
-    @pytest.mark.parametrize("dim", [1, 3, 9, 50])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 50])
     def test_matches_brute_force(self, dim, rng, monkeypatch):
         # radii from every state kept to a single representative; the middle
-        # ones delete enough states between picks to rebuild the kd-tree
+        # ones delete enough states between picks to rebuild the cell index
         builds = []
 
-        def counting_tree(data):
-            builds.append(len(data))
-            return cKDTree(data)
+        def counting_index(keys, live):
+            builds.append(len(live))
+            return cell_index(keys, live)
 
-        monkeypatch.setattr(datasets, "cKDTree", counting_tree)
+        cell_index = datasets._cell_index
+        monkeypatch.setattr(datasets, "_cell_index", counting_index)
         pts = rng.normal(0, 1, (500, dim))
-        gaps = pdist(pts)
+        gaps = pairwise_distances(pts)
         radii = np.geomspace(0.5 * gaps.min(), 1.01 * gaps.max(), 12)
         order = rng.permutation(len(pts))
         counts = []
@@ -221,6 +236,44 @@ class TestRepresentativeSample:
             counts.append((len(got), len(builds)))
         assert counts[0][0] == len(pts) and counts[-1][0] == 1
         assert max(n_builds for _, n_builds in counts) > 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_brute_force_across_1e12(self, dim, rng):
+        # clusters 1e-3 across spread over 1e12: cells of side r would need
+        # 1e15 per axis, whose keys overflow int64 and whose indices round
+        # by a tenth of a cell
+        centres = rng.uniform(-5e11, 5e11, (40, 1, dim))
+        pts = (centres + rng.normal(0, 1e-3, (40, 25, dim))).reshape(-1, dim)
+        order = rng.permutation(len(pts))
+        assert np.array_equal(_greedy_net(pts, 1e-3, order), brute_force_net(pts, 1e-3, order))
+
+    @pytest.mark.parametrize("dim", [2, 3, 50])
+    def test_matches_brute_force_at_radius_1e_9(self, dim, rng):
+        # each state has a twin 0.5 r to 1.5 r away, among states spread
+        # over about 8 per axis, 1e10 cells of side r
+        r = 1e-9
+        base = rng.normal(0, 1, (300, dim))
+        step = rng.normal(0, 1, base.shape)
+        step *= r * rng.uniform(0.5, 1.5, (300, 1)) / np.linalg.norm(step, axis=1, keepdims=True)
+        pts = np.vstack([base, base + step])
+        order = rng.permutation(len(pts))
+        assert np.array_equal(_greedy_net(pts, r, order), brute_force_net(pts, r, order))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_brute_force_on_a_chain_at_norm_1e3(self, seed):
+        # A 50-D chain of states at norm ~905, each a few ulps inside the
+        # radius-r ball around the next. Coordinates and steps are exact in
+        # binary, so every gap squares to exactly 50 step**2, and the chain
+        # is the top principal axis. Projecting a state onto it rounds by
+        # about 1e-13, a hundredth of r.
+        rng = np.random.default_rng(seed)
+        step = 50 * 2.0**-45
+        pts = (128.0 * rng.choice([-1.0, 1.0], 50)
+               + np.arange(2000.0)[:, None] * step * rng.choice([-1.0, 1.0], 50))
+        r = np.sqrt(50.0) * step * (1.0 + 4 * 2.0**-52)
+        assert (((pts[1:] - pts[:-1]) ** 2).sum(axis=1) < r * r).all()
+        order = rng.permutation(len(pts))
+        assert np.array_equal(_greedy_net(pts, r, order), brute_force_net(pts, r, order))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_states_just_inside_the_ball_are_deleted(self, seed):
@@ -311,6 +364,23 @@ class TestPersistence:
         save_dataset(bad, path)
         with pytest.raises(FormatError, match="traj_id 12 at pair 11 is out of range"):
             load_dataset(path)
+
+    def test_load_holds_little_more_than_the_dataset(self, tmp_path, rng):
+        n = 60_000
+        dataset = TrajectoryDataset(dt=0.1, x=rng.normal(0, 1, (n, 3)),
+                                    x_next=rng.normal(0, 1, (n, 3)),
+                                    traj_id=np.repeat(np.arange(600, dtype=np.uint32), 100),
+                                    n_trajectories=600)
+        path = tmp_path / "d.qptd"
+        save_dataset(dataset, path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.equals(dataset)
+        assert peak < 1.3 * (loaded.x.nbytes + loaded.x_next.nbytes + loaded.traj_id.nbytes)
 
     def test_empty_dataset_round_trip(self, tmp_path):
         empty = TrajectoryDataset(dt=0.1, x=np.zeros((0, 2)), x_next=np.zeros((0, 2)),
