@@ -17,9 +17,9 @@ import numpy as np
 
 from . import datasets, evaluation, systems, training
 from .config import load_config
-from .decomposition import (AnalyticDecomposition, init_model, load_checkpoint,
-                            safe_cosine, save_checkpoint)
-from .errors import ConfigError, QplandError, TrainingDivergedError
+from .decomposition import (AnalyticDecomposition, floored_cosine, init_model,
+                            load_checkpoint, save_checkpoint)
+from .errors import ConfigError, NonFiniteError, QplandError, TrainingDivergedError
 from .fileio import atomic_write
 
 log = logging.getLogger("qpland.cli")
@@ -252,21 +252,36 @@ def cmd_mep(args):
 
 
 def _load_points(path):
+    """States from a QPRS file, or from a CSV with one state per line after
+    an optional header line. Rows must be equally long and finite."""
     if path.endswith(".qprs"):
-        return datasets.load_representatives(path).points
+        points = datasets.load_representatives(path).points
+    else:
+        points = _read_points_csv(path)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"{path} points", index=int(np.argmax(~finite)))
+    return points
+
+
+def _read_points_csv(path):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             parts = line.replace(",", " ").split()
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
                 if rows:
-                    raise QplandError(f"{path}: non-numeric row {line!r}") from None
+                    raise QplandError(f"{path}: line {lineno}: non-numeric row {line!r}") from None
                 continue  # header line
+            if rows and len(row) != len(rows[0]):
+                raise QplandError(f"{path}: line {lineno} has {len(row)} values, "
+                                  f"the rows before it {len(rows[0])}")
+            rows.append(row)
     if not rows:
         raise QplandError(f"{path}: no numeric rows found")
     return np.asarray(rows, dtype=np.float64)
@@ -280,7 +295,7 @@ def cmd_decompose(args):
     grad_v = model.potential_gradient(points)
     g = model.rotation(points)
     f = g - grad_v
-    cos = safe_cosine(grad_v, g)
+    cos = floored_cosine(grad_v, g)[0]
     d = model.dim
     if args.format == "json":
         payload = [{"x": points[i].tolist(), "f": f[i].tolist(),

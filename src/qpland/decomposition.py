@@ -13,6 +13,7 @@ component g is a second network with configurable activation. Models are
 immutable after training; every evaluation here is pure.
 """
 
+import copy
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -72,14 +73,7 @@ class DecompositionModel:
         return -self.potential_gradient(x) + self.rotation(x)
 
     def copy(self):
-        return DecompositionModel(
-            Mlp(self.potential_net.input_dim, self.potential_net.hidden_widths, 1,
-                Activation.TANH, self.potential_net.params.copy()),
-            Mlp(self.rotational_net.input_dim, self.rotational_net.hidden_widths,
-                self.rotational_net.output_dim, self.rotational_net.activation,
-                self.rotational_net.params.copy()),
-            self.center.copy(),
-        )
+        return copy.deepcopy(self)
 
 
 @dataclass
@@ -144,17 +138,11 @@ def floored_cosine(u, g):
     return np.where(ok, (u * g).sum(axis=-1) / (nu * ng), 0.0), ok, nu, ng
 
 
-def safe_cosine(u, g):
-    """Cosine of the angle between rows of u and g; 0 where either norm is
-    below the degeneracy floor."""
-    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    g = np.atleast_2d(np.asarray(g, dtype=np.float64))
-    return floored_cosine(u, g)[0]
-
-
 def orthogonality_cosine(model, x):
+    """Floored cosine of grad V and g at a state or at the rows of a batch."""
     x = np.asarray(x, dtype=np.float64)
-    cos = safe_cosine(model.potential_gradient(x), model.rotation(x))
+    rows = np.atleast_2d(x)
+    cos = floored_cosine(model.potential_gradient(rows), model.rotation(rows))[0]
     return cos[0] if x.ndim == 1 else cos
 
 

@@ -8,13 +8,13 @@ not depend on the chunking.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .decomposition import orthogonality_cosine
-from .errors import NonFiniteError, QplandError
+from .errors import DimensionMismatchError, NonFiniteError, QplandError
 from .fileio import atomic_write
 from .integrators import rk2_step
 from .nets import Workspace
@@ -43,6 +43,14 @@ def potential_values(model, points):
     ones."""
     ws = Workspace()
     return _chunked(points, lambda x: model.potential(x, workspace=ws))
+
+
+def check_width(what, points, dim):
+    """Raise DimensionMismatchError naming ``what`` unless its rows have
+    ``dim`` entries."""
+    width = np.shape(points)[-1]
+    if width != dim:
+        raise DimensionMismatchError(what, dim, width)
 
 
 def write_csv(path, columns, rows):
@@ -95,7 +103,7 @@ def rollout_errors_against_reference(model, x0, refs, dt, stride, dt_eval=None):
     with np.errstate(all="ignore"):
         for j in range(n_compare):
             for _ in range(sub):
-                x = rk2_step(model.drift, x, dt_eval, check=False)
+                x = rk2_step(model.drift, x, dt_eval)
             diff = x - refs[j]
             num += (diff * diff).sum(axis=1)
     err = np.sqrt(num) / np.sqrt(den)
@@ -133,8 +141,9 @@ def quasipotential_errors(model, exact_u, points):
     that is constant on ``points`` leaves nothing to compare against and is
     rejected.
 
-    Works in place on the two landscapes and one scratch array; each sum is
-    the one a plain expression such as ``(diff * diff).sum()`` would take."""
+    Works in place on the two landscapes, with no third array; each sum is
+    the one a plain expression such as ``(diff * diff).sum()`` would take,
+    since |d| |d| = d d exactly and u_exact is nonnegative once shifted."""
     u_learned = potential_values(model, points)
     u_learned *= 2.0
     u_learned -= u_learned.min()
@@ -144,11 +153,10 @@ def quasipotential_errors(model, exact_u, points):
         raise QplandError(f"the exact landscape has zero norm on the {len(u_exact)} grid "
                           f"points (constant there); rRMSE and rMAE are undefined")
     diff = np.subtract(u_learned, u_exact, out=u_learned)
-    scratch = np.multiply(diff, diff)
-    diff_sq = scratch.sum()
-    exact_sq = np.multiply(u_exact, u_exact, out=scratch).sum()
-    diff_abs = np.abs(diff, out=scratch).sum()
-    exact_abs = np.abs(u_exact, out=scratch).sum()
+    diff_abs = np.abs(diff, out=diff).sum()
+    diff_sq = np.multiply(diff, diff, out=diff).sum()
+    exact_abs = u_exact.sum()
+    exact_sq = np.multiply(u_exact, u_exact, out=u_exact).sum()
     return float(np.sqrt(diff_sq) / np.sqrt(exact_sq)), float(diff_abs / exact_abs)
 
 
@@ -281,28 +289,27 @@ class MetricsReport:
     grid: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "rollout_mean": self.rollout_mean,
-            "rollout_std": self.rollout_std,
-            "rollout_count": self.rollout_count,
-            "rollout_diverged": self.rollout_diverged,
-            "rRMSE": self.rrmse,
-            "rMAE": self.rmae,
-            "cos_mean_abs": self.cos_mean_abs,
-            "cos_max_abs": self.cos_max_abs,
-            "grid": self.grid,
-            "notes": self.notes,
-        }
-
     def write(self, path):
+        """The fields as sorted JSON; ``rrmse`` and ``rmae`` appear as the
+        keys ``rRMSE`` and ``rMAE``."""
+        report = asdict(self)
+        report["rRMSE"], report["rMAE"] = report.pop("rrmse"), report.pop("rmae")
         with atomic_write(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
 def build_report(model, dataset=None, exact_u=None, grid_points=None, grid_echo=None,
                  representatives=None, split="test", dt_eval=None, notes=None):
+    """Rollout errors on a dataset split, rRMSE and rMAE against ``exact_u``
+    on ``grid_points``, and cosine statistics at ``representatives``; each
+    input given must match the model's dimension."""
+    if dataset is not None:
+        check_width("dataset", dataset.x, model.dim)
+    if grid_points is not None:
+        check_width("grid points", grid_points, model.dim)
+    if representatives is not None:
+        check_width("representatives", representatives.points, model.dim)
     report = MetricsReport(grid=grid_echo or {}, notes=notes or {})
     if dataset is not None:
         ref = rollout_reference(dataset, split)

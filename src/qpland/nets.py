@@ -10,15 +10,14 @@ Gradients are exact (chain rule), not numerical. The input gradient
 backprop entry points exist:
 
 * ``value_backprop``   -- d/dtheta of sum_b c_b . y(x_b)
-* ``grad_backprop``    -- d/dtheta of sum_b [ v_b . grad_x y(x_b) + t_b y(x_b) ]
+* ``grad_backprop``    -- d/dtheta of sum_b v_b . grad_x y(x_b)
                           (scalar-output nets only)
 
 The second one is the workhorse: the training loss contains grad_x of the
 potential network, so its parameter gradient needs the mixed second
 derivatives that ``grad_backprop`` materializes. It also returns the input
-adjoint, which for the pure-gradient term is the Hessian-vector product
-H(x) v needed when the evaluation point itself depends on the parameters
-(one-step integrators).
+adjoint, the Hessian-vector product H(x) v needed when the evaluation point
+itself depends on the parameters (one-step integrators).
 
 Derivative contract: every activation supplies ``d1(pre, hid)`` and
 ``d2(pre, hid)``, its first and second derivatives at the pre-activation
@@ -333,9 +332,9 @@ def value_backprop(net, tape, cotangent, *, workspace=None):
     return _flatten_grads(net, grads), hbar
 
 
-def grad_backprop(net, tape, grad_cotangent, value_cotangent=None, *, workspace=None):
-    """Parameter gradient of  sum_b [ v_b . grad_x y(x_b) + t_b y(x_b) ]
-    for a scalar-output net, plus the input adjoint (= H(x_b) v_b + t_b grad y).
+def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
+    """Parameter gradient of  sum_b v_b . grad_x y(x_b)  for a scalar-output
+    net, plus the input adjoint H(x_b) v_b.
 
     A dual (tangent) forward pass in direction v turns the directional
     derivative v . grad y into the tangent output, and one reverse sweep over
@@ -366,22 +365,15 @@ def grad_backprop(net, tape, grad_cotangent, value_cotangent=None, *, workspace=
     hdots_in = [v, *hdots]
     grads = [None] * len(layers)
 
-    # output layer: y = h_L w^T + b, ydot = hdot_L w^T
+    # output layer: y = h_L w^T + b, ydot = hdot_L w^T. Only ydot has a
+    # cotangent, so the primal adjoint starts at zero and b gets no gradient.
     w_out = layers[-1][0]
+    grads[-1] = (hdots_in[-1].sum(axis=0)[None, :], np.zeros(1))
     hbar = ws.take("hbar", (rows, w_out.shape[1]))
-    if value_cotangent is not None:
-        t = np.asarray(value_cotangent, dtype=np.float64).reshape(-1, 1)
-        g_w = t.T @ hs[-1] + hdots_in[-1].sum(axis=0)[None, :]
-        g_b = np.array([t.sum()])
-        hbar = np.matmul(t, w_out, out=hbar)
+    if hbar is None:
+        hbar = np.zeros((rows, w_out.shape[1]))
     else:
-        g_w = hdots_in[-1].sum(axis=0)[None, :]
-        g_b = np.zeros(1)
-        if hbar is None:
-            hbar = np.zeros((rows, w_out.shape[1]))
-        else:
-            hbar.fill(0.0)
-    grads[-1] = (g_w, g_b)
+        hbar.fill(0.0)
     hdotbar = np.broadcast_to(w_out[0], (rows, w_out.shape[1]))
 
     for l in range(nh - 1, -1, -1):

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, SamplingError
-from .integrators import OdeField, rk4_step
+from .integrators import rk4_step
 
 SYSTEM_NAMES = ("bistable3d", "limitcycle2d", "yeast3d", "ginzburg_landau", "brusselator")
 
@@ -28,7 +28,7 @@ class SystemSpec:
     dim: int
     params: dict
     domain: Optional[np.ndarray]  # (d, 2) sampling box, None for mode-based samplers
-    field: OdeField
+    field: Callable  # right-hand side, (..., d) -> (..., d)
     sample: Callable  # (rng, n) -> (n, d)
     # closed-form quasipotential U, valid on the basins of (+-1, 0, 0) minus the
     # separatrix (bistable3d) and on the whole plane (limitcycle2d)
@@ -84,7 +84,7 @@ def _make_bistable3d(params):
         dim=3,
         params={},
         domain=domain,
-        field=OdeField(3, rhs_bistable3d),
+        field=rhs_bistable3d,
         sample=sample,
         exact_u=exact_u_bistable3d,
         exact_grad_v=lambda x: exact_decomposition_bistable3d(x)[0],
@@ -136,7 +136,7 @@ def _make_limitcycle2d(params):
         dim=2,
         params=known,
         domain=domain,
-        field=OdeField(2, lambda x: rhs_limitcycle2d(x, a, b)),
+        field=lambda x: rhs_limitcycle2d(x, a, b),
         sample=sample,
         exact_u=lambda x: exact_u_limitcycle2d(x, a, b),
         exact_grad_v=lambda x: exact_decomposition_limitcycle2d(x, a, b)[0],
@@ -167,7 +167,9 @@ def _make_yeast3d(params):
     if bad:
         raise ConfigError([f"yeast3d: parameter '{k}' must be positive" for k in bad])
     domain = np.array([[0.0, 5.0]] * 3)
-    fld = OdeField(3, lambda x: rhs_yeast3d(x, p))
+
+    def fld(x):
+        return rhs_yeast3d(x, p)
 
     def sample(rng, n, _max_draws=10**6):
         # rejection: keep states with sup-norm drift below 5
@@ -261,7 +263,7 @@ def _make_ginzburg_landau(params):
         dim=dim,
         params={"I": n_cells, "delta": delta},
         domain=None,
-        field=OdeField(dim, lambda u: rhs_ginzburg_landau(u, n_cells, delta)),
+        field=lambda u: rhs_ginzburg_landau(u, n_cells, delta),
         sample=sample,
         energy=lambda u: gl_energy(u, n_cells, delta),
         energy_gradient=lambda u: gl_energy_gradient(u, n_cells, delta),
@@ -337,7 +339,7 @@ def _make_brusselator(params):
         dim=dim,
         params={"I": n_cells, "alpha": alpha, "A": a_param},
         domain=None,
-        field=OdeField(dim, lambda x: rhs_brusselator(x, n_cells, alpha, a_param)),
+        field=lambda x: rhs_brusselator(x, n_cells, alpha, a_param),
         sample=sample,
         extras={"nodes": nodes, "stable_state": stable},
     )

@@ -109,7 +109,7 @@ def dyn_loss(model, x, x_next, dt, huber_delta):
     """Mean Huber loss of the one-step velocity residual over a pair batch."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
-    e = (rk2_step(model.drift, x, dt, check=False) - x_next) / dt
+    e = (rk2_step(model.drift, x, dt) - x_next) / dt
     _check_residual(e)
     return float(huber(e, huber_delta).mean())
 
@@ -251,6 +251,9 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     x_va, y_va = dataset.pairs("val")
     reps_tr = representatives["train"].points
     reps_va = representatives["val"].points
+    for what, points in (("dataset", x_tr), ("train representatives", reps_tr),
+                         ("val representatives", reps_va)):
+        evaluation.check_width(what, points, model.dim)
     fit_center(model, dataset.states("train"))
 
     rng = np.random.default_rng(train_cfg.seed)

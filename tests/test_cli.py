@@ -218,13 +218,17 @@ class TestFlags:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """{"DATA": dataset path, "REPS": representatives path} made from E2E_CONFIG."""
+    """{"DATA": dataset path, "REPS": representatives path} made from
+    E2E_CONFIG, and "DATA2", "REPS2" made the same way on limitcycle2d."""
     work = tmp_path_factory.mktemp("inputs")
-    cfg = _write_json(work / "run.json", E2E_CONFIG)
-    paths = {"DATA": str(work / "data.qptd"), "REPS": str(work / "reps.qprs")}
-    assert cli.main(["generate", "--config", cfg, "--out", paths["DATA"]]) == 0
-    assert cli.main(["representatives", "--config", cfg, "--data", paths["DATA"],
-                     "--out", paths["REPS"]]) == 0
+    paths = {}
+    for tag, system in (("", "bistable3d"), ("2", "limitcycle2d")):
+        cfg = _write_json(work / f"run{tag}.json", {**E2E_CONFIG, "system": {"name": system}})
+        paths[f"DATA{tag}"] = str(work / f"data{tag}.qptd")
+        paths[f"REPS{tag}"] = str(work / f"reps{tag}.qprs")
+        assert cli.main(["generate", "--config", cfg, "--out", paths[f"DATA{tag}"]]) == 0
+        assert cli.main(["representatives", "--config", cfg, "--data", paths[f"DATA{tag}"],
+                         "--out", paths[f"REPS{tag}"]]) == 0
     return paths
 
 
@@ -392,6 +396,56 @@ class TestErrors:
         assert payload["detail"] == ("non-finite value in representative states, "
                                      f"index {len(train) + 2}")
         assert not (tmp_path / "reps.qprs").exists()
+
+    def _decompose_error(self, tmp_path, capsys, points):
+        """The one JSON line ``decompose`` prints for a points file holding
+        ``points``; asserts that it exits 1 and writes nothing."""
+        path = tmp_path / "points.csv"
+        path.write_text(points, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["decompose", "--model", "exact:bistable3d", "--points", str(path),
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        assert not (tmp_path / "out.csv").exists()
+        return json.loads(lines[0]), str(path)
+
+    def test_ragged_points_print_one_json_line(self, tmp_path, capsys):
+        payload, path = self._decompose_error(tmp_path, capsys,
+                                              "x0,x1,x2\n1.0,0.0,0.0\n\n0.5,0.25\n")
+        assert payload == {"error": "QplandError",
+                           "detail": f"{path}: line 4 has 2 values, the rows before it 3"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
+    def test_non_finite_point_prints_one_json_line(self, value, tmp_path, capsys):
+        payload, path = self._decompose_error(
+            tmp_path, capsys, f"x0,x1,x2\n1.0,0.0,0.0\n0.5,{value},1.0\n")
+        assert payload == {"error": "NonFiniteError",
+                           "detail": f"non-finite value in {path} points, index 1"}
+
+    @pytest.mark.parametrize("command, named", [
+        (["train", "--data", "DATA", "--reps", "REPS2"], "train representatives"),
+        (["train", "--data", "DATA", "--reps", "REPS", "--val-reps", "REPS2"],
+         "val representatives"),
+        (["eval", "--model", "exact:bistable3d", "--data", "DATA", "--reps", "REPS2"],
+         "representatives"),
+        (["eval", "--model", "exact:bistable3d", "--data", "DATA2"], "dataset"),
+    ], ids=["train_reps", "train_val_reps", "eval_reps", "eval_data"])
+    def test_input_of_another_dimension_prints_one_json_line(self, command, named, inputs,
+                                                              tmp_path, capsys):
+        # 2-d limitcycle2d inputs meet a 3-d model; they used to end in a
+        # broadcasting ValueError traceback
+        cfg = _write_json(tmp_path / "run.json", E2E_CONFIG)
+        capsys.readouterr()
+        code = cli.main([command[0], "--config", cfg, *(inputs.get(a, a) for a in command[1:]),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "DimensionMismatchError",
+            "detail": f"{named}: expected dimension 3, got 2"}
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     @pytest.mark.parametrize("domain, problem", [
         ([[-1.0, 1.0], [0.0]], "system.domain must be a list of [lo, hi] number pairs, "

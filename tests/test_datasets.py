@@ -10,7 +10,6 @@ from qpland.datasets import (SPLIT_CODES, RepresentativeSet, TrajectoryDataset, 
                              generate, load_dataset, load_representatives,
                              representative_sample, save_dataset, save_representatives, split)
 from qpland.errors import FormatError, NonFiniteError, QplandError
-from qpland.integrators import OdeField
 from qpland.systems import make_system
 
 
@@ -56,13 +55,11 @@ class TestGenerate:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergent_trajectory_reports_index(self):
-        blowup = OdeField(1, lambda s: s * s)
-
         class FakeSystem:
             dim = 1
             name = "blowup"
             params = {}
-            field = blowup
+            field = staticmethod(lambda s: s * s)
 
             @staticmethod
             def sample(rng, n):

@@ -5,7 +5,7 @@ import pytest
 
 from qpland.decomposition import (CHECKPOINT_VERSION, AnalyticDecomposition,
                                   DecompositionModel, fit_center, floored_cosine, init_model,
-                                  load_checkpoint, orthogonality_cosine, safe_cosine,
+                                  load_checkpoint, orthogonality_cosine,
                                   save_checkpoint)
 from qpland.errors import ConfigError
 from qpland.evaluation import export_landscape, make_grid, planar_slice
@@ -125,7 +125,7 @@ class TestCosine:
     def test_safe_cosine_batch(self, rng):
         u = rng.normal(0, 1, (50, 3))
         g = rng.normal(0, 1, (50, 3))
-        cos = safe_cosine(u, g)
+        cos = floored_cosine(u, g)[0]
         assert (np.abs(cos) <= 1.0 + 1e-15).all()
 
     def test_floor_masks_rows_and_floors_norms(self):
@@ -136,7 +136,7 @@ class TestCosine:
         assert cos.tolist() == [0.0, 0.0, 0.0]
         assert nu.tolist() == [5.0, 1.0, 1.0]
         assert ng.tolist() == [5.0, 1.0, 1.0]
-        assert np.array_equal(safe_cosine(u, g), cos)
+        assert np.array_equal(floored_cosine(u, g)[0], cos)
 
 
 class TestLandscape:

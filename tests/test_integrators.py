@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpland.errors import NonFiniteError
-from qpland.integrators import OdeField, rk2_step, rk4_step
+from qpland.integrators import rk2_step, rk4_step
 from qpland.systems import make_system
 
 
@@ -20,7 +20,7 @@ def final_state(step, field, x0, dt, n_steps):
 class TestSteps:
     def test_zero_field_is_identity(self):
         x = np.array([1.0, -2.0])
-        zero = OdeField(2, lambda s: np.zeros_like(s))
+        zero = np.zeros_like
         assert np.array_equal(rk4_step(zero, x, 0.3), x)
         assert np.array_equal(rk2_step(zero, x, 0.3), x)
 
@@ -113,7 +113,9 @@ class TestInPlaceStages:
         ("returns_its_argument", lambda s: s,
          np.random.default_rng(3).normal(0.0, 1.0, (40, 4))),
         ("single_state", decayetc, np.array([1.0, -0.5])),
-    ])
+    ], ids=[  # spelled out, so a case's name does not follow its field's __name__
+        "bistable3d-field0-x0", "ginzburg_landau-field1-x1",
+        "returns_its_argument-<lambda>-x2", "single_state-decayetc-x3"])
     @pytest.mark.parametrize("dt", [1e-3, 0.37])
     def test_bit_identical_to_reference(self, name, field, x, dt):
         before = x.copy()
