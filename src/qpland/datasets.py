@@ -19,6 +19,7 @@ import numpy as np
 from .errors import FormatError, NonFiniteError, QplandError
 from .fileio import atomic_write
 from .integrators import rk4_step
+from .nets import Workspace
 
 QPTD_MAGIC = b"QPTD"
 QPRS_MAGIC = b"QPRS"
@@ -100,7 +101,13 @@ class TrajectoryDataset:
 def generate(system, n_trajectories, dt, horizon, stride, seed):
     """Integrate ``n_trajectories`` seeded initial states with RK4 at step
     ``dt`` and record the pair (x(t_j), x(t_j+dt)) at t_j = j*stride*dt for
-    j = 0..M, M = floor(horizon/(stride dt)) - 1."""
+    j = 0..M, M = floor(horizon/(stride dt)) - 1.
+
+    Each call owns one workspace for the RK4 stages and two state arrays
+    that the steps write in turn, so no step allocates; all are freed when
+    the call returns. A state that turns NaN or inf raises NonFiniteError
+    naming the record and the trajectory; when ``dt`` is above the system's
+    ``rk4_dt_limit``, the error names both steps."""
     n_sparse = int(np.floor(horizon / (stride * dt) + 1e-9))
     if n_sparse < 1:
         raise QplandError(f"horizon {horizon} too short for stride {stride} at dt {dt}")
@@ -108,15 +115,25 @@ def generate(system, n_trajectories, dt, horizon, stride, seed):
     x = system.sample(np.random.default_rng(np.random.SeedSequence(seed)), n_trajectories)
     lefts = np.empty((n_trajectories, m_last + 1, system.dim))
     rights = np.empty_like(lefts)
-    for j in range(m_last + 1):
-        r = rk4_step(system.field, x, dt, check=False)
-        _check_samples(x, r, j)
-        lefts[:, j] = x
-        rights[:, j] = r
-        if j < m_last:
-            x = r
-            for _ in range(stride - 1):
-                x = rk4_step(system.field, x, dt, check=False)
+    workspace = Workspace()
+    states = (np.empty_like(x), np.empty_like(x))
+
+    def step(x):
+        # into whichever state array x is not
+        return rk4_step(system.field, x, dt, check=False, out=states[x is states[0]],
+                        workspace=workspace)
+
+    # a blown-up step overflows; the located error below is its one report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m_last + 1):
+            r = step(x)
+            _check_samples(system, dt, x, r, j)
+            lefts[:, j] = x
+            rights[:, j] = r
+            if j < m_last:
+                x = r
+                for _ in range(stride - 1):
+                    x = step(x)
     meta = {
         "system": system.name,
         "params": _jsonable(system.params),
@@ -136,10 +153,16 @@ def generate(system, n_trajectories, dt, horizon, stride, seed):
     )
 
 
-def _check_samples(left, right, j):
+def _check_samples(system, dt, left, right, j):
     ok = np.isfinite(left).all(axis=1) & np.isfinite(right).all(axis=1)
     if not ok.all():
-        raise NonFiniteError("trajectory generation", index=int(np.argmax(~ok)), step=j)
+        limit = system.extras.get("rk4_dt_limit")
+        cause = None
+        if limit is not None and dt > limit:
+            cause = (f"dt {dt:.6g} exceeds {limit:.6g}, the largest step at which "
+                     f"explicit RK4 is linearly stable on {system.name}")
+        raise NonFiniteError("trajectory generation", index=int(np.argmax(~ok)), step=j,
+                             cause=cause)
 
 
 def split(dataset, seed):

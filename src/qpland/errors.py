@@ -15,7 +15,7 @@ class DimensionMismatchError(QplandError):
 class NonFiniteError(QplandError):
     """A computation produced NaN/Inf. Carries enough context to locate it."""
 
-    def __init__(self, where, index=None, stage=None, step=None):
+    def __init__(self, where, index=None, stage=None, step=None, cause=None):
         self.where = where
         self.index = index
         self.stage = stage
@@ -27,7 +27,8 @@ class NonFiniteError(QplandError):
             parts.append(f"step {step}")
         if index is not None:
             parts.append(f"index {index}")
-        super().__init__("non-finite value in " + ", ".join(parts))
+        message = "non-finite value in " + ", ".join(parts)
+        super().__init__(message if cause is None else f"{message}: {cause}")
 
 
 class ConfigError(QplandError):

@@ -53,6 +53,12 @@ def check_width(what, points, dim):
         raise DimensionMismatchError(what, dim, width)
 
 
+def check_nonempty(what, points):
+    """Raise QplandError naming ``what`` if it has no rows."""
+    if len(points) == 0:
+        raise QplandError(f"{what}: the set has no points")
+
+
 def write_csv(path, columns, rows):
     """A header line, then one line per row: ints as ``str``, every other
     value as ``repr(float(v))``, so each field parses back with ``float``."""
@@ -303,13 +309,15 @@ def build_report(model, dataset=None, exact_u=None, grid_points=None, grid_echo=
                  representatives=None, split="test", dt_eval=None, notes=None):
     """Rollout errors on a dataset split, rRMSE and rMAE against ``exact_u``
     on ``grid_points``, and cosine statistics at ``representatives``; each
-    input given must match the model's dimension."""
+    input given must match the model's dimension, and representatives must
+    not be empty."""
     if dataset is not None:
         check_width("dataset", dataset.x, model.dim)
     if grid_points is not None:
         check_width("grid points", grid_points, model.dim)
     if representatives is not None:
         check_width("representatives", representatives.points, model.dim)
+        check_nonempty("representatives", representatives.points)
     report = MetricsReport(grid=grid_echo or {}, notes=notes or {})
     if dataset is not None:
         ref = rollout_reference(dataset, split)

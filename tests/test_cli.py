@@ -447,6 +447,34 @@ class TestErrors:
             "detail": f"{named}: expected dimension 3, got 2"}
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("command, named", [
+        (["train", "--data", "DATA", "--reps", "EMPTY"], "train representatives"),
+        (["train", "--data", "DATA", "--reps", "REPS", "--val-reps", "EMPTY"],
+         "val representatives"),
+        (["eval", "--model", "exact:bistable3d", "--data", "DATA", "--reps", "EMPTY"],
+         "representatives"),
+    ], ids=["train_reps", "train_val_reps", "eval_reps"])
+    def test_empty_representatives_print_one_json_line(self, command, named, inputs,
+                                                       tmp_path, capsys):
+        # a 0-point set used to end eval in a zero-size reduction traceback,
+        # and train in a diverged run that still wrote a checkpoint
+        work = tmp_path / "in"
+        work.mkdir()
+        empty = str(work / "empty.qprs")
+        datasets.save_representatives(datasets.representative_sample(np.zeros((0, 3)), 0.3, 0),
+                                      empty)
+        cfg = _write_json(work / "run.json", E2E_CONFIG)
+        capsys.readouterr()
+        code = cli.main([command[0], "--config", cfg,
+                         *({**inputs, "EMPTY": empty}.get(a, a) for a in command[1:]),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "QplandError",
+                                        "detail": f"{named}: the set has no points"}
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
     @pytest.mark.parametrize("domain, problem", [
         ([[-1.0, 1.0], [0.0]], "system.domain must be a list of [lo, hi] number pairs, "
                                "got [[-1.0, 1.0], [0.0]]"),

@@ -13,6 +13,25 @@ from qpland.errors import FormatError, NonFiniteError, QplandError
 from qpland.systems import make_system
 
 
+class BlowUp:
+    """x' = x^2 from x = 50: overflows at the third step of dt = 0.5."""
+
+    dim = 1
+    name = "blowup"
+    params = {}
+
+    def __init__(self, **extras):
+        self.extras = extras
+
+    @staticmethod
+    def field(s, out=None):
+        return np.multiply(s, s, out=out)
+
+    @staticmethod
+    def sample(rng, n):
+        return np.full((n, 1), 50.0)
+
+
 @pytest.fixture(scope="module")
 def small_bistable():
     dataset = generate(make_system("bistable3d"), 20, 1e-2, 5.0, 10, seed=7)
@@ -53,21 +72,29 @@ class TestGenerate:
         with pytest.raises(QplandError):
             generate(make_system("bistable3d"), 5, 1e-2, 1e-3, 10, seed=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # no filterwarnings mark: generation's overflow must not warn
     def test_divergent_trajectory_reports_index(self):
-        class FakeSystem:
-            dim = 1
-            name = "blowup"
-            params = {}
-            field = staticmethod(lambda s: s * s)
-
-            @staticmethod
-            def sample(rng, n):
-                return np.full((n, 1), 50.0)
-
         with pytest.raises(NonFiniteError) as exc:
-            generate(FakeSystem(), 3, 0.5, 50.0, 1, seed=0)
+            generate(BlowUp(), 3, 0.5, 50.0, 1, seed=0)
         assert exc.value.index is not None
+        assert "exceeds" not in str(exc.value)
+
+    def test_divergence_within_the_step_limit_names_no_limit(self):
+        with pytest.raises(NonFiniteError) as exc:
+            generate(BlowUp(rk4_dt_limit=1.0), 3, 0.5, 50.0, 1, seed=0)
+        assert str(exc.value) == "non-finite value in trajectory generation, step 2, index 0"
+
+    @pytest.mark.parametrize("name, params, dt, located, limit", [
+        ("brusselator", {"I": 19, "alpha": 0.1}, 1e-3, "step 1, index 0", "0.000192867"),
+        ("ginzburg_landau", {"I": 51}, 3e-3, "step 7, index 2", "0.00267686"),
+    ])
+    def test_divergence_above_the_step_limit_names_both_steps(self, name, params, dt, located,
+                                                               limit):
+        with pytest.raises(NonFiniteError) as exc:
+            generate(make_system(name, params), 5, dt, 1.0, 10, seed=0)
+        assert str(exc.value) == (
+            f"non-finite value in trajectory generation, {located}: dt {dt:g} exceeds "
+            f"{limit}, the largest step at which explicit RK4 is linearly stable on {name}")
 
     def test_determinism(self):
         system = make_system("limitcycle2d")

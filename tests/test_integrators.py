@@ -3,6 +3,7 @@ import pytest
 
 from qpland.errors import NonFiniteError
 from qpland.integrators import rk2_step, rk4_step
+from qpland.nets import Workspace
 from qpland.systems import make_system
 
 
@@ -122,6 +123,50 @@ class TestInPlaceStages:
         assert np.array_equal(rk4_step(field, x, dt), rk4_reference(field, before.copy(), dt))
         assert np.array_equal(rk2_step(field, x, dt), rk2_reference(field, before.copy(), dt))
         assert np.array_equal(x, before)
+
+
+class TestWorkspaceStep:
+    """Through a workspace, a step writes every stage into a buffer it keeps
+    and passes that buffer to the field as ``out=``; the bits stay those of
+    the allocating step."""
+
+    @pytest.mark.parametrize("name, field, x", [
+        ("bistable3d", make_system("bistable3d").field,
+         np.random.default_rng(1).uniform(-2.0, 2.0, (500, 3))),
+        ("ginzburg_landau", make_system("ginzburg_landau", {"I": 11}).field,
+         np.random.default_rng(2).uniform(-1.0, 1.0, (60, 10))),
+        ("returns_its_argument", lambda s, out=None: s,
+         np.random.default_rng(3).normal(0.0, 1.0, (40, 4))),
+        ("single_state", lambda s, out=None: np.negative(s, out=out), np.array([1.0, -0.5])),
+    ], ids=["bistable3d", "ginzburg_landau", "returns_its_argument", "single_state"])
+    @pytest.mark.parametrize("dt", [1e-3, 0.37])
+    def test_bit_identical_to_allocating_step_and_reuses_buffers(self, name, field, x, dt):
+        before = x.copy()
+        ws = Workspace()
+        out = np.full_like(x, np.nan)
+        got = rk4_step(field, x, dt, out=out, workspace=ws)
+        assert got is out
+        assert np.array_equal(got, rk4_step(field, before.copy(), dt))
+        assert np.array_equal(x, before)
+        first = got.copy()
+        arrays = dict(ws._arrays)
+        # one block: k1..k4, three stage inputs and 2 k3
+        assert [a.shape for a in arrays.values()] == [(8, *x.shape)]
+
+        # another state, into another array: the same buffers, no stale bits
+        x2 = x[::-1].copy()
+        out2 = np.full_like(x, np.nan)
+        assert np.array_equal(rk4_step(field, x2, dt, out=out2, workspace=ws),
+                              rk4_step(field, x2.copy(), dt))
+        assert ws._arrays.keys() == arrays.keys()
+        assert all(ws._arrays[k] is a for k, a in arrays.items())
+        assert np.array_equal(out, first) and np.array_equal(x, before)
+
+    def test_out_without_workspace(self):
+        x = np.array([[1.0, -0.5], [0.25, 2.0]])
+        out = np.empty_like(x)
+        assert rk4_step(decayetc, x, 0.1, out=out) is out
+        assert np.array_equal(out, rk4_step(decayetc, x, 0.1))
 
 
 class TestRollout:

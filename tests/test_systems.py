@@ -150,6 +150,31 @@ class TestGinzburgLandau:
         assert vals.shape == (7,)
 
 
+def gl_gradient_on_the_padded_chain(u, n_cells, delta):
+    """The gradient as written on the chain padded with its pinned ends, in
+    the order of operations ``gl_energy_gradient`` keeps."""
+    up = np.concatenate([np.zeros((*u.shape[:-1], 1)), u, np.zeros((*u.shape[:-1], 1))],
+                        axis=-1)
+    lap = (-2.0 * up[..., 1:-1] + up[..., :-2]) + up[..., 2:]
+    return lap / (1.0 / n_cells) ** 2 * -delta + (u * u * u - u) / delta
+
+
+class TestGinzburgLandauGradient:
+    @pytest.mark.parametrize("n_cells", [2, 3, 11, 51])
+    @pytest.mark.parametrize("lead", [(), (1,), (37,), (2, 3)])
+    def test_bit_identical_to_the_padded_chain(self, n_cells, lead, rng):
+        # signed zeros and +-1, where -0.0 and 0.0 could part ways
+        u = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300], size=(*lead, n_cells - 1))
+        u = np.where(rng.random(u.shape) < 0.5, u, rng.normal(0.0, 1.0, u.shape))
+        want = gl_gradient_on_the_padded_chain(u, n_cells, 0.1)
+        assert systems.gl_energy_gradient(u, n_cells, 0.1).tobytes() == want.tobytes()
+        fortran = np.asfortranarray(u)
+        assert systems.gl_energy_gradient(fortran, n_cells, 0.1).tobytes() == want.tobytes()
+        strided = np.full((*u.shape, 2), np.nan)[..., 0]
+        assert systems.gl_energy_gradient(u, n_cells, 0.1, out=strided) is strided
+        assert np.ascontiguousarray(strided).tobytes() == want.tobytes()
+
+
 class TestBrusselator:
     def test_dimension_for_default_grid(self):
         system = make_system("brusselator")
@@ -184,6 +209,59 @@ class TestBrusselator:
         for _ in range(40000):
             x = rk4_step(system.field, x, 1e-4)
         assert np.abs(x - system.extras["stable_state"]).max() < 1e-4
+
+
+class TestOutArgument:
+    @pytest.mark.parametrize("name, params", [
+        ("bistable3d", {}), ("limitcycle2d", {}), ("yeast3d", YEAST_TEST_PARAMS),
+        ("ginzburg_landau", {"I": 11}), ("brusselator", {"I": 9}),
+    ])
+    @pytest.mark.parametrize("rows", [None, 37])
+    def test_field_writes_into_out_with_the_same_bits(self, name, params, rows):
+        system = make_system(name, params)
+        x = system.sample(np.random.default_rng(5), rows or 1)
+        if rows is None:
+            x = x[0]
+        before = x.copy()
+        buf = np.full_like(x, np.nan)
+        assert system.field(x, out=buf) is buf
+        assert buf.tobytes() == system.field(x).tobytes()
+        assert np.array_equal(x, before)
+
+
+def rhs_out_params(source):
+    """Names of the ``rhs_*`` functions defined in ``source``, each with
+    whether it takes an ``out`` parameter."""
+    return {node.name: "out" in [a.arg for a in node.args.args + node.args.kwonlyargs]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("rhs_")}
+
+
+class TestRhsTakeOut:
+    def test_every_rhs_takes_out(self):
+        takes_out = rhs_out_params(Path(systems.__file__).read_text(encoding="utf-8"))
+        assert len(takes_out) == len(systems.SYSTEM_NAMES)
+        assert all(takes_out.values()), takes_out
+
+    def test_guard_flags_an_rhs_without_out(self):
+        source = Path(systems.__file__).read_text(encoding="utf-8")
+        dropped = source.replace("def rhs_yeast3d(x, params, out=None):",
+                                 "def rhs_yeast3d(x, params):")
+        assert dropped != source
+        takes_out = rhs_out_params(dropped)
+        assert [name for name, ok in takes_out.items() if not ok] == ["rhs_yeast3d"]
+
+
+class TestStepLimit:
+    # 2.785 h^2 / (4 delta) and 2.785 alpha h^2 / 4, h = 1 / I
+    @pytest.mark.parametrize("name, params, limit, rounded", [
+        ("ginzburg_landau", {"I": 51}, 2.785 / (51**2 * 4 * 0.1), 2.68e-3),
+        ("brusselator", {"I": 19, "alpha": 0.1}, 2.785 * 0.1 / (19**2 * 4), 1.93e-4),
+    ])
+    def test_limit_is_the_linear_rk4_bound(self, name, params, limit, rounded):
+        got = make_system(name, params).extras["rk4_dt_limit"]
+        assert got == pytest.approx(limit, rel=1e-12)
+        assert float(f"{got:.3g}") == rounded
 
 
 class TestMakeSystem:

@@ -1,21 +1,28 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qpland import training
 from qpland.config import parse_config
 from qpland.datasets import generate, representative_sample, split
-from qpland.decomposition import AnalyticDecomposition, init_model
+from qpland.decomposition import AnalyticDecomposition, ModelGrads, init_model
 from qpland.errors import ConfigError, NonFiniteError, QplandError, TrainingDivergedError
 from qpland.nets import Workspace
 from qpland.systems import make_system
 from qpland.training import (AdamState, LossConfig, TrainConfig, adam_step,
-                             cosine_penalty, dyn_loss, huber, orth_loss,
+                             cosine_penalty, dyn_loss, huber, orth_loss, orth_loss_and_grad,
                              total_loss, total_loss_and_grad, train, write_history_csv)
 
 from conftest import make_net
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class Linear1d:
@@ -27,7 +34,8 @@ class Linear1d:
     def __init__(self, a=-2.0, lo=0.5, hi=2.0):
         self.a = a
         self.params = {"a": a}
-        self.field = lambda s: self.a * s
+        self.extras = {}
+        self.field = lambda s, out=None: np.multiply(self.a, s, out=out)
         self._lo, self._hi = lo, hi
 
     def sample(self, rng, n):
@@ -206,6 +214,36 @@ class TestGradients:
         y = x + 0.01 * rng.normal(0, 1, x.shape)
         cfg = LossConfig(huber_delta=0.6, orth_weight=0.0, neg_cos_weight=0.1)
         assert_gradient_matches_fd(model, x, y, rng.normal(0, 1, (6, 3)), cfg)
+
+
+class TestOrthGradient:
+    def test_relu2_rotation_matches_central_differences(self, rng):
+        # tanh potential, relu2 rotation; every representative keeps |g| and
+        # |grad V| at 1e-2 or more, far from the cosine's degeneracy floor
+        model = init_model(3, 8, "relu2", seed=4)
+        model.potential_net.params[:] = rng.normal(0, 0.5, model.potential_net.params.shape)
+        model.rotational_net.params[:] = rng.normal(0, 0.5, model.rotational_net.params.shape)
+        model.center = np.array([0.1, -0.2, 0.3])
+        cand = rng.normal(0, 1, (200, 3))
+        strong = ((np.linalg.norm(model.potential_gradient(cand), axis=1) >= 1e-2)
+                  & (np.linalg.norm(model.rotation(cand), axis=1) >= 1e-2))
+        reps = cand[strong][:20]
+        assert len(reps) == 20
+
+        grads = ModelGrads.zeros_like(model)
+        orth_loss_and_grad(model, reps, 0.1, grads)
+        dp = rng.normal(0, 1, model.potential_net.params.shape)
+        dr = rng.normal(0, 1, model.rotational_net.params.shape)
+        eps = 1e-6
+        p0, r0 = model.potential_net.params.copy(), model.rotational_net.params.copy()
+        losses = []
+        for sign in (1.0, -1.0):
+            model.potential_net.params[:] = p0 + sign * eps * dp
+            model.rotational_net.params[:] = r0 + sign * eps * dr
+            losses.append(orth_loss(model, reps, 0.1))
+        fd = (losses[0] - losses[1]) / (2 * eps)
+        analytic = grads.potential @ dp + grads.rotational @ dr
+        assert analytic == pytest.approx(fd, rel=1e-5)
 
 
 def loss_case(n_pairs, n_reps, act="relu2", seed=None):
@@ -439,6 +477,43 @@ class TestTrainLoop:
         train_cfg.batch_size = 8  # fewer than both pairs and representatives
         result = train(dataset, reps, model, loss_cfg, train_cfg)
         assert len(result.history) >= 1
+
+
+# In a fresh process: free a 16 MB mapped array, which raises glibc's mmap
+# threshold, so 2 MB blocks come from its heap; allocate a live 64 KB block
+# after each, and free the 2 MB blocks. The live blocks keep the heap from
+# shrinking at its top, so the freed pages stay resident until a trim.
+# Prints the MB the trim returned.
+PINNED_HEAP_SCRIPT = """
+import os
+import numpy as np
+from qpland import training
+
+def rss_mb():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+big = np.ones(2**21)
+del big
+blocks, pins = [], []
+for _ in range(32):
+    blocks.append(np.ones(2**18))
+    pins.append(bytes(2**16))
+del blocks
+held = rss_mb()
+training._release_freed_memory()
+print(held - rss_mb())
+"""
+
+
+class TestReleaseFreedMemory:
+    @pytest.mark.skipif(training._malloc_trim is None or not os.path.exists("/proc/self/statm"),
+                        reason="needs glibc and /proc")
+    def test_freed_heap_pages_below_a_live_block_are_returned(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", PINNED_HEAP_SCRIPT], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert float(proc.stdout) > 48.0  # of the 64 MB freed
 
 
 class TestConfigValidation:
