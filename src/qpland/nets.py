@@ -48,9 +48,11 @@ and write every batch-sized array into it: a tape's activations
 ``hid<l>``, its pre-activations ``pre<l>`` only where the activation reads
 them, and its ``value``, and the derivatives, tangents and adjoints of the
 sweeps.
-``training.train`` owns one for the whole run, so that a step after the
-first allocates no batch-sized array and touches no fresh pages, and
-``evaluation.potential_values`` one for the chunks of a grid. Each
+``training.train`` owns one for the whole run. The losses call these in
+blocks of ``training._BLOCK`` rows, so besides the batch gathers it holds
+block-sized arrays, and a step after the first allocates no batch-sized
+array and touches no fresh pages.
+``evaluation.potential_values`` owns one for the chunks of a grid. Each
 array is kept under a name and reused by the next call that asks for that
 name. So a tape recorded through a part of a workspace is valid until the
 next tape is recorded in that part (in training, until the next step), and

@@ -7,8 +7,19 @@ measured by a componentwise Huber loss. L_orth penalizes the cosine between
 grad V and g at representative points, quadratically, with negative cosines
 down-weighted. Optimization is plain Adam with a per-step exponential
 learning-rate decay; model selection keeps the snapshot with the best
-validation total loss. One ``nets.Workspace``, a local of ``train``, holds
-every batch-sized array of a step from one step to the next; it is dropped
+validation total loss.
+
+The losses and their gradients walk their rows in blocks of ``_BLOCK``
+rows: each block's arrays stay small enough for the caches, and no array
+of a loss has more rows than a block. A block adds its loss sum and its
+parameter gradient to the running totals; the mean divides by the whole
+batch, so each block's cotangent is the one the whole batch would give its
+rows. Up to ``_BLOCK`` rows the results are bit-identical to one pass over
+the batch; above it they equal the sum of the block results in block
+order, which differs from one pass by rounding only.
+
+One ``nets.Workspace``, a local of ``train``, holds the batch gathers and
+every block-sized array of a step from one step to the next; it is dropped
 before each validation and freed when ``train`` returns or raises. When it
 starts and each time it drops the workspace, ``train`` hands the freed
 pages of the C heap back to the OS (see ``_release_freed_memory``).
@@ -125,19 +136,35 @@ def huber_grad(e, delta, out=None):
     return np.clip(e, -delta, delta, out=out)
 
 
-def _check_residual(e):
+# Rows per block of a loss or its gradient. A block of the default
+# width-50 nets keeps each (rows, 50) float64 array at 200 KB, inside one
+# core's L2; 128-row blocks were slower at d = 3, where per-call overhead
+# dominates. The training digests that the tests pin were recorded at one
+# block per call, and the tests check that their cases still fit in one.
+_BLOCK = 512
+
+
+def _check_residual(e, start=0):
+    """Raise NonFiniteError at the first row of ``e`` that is not finite,
+    located as row ``start`` + its row in ``e``."""
     ok = np.isfinite(e).all(axis=-1)
     if not ok.all():
-        raise NonFiniteError("dyn loss residual", index=int(np.argmax(~np.atleast_1d(ok))))
+        raise NonFiniteError("dyn loss residual",
+                             index=start + int(np.argmax(~np.atleast_1d(ok))))
 
 
 def dyn_loss(model, x, x_next, dt, huber_delta):
-    """Mean Huber loss of the one-step velocity residual over a pair batch."""
+    """Mean Huber loss of the one-step velocity residual over a pair batch,
+    summed block by block (see the module docstring)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
-    e = (rk2_step(model.drift, x, dt) - x_next) / dt
-    _check_residual(e)
-    return float(huber(e, huber_delta).mean())
+    total = 0.0
+    for start in range(0, len(x), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        e = (rk2_step(model.drift, x[block], dt) - x_next[block]) / dt
+        _check_residual(e, start)
+        total += huber(e, huber_delta).sum()
+    return float(total / x.size)
 
 
 def cosine_penalty(cos, neg_cos_weight):
@@ -145,10 +172,14 @@ def cosine_penalty(cos, neg_cos_weight):
 
 
 def orth_loss(model, points, neg_cos_weight):
-    """Mean asymmetric quadratic penalty on the grad-V / g cosine."""
+    """Mean asymmetric quadratic penalty on the grad-V / g cosine, summed
+    block by block (see the module docstring)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    cos = orthogonality_cosine(model, points)
-    return float(cosine_penalty(cos, neg_cos_weight).mean())
+    total = 0.0
+    for start in range(0, len(points), _BLOCK):
+        cos = orthogonality_cosine(model, points[start : start + _BLOCK])
+        total += cosine_penalty(cos, neg_cos_weight).sum()
+    return float(total / len(points))
 
 
 def total_loss(model, x, x_next, dt, rep_points, cfg):
@@ -159,14 +190,32 @@ def total_loss(model, x, x_next, dt, rep_points, cfg):
 def dyn_loss_and_grad(model, x, x_next, dt, huber_delta, grads, *, workspace=None):
     """dyn_loss plus its parameter gradient, accumulated into ``grads``.
 
+    The rows go through ``_dyn_block`` in blocks of ``_BLOCK``, whose loss
+    sums add up to the batch's; the workspace holds block-sized arrays.
+    Bit-identical to one pass at up to ``_BLOCK`` rows, equal to the sum in
+    block order above it.
+    """
+    ws = workspace or NO_WORKSPACE
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
+    total = 0.0
+    for start in range(0, len(x), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        total += _dyn_block(model, x[block], x_next[block], dt, huber_delta, x.size, start,
+                            grads, ws)
+    return float(total / x.size)
+
+
+def _dyn_block(model, x, x_next, dt, huber_delta, size, start, grads, ws):
+    """The Huber sum of one block of pairs, whose gradient (with the mean
+    over ``size`` residual entries) it adds to ``grads``; ``start`` is the
+    block's first row in the batch.
+
     The reverse sweep follows the Heun step: the second drift evaluation
     sits at a theta-dependent point, so its input adjoint feeds back into
     the first evaluation's cotangent. The two drift tapes are the
     workspace's parts "A" and "B".
     """
-    ws = workspace or NO_WORKSPACE
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
     f1, tape1 = drift_with_tape(model, x, workspace=ws.part("A"))
     x2 = np.multiply(dt, f1, out=ws.take("x2", x.shape))
     x2 += x
@@ -177,30 +226,45 @@ def dyn_loss_and_grad(model, x, x_next, dt, huber_delta, grads, *, workspace=Non
     np.add(x, e, out=e)
     e -= x_next
     e /= dt
-    _check_residual(e)
-    loss = float(huber(e, huber_delta, out=ws.take("huber", e.shape)).mean())
-    # cotangent of f2: 0.5 dt ibar, with ibar = huber_grad(e) / (e.size dt)
+    _check_residual(e, start)
+    loss_sum = huber(e, huber_delta, out=ws.take("huber", e.shape)).sum()
+    # cotangent of f2: 0.5 dt ibar, with ibar = huber_grad(e) / (size dt)
     cot = huber_grad(e, huber_delta, out=ws.take("cot", e.shape))
-    cot /= e.size * dt
+    cot /= size * dt
     cot *= 0.5 * dt
     x2bar = drift_vjp(model, tape2, cot, grads, workspace=ws)
     # cotangent of f1: 0.5 dt ibar + dt x2bar
     x2bar *= dt
     cot += x2bar
     drift_vjp(model, tape1, cot, grads, workspace=ws)
-    return loss
+    return loss_sum
 
 
 def orth_loss_and_grad(model, points, neg_cos_weight, grads, *, workspace=None):
     """orth_loss plus its parameter gradient, accumulated into ``grads``.
-    The drift tape is the workspace's part "A"."""
+
+    The points go through ``_orth_block`` in blocks of ``_BLOCK``, with the
+    same rounding contract as ``dyn_loss_and_grad``; the workspace holds
+    block-sized arrays.
+    """
     ws = workspace or NO_WORKSPACE
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    total = 0.0
+    for start in range(0, len(points), _BLOCK):
+        total += _orth_block(model, points[start : start + _BLOCK], neg_cos_weight,
+                             len(points), grads, ws)
+    return float(total / len(points))
+
+
+def _orth_block(model, points, neg_cos_weight, count, grads, ws):
+    """The cosine penalty sum of one block of points, whose gradient (with
+    the mean over ``count`` points) it adds to ``grads``. The drift tape is
+    the workspace's part "A"."""
     _, tape = drift_with_tape(model, points, workspace=ws.part("A"))
     u, g = tape.grad_v, tape.g
     cos, ok, nu, ng = floored_cosine(u, g)
-    loss = float(cosine_penalty(cos, neg_cos_weight).mean())
-    wprime = np.where(cos > 0, 2.0 * cos, 2.0 * neg_cos_weight * cos) / points.shape[0]
+    loss_sum = cosine_penalty(cos, neg_cos_weight).sum()
+    wprime = np.where(cos > 0, 2.0 * cos, 2.0 * neg_cos_weight * cos) / count
     wprime = np.where(ok, wprime, 0.0)[:, None]
     inv = 1.0 / (nu * ng)[:, None]
     along = ws.take("orth.along", u.shape)
@@ -213,7 +277,7 @@ def orth_loss_and_grad(model, points, neg_cos_weight, grads, *, workspace=None):
     cg *= wprime
     potential_gradient_vjp(model, tape.pot_tape, cu, grads, workspace=ws)
     rotation_vjp(model, tape, cg, grads, workspace=ws)
-    return loss
+    return loss_sum
 
 
 def total_loss_and_grad(model, x, x_next, dt, rep_points, cfg, *, workspace=None):

@@ -106,6 +106,18 @@ class TestDynLoss:
             dyn_loss(model, x, y, 0.1, 1.0)
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_nonfinite_pair_in_a_later_block_reports_batch_index(self, grad):
+        # row 700 of 1100 is row 188 of the second block
+        model, x, y, dt, reps, cfg = loss_case(1100, 10, "tanh")
+        y[700, 1] = np.nan
+        with pytest.raises(NonFiniteError) as exc:
+            if grad:
+                total_loss_and_grad(model, x, y, dt, reps, cfg)
+            else:
+                dyn_loss(model, x, y, dt, cfg.huber_delta)
+        assert exc.value.index == 700
+
 
 class TestOrthLoss:
     @pytest.mark.parametrize("cos,expect", [(0.5, 0.25), (-0.5, 0.025), (0.0, 0.0)])
@@ -266,6 +278,15 @@ def sha256_f8(a):
     return hashlib.sha256(np.asarray(a).astype("<f8").tobytes()).hexdigest()
 
 
+def assert_one_block(what, rows):
+    """The pinned values below were recorded with each loss call in one
+    block; a ``_BLOCK`` below ``rows`` sums them in blocks, which moves
+    their rounding, and the pins would then need recording again."""
+    assert rows <= training._BLOCK, (
+        f"{what}: {rows} rows exceed training._BLOCK = {training._BLOCK}, so the loss "
+        "is summed in blocks and the pinned values, recorded in one block, change")
+
+
 # loss_case(n_pairs, n_reps): (total, dyn, orth) as float.hex(), then
 # the sha256 of the potential and rotational gradients as little-endian float64
 PINNED_RELU2_ORTH = {
@@ -283,6 +304,7 @@ class TestPinnedArithmetic:
     def test_relu2_orth_loss_and_grad_pinned(self, rows):
         # a change that moves the ReLU^2 path or the orthogonality gradient
         # by one ulp changes these values
+        assert_one_block("pinned relu2 case", max(rows))
         total, ld, lo, grads = total_loss_and_grad(*loss_case(*rows))
         losses, pot, rot = PINNED_RELU2_ORTH[rows]
         assert (total.hex(), ld.hex(), lo.hex()) == losses
@@ -329,6 +351,66 @@ class TestWorkspace:
                                          "orth.cu", "orth.cg")}
         assert set(ws._arrays) == tapes | sweeps | losses
         assert len(ws._arrays) == 39
+
+
+def loss_results_equal(got, want):
+    return (got[:3] == want[:3] and np.array_equal(got[3].potential, want[3].potential)
+            and np.array_equal(got[3].rotational, want[3].rotational))
+
+
+class TestBlocks:
+    """1100 pairs and 700 representatives: three blocks of pairs and two of
+    representatives at ``_BLOCK`` = 512, the last of each partial."""
+
+    @pytest.mark.parametrize("act", ["tanh", "relu2"])
+    def test_gradient_matches_central_differences(self, act):
+        model, x, y, dt, reps, cfg = loss_case(1100, 700, act)
+        _, _, _, grads = total_loss_and_grad(model, x, y, dt, reps, cfg)
+        rng = np.random.default_rng(7)
+        eps = 1e-6
+        for params, block in ((model.potential_net.params, grads.potential),
+                              (model.rotational_net.params, grads.rotational)):
+            direction = rng.normal(0, 1, params.shape)
+            p0 = params.copy()
+            losses = []
+            for sign in (1.0, -1.0):
+                params[:] = p0 + sign * eps * direction
+                losses.append(total_loss(model, x, y, dt, reps, cfg))
+            params[:] = p0
+            fd = (losses[0] - losses[1]) / (2 * eps)
+            assert block @ direction == pytest.approx(fd, rel=1e-5)
+
+    @pytest.mark.parametrize("act", ["tanh", "relu2"])
+    def test_blocks_match_one_block(self, act, monkeypatch):
+        case = loss_case(1100, 700, act)
+        blocked = total_loss_and_grad(*case)
+        blocked_val = total_loss(*case)
+        monkeypatch.setattr(training, "_BLOCK", 1100)
+        whole = total_loss_and_grad(*case)
+        assert blocked_val == pytest.approx(total_loss(*case), rel=1e-12)
+        for got, want in zip(blocked[:3], whole[:3]):
+            assert got == pytest.approx(want, rel=1e-12)
+        for got, want in ((blocked[3].potential, whole[3].potential),
+                          (blocked[3].rotational, whole[3].rotational)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("act", ["tanh", "relu2"])
+    def test_reused_workspace_matches_fresh(self, act):
+        case = loss_case(1100, 700, act)
+        fresh = total_loss_and_grad(*case, workspace=Workspace())
+        ws = Workspace()
+        # fills every array with another case's values first
+        total_loss_and_grad(*loss_case(1300, 900, act, seed=1), workspace=ws)
+        assert loss_results_equal(total_loss_and_grad(*case, workspace=ws), fresh)
+        assert loss_results_equal(total_loss_and_grad(*case), fresh)
+
+    def test_workspace_holds_block_sized_arrays(self):
+        ws = Workspace()
+        total_loss_and_grad(*loss_case(2000, 2000, "tanh"), workspace=ws)
+        assert max(len(a) for a in ws._arrays.values()) == training._BLOCK
+        small = Workspace()
+        total_loss_and_grad(*loss_case(600, 600, "tanh"), workspace=small)
+        assert ws._arrays.keys() == small._arrays.keys()
 
 
 class TestAdam:
@@ -433,6 +515,11 @@ class TestTrainLoop:
         # pins the float arithmetic of training: a change that moves any
         # step's result by one ulp changes these values
         dataset, reps, model, loss_cfg, train_cfg = self._linear_setup(steps=120)
+        assert_one_block("pinned history batch", train_cfg.batch_size)
+        assert_one_block("pinned history val split", len(dataset.pairs("val")[0]))
+        for split_name, rep_set in reps.items():
+            assert_one_block(f"pinned history {split_name} representatives",
+                             len(rep_set.points))
         result = train(dataset, reps, model, loss_cfg, train_cfg)
         history = [{k: (v.hex() if isinstance(v, float) else v) for k, v in rec.items()}
                    for rec in result.history]
