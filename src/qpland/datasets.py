@@ -71,9 +71,14 @@ class TrajectoryDataset:
         return self.x[m], self.x_next[m]
 
     def states(self, split=None):
-        """All stored states (both pair sides) of a split."""
-        xl, xr = self.pairs(split)
-        return np.concatenate([xl, xr], axis=0)
+        """All stored states of a split: the left sides of its pairs, then
+        the right sides, gathered into one array."""
+        idx = np.flatnonzero(self.pair_mask(split))
+        out = np.empty((2 * len(idx), self.dim))
+        # mode "clip", as idx is in range: "raise" would first copy ``out``
+        np.take(self.x, idx, axis=0, out=out[: len(idx)], mode="clip")
+        np.take(self.x_next, idx, axis=0, out=out[len(idx) :], mode="clip")
+        return out
 
     def trajectories(self, split=None):
         """[(traj_id, lefts (M+1, d), rights (M+1, d))] in id order.
@@ -283,10 +288,13 @@ def _cell_keys(states, radius):
     if d <= 3:
         coords, pad = states, 0.0
     else:
-        centred = states - states.mean(axis=0)
-        axes = np.linalg.eigh(centred.T @ centred)[1][:, -3:]
+        # the Gram matrix of the centred states, X^T X - n m m^T, and the
+        # largest row norm, with no (n, d) temporary
+        mean = states.mean(axis=0)
+        gram = states.T @ states - len(states) * np.outer(mean, mean)
+        axes = np.linalg.eigh(gram)[1][:, -3:]
         coords = states @ axes
-        norm = np.sqrt(np.max((states**2).sum(axis=1)))
+        norm = np.sqrt(np.einsum("ij,ij->i", states, states).max())
         pad = 4.0 * d * (np.finfo(np.float64).eps / 2) * norm
     low = coords.min(axis=0)
     extent = float((coords.max(axis=0) - low).max())

@@ -176,7 +176,7 @@ class DriftTape:
 def drift_with_tape(model, x, *, workspace=None):
     """f at the rows of x, and the tape its VJPs read. Through a workspace
     part, the tape holds the part's arrays (see ``nets``)."""
-    ws = workspace or nets.NO_WORKSPACE
+    ws = workspace or nets.Workspace()
     x = np.atleast_2d(x)
     xt = np.subtract(x, model.center, out=ws.take("xt", x.shape))
     _, pot_tape = nets.forward_tape(model.potential_net, xt, workspace=ws.part("pot"))
@@ -190,7 +190,7 @@ def drift_with_tape(model, x, *, workspace=None):
 def drift_vjp(model, tape, cotangent, grads, *, workspace=None):
     """Accumulate d(sum_b c_b . f(x_b))/dtheta into ``grads``; return the
     input adjoint (needed when the evaluation point depends on theta)."""
-    ws = workspace or nets.NO_WORKSPACE
+    ws = workspace or nets.Workspace()
     c = np.asarray(cotangent, dtype=np.float64)
     neg_c = np.negative(c, out=ws.take("drift_vjp.neg_c", c.shape))
     x_adj = potential_gradient_vjp(model, tape.pot_tape, neg_c, grads, workspace=ws)
@@ -199,7 +199,7 @@ def drift_vjp(model, tape, cotangent, grads, *, workspace=None):
 
 
 def potential_gradient_vjp(model, tape, cotangent, grads, *, workspace=None):
-    ws = workspace or nets.NO_WORKSPACE
+    ws = workspace or nets.Workspace()
     c = np.asarray(cotangent, dtype=np.float64)
     gp, x_adj = nets.grad_backprop(model.potential_net, tape, c, workspace=ws)
     grads.potential += gp

@@ -74,13 +74,17 @@ def write_csv(path, columns, rows):
 def rollout_reference(dataset, split, max_trajectories=None):
     """``(x0 (K, d), refs (M, K, d), stride)`` from the stored pair-left
     states of a split's first ``max_trajectories`` trajectories (all when
-    None), or None when there are none."""
+    None), or None when there are none. The stride is the metadata's
+    ``m``, which a QPTD file loaded without its sidecar lacks."""
     trajs = dataset.trajectories(split)[:max_trajectories]
     if not trajs:
         return None
+    if "m" not in dataset.metadata:
+        raise QplandError("dataset metadata has no stride 'm', the steps between stored "
+                          "states that rollouts compare at (is its .json sidecar missing?)")
     x0 = np.stack([lefts[0] for _, lefts, _ in trajs])
     refs = np.stack([lefts[1:] for _, lefts, _ in trajs], axis=1)
-    return x0, refs, int(dataset.metadata.get("m", 1))
+    return x0, refs, int(dataset.metadata["m"])
 
 
 def rollout_errors_against_reference(model, x0, refs, dt, stride, dt_eval=None):

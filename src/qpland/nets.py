@@ -56,10 +56,9 @@ array and touches no fresh pages.
 array is kept under a name and reused by the next call that asks for that
 name. So a tape recorded through a part of a workspace is valid until the
 next tape is recorded in that part (in training, until the next step), and
-the gradient or adjoint that a sweep returns until the next sweep. Without
-a workspace (``NO_WORKSPACE``), every ``out=`` is None and NumPy allocates
-each array as a plain expression would; the arithmetic is the same, and so
-are the bits.
+the gradient or adjoint that a sweep returns until the next sweep. A call
+without a workspace makes a fresh one that dies with it, so nothing it
+returns is shared with another call.
 A workspace belongs to its caller, not to the tape, which still caches
 nothing.
 """
@@ -126,6 +125,8 @@ _ACT = {
 
 class Workspace:
     """Named arrays, reused from call to call (see the module docstring).
+    A function that takes a ``workspace`` and is called without one writes
+    into a fresh workspace of its own, so every array comes from ``take``.
 
     ``take(name, shape)`` returns a ``shape`` view of the array kept under
     ``name`` and ``shape[1:]``, allocated or grown to ``shape[0]`` rows
@@ -151,23 +152,6 @@ class Workspace:
         if array is None or len(array) < shape[0]:
             array = self._arrays[key] = np.empty(shape)
         return array[: shape[0]]
-
-
-class _NoWorkspace:
-    """What a call without a workspace uses: every ``take`` is None, so each
-    ``out=`` lets NumPy allocate, as a plain expression would."""
-
-    def part(self, name):
-        return self
-
-    def shared(self):
-        return self
-
-    def take(self, name, shape):
-        return None
-
-
-NO_WORKSPACE = _NoWorkspace()
 
 
 def layer_shapes(input_dim, hidden_widths, output_dim):
@@ -250,7 +234,7 @@ class Tape:
 
 
 def forward_tape(net, x, *, workspace=None):
-    ws = workspace or NO_WORKSPACE
+    ws = workspace or Workspace()
     x, single = _as_batch(net, x)
     act = _ACT[net.activation]
     tape = Tape(x=x)
@@ -296,7 +280,7 @@ def input_gradient(net, x):
 
 def tape_gradient(net, tape, *, workspace=None):
     """grad_x of a scalar net's output at the tape points, ``(B, d)``."""
-    ws = workspace or NO_WORKSPACE
+    ws = workspace or Workspace()
     d1 = _ACT[net.activation].d1
     layers = net.layers()
     w_row = layers[-1][0][0]
@@ -314,7 +298,7 @@ def value_backprop(net, tape, cotangent, *, workspace=None):
 
     cotangent: (B, out). Returns (flat_grad, x_adjoint (B, d)).
     """
-    ws = workspace or NO_WORKSPACE
+    ws = workspace or Workspace()
     c = np.atleast_2d(np.asarray(cotangent, dtype=np.float64))
     d1 = _ACT[net.activation].d1
     layers = net.layers()
@@ -344,7 +328,7 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
     """
     if net.output_dim != 1:
         raise DimensionMismatchError("grad_backprop output_dim", 1, net.output_dim)
-    ws = workspace or NO_WORKSPACE
+    ws = workspace or Workspace()
     v = np.atleast_2d(np.asarray(grad_cotangent, dtype=np.float64))
     act = _ACT[net.activation]
     layers = net.layers()
@@ -372,10 +356,7 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
     w_out = layers[-1][0]
     grads[-1] = (hdots_in[-1].sum(axis=0)[None, :], np.zeros(1))
     hbar = ws.take("hbar", (rows, w_out.shape[1]))
-    if hbar is None:
-        hbar = np.zeros((rows, w_out.shape[1]))
-    else:
-        hbar.fill(0.0)
+    hbar.fill(0.0)
     hdotbar = np.broadcast_to(w_out[0], (rows, w_out.shape[1]))
 
     for l in range(nh - 1, -1, -1):

@@ -20,12 +20,9 @@ order, which differs from one pass by rounding only.
 
 One ``nets.Workspace``, a local of ``train``, holds the batch gathers and
 every block-sized array of a step from one step to the next; it is dropped
-before each validation and freed when ``train`` returns or raises. When it
-starts and each time it drops the workspace, ``train`` hands the freed
-pages of the C heap back to the OS (see ``_release_freed_memory``).
+before each validation and freed when ``train`` returns or raises.
 """
 
-import ctypes
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -38,32 +35,9 @@ from .decomposition import (ModelGrads, drift_vjp, drift_with_tape, fit_center,
                             rotation_vjp)
 from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .integrators import rk2_step
-from .nets import NO_WORKSPACE, Workspace
+from .nets import Workspace
 
 log = logging.getLogger("qpland.training")
-
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # a C library other than glibc
-    _malloc_trim = None
-else:
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-    _malloc_trim.restype = ctypes.c_int
-
-
-def _release_freed_memory():
-    """Give the free pages of the C heap back to the OS, through glibc's
-    ``malloc_trim``; with another C library, do nothing.
-
-    glibc returns freed heap memory to the OS only from the top of its
-    heap. Whether the pages of a dropped workspace leave the process
-    therefore depends on where small blocks that outlive it happened to
-    land, which moves with the process's allocation history (the length of
-    its paths and environment, say): the peak memory of a train-then-eval
-    process could read about 8 MB higher or not. After a trim, the memory
-    held is the memory in use, whatever that history was."""
-    if _malloc_trim is not None:
-        _malloc_trim(0)
 
 HISTORY_COLUMNS = ("step", "lr", "train_loss", "train_dyn", "train_orth",
                    "val_loss", "val_dyn", "val_orth", "val_rollout")
@@ -195,7 +169,7 @@ def dyn_loss_and_grad(model, x, x_next, dt, huber_delta, grads, *, workspace=Non
     Bit-identical to one pass at up to ``_BLOCK`` rows, equal to the sum in
     block order above it.
     """
-    ws = workspace or NO_WORKSPACE
+    ws = workspace or Workspace()
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
     total = 0.0
@@ -247,7 +221,7 @@ def orth_loss_and_grad(model, points, neg_cos_weight, grads, *, workspace=None):
     same rounding contract as ``dyn_loss_and_grad``; the workspace holds
     block-sized arrays.
     """
-    ws = workspace or NO_WORKSPACE
+    ws = workspace or Workspace()
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     total = 0.0
     for start in range(0, len(points), _BLOCK):
@@ -355,7 +329,6 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     adam_rot = AdamState.like(model.rotational_net.params)
 
     val_ref = evaluation.rollout_reference(dataset, "val", train_cfg.val_rollout_trajectories)
-    _release_freed_memory()
     ws = Workspace()
     history = []
     best = {"loss": np.inf, "model": None, "step": -1}
@@ -386,7 +359,6 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
             running.append((loss, ld, lo))
             if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
                 ws = Workspace()  # validation needs none of it: free the memory first
-                _release_freed_memory()
                 rec = _evaluate(model, x_va, y_va, dataset.dt, reps_va, loss_cfg,
                                 val_ref, step, lr, running)
                 running = []
@@ -404,8 +376,6 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
                                     snapshot=snapshot, history=history) from err
     if best["model"] is None:
         best.update(model=model.copy(), step=train_cfg.max_steps, loss=np.nan)
-    del ws
-    _release_freed_memory()
     return TrainResult(model=best["model"], history=history, best_step=best["step"],
                        best_val_loss=best["loss"])
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -473,6 +474,24 @@ class TestErrors:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "QplandError",
                                         "detail": f"{named}: the set has no points"}
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+    def test_dataset_without_its_sidecar_prints_one_json_line(self, inputs, tmp_path, capsys):
+        # the stride m lives in the sidecar; rollouts used to assume 1 without it
+        work = tmp_path / "in"
+        work.mkdir()
+        data = shutil.copyfile(inputs["DATA"], work / "data.qptd")
+        cfg = _write_json(work / "run.json", {**E2E_CONFIG, "eval": {"rollout_split": None}})
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", cfg, "--model", "exact:bistable3d",
+                         "--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "QplandError",
+            "detail": "dataset metadata has no stride 'm', the steps between stored states "
+                      "that rollouts compare at (is its .json sidecar missing?)"}
         assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
     @pytest.mark.parametrize("domain, problem", [

@@ -168,6 +168,31 @@ class TestTrajectories:
                                  mask_trajectories(small_bistable, split_name))
 
 
+class TestStates:
+    @pytest.mark.parametrize("split_name", [None, "train", "val", "test"])
+    def test_left_sides_then_right_sides(self, small_bistable, split_name):
+        lefts, rights = small_bistable.pairs(split_name)
+        assert np.array_equal(small_bistable.states(split_name),
+                              np.concatenate([lefts, rights]))
+
+    def test_peak_is_the_result_and_the_indices(self, rng):
+        # the states are gathered into one array, with no copy of either
+        # side; the slack is the mask and the row indices
+        n = 60_000
+        dataset = split(TrajectoryDataset(dt=0.1, x=rng.normal(0, 1, (n, 5)),
+                                          x_next=rng.normal(0, 1, (n, 5)),
+                                          traj_id=np.repeat(np.arange(600, dtype=np.uint32), 100),
+                                          n_trajectories=600), seed=0)
+        tracemalloc.start()
+        try:
+            states = dataset.states("train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 2 * np.count_nonzero(dataset.pair_mask("train"))
+        assert peak <= states.nbytes + 10 * n
+
+
 def brute_force_net(states, radius, order):
     """The greedy r-net by brute force: each pick tests every live state."""
     alive = np.ones(states.shape[0], dtype=bool)
@@ -260,6 +285,18 @@ class TestRepresentativeSample:
             counts.append((len(got), len(builds)))
         assert counts[0][0] == len(pts) and counts[-1][0] == 1
         assert max(n_builds for _, n_builds in counts) > 1
+
+    def test_cell_keys_hold_no_copy_of_the_states(self, rng):
+        # above d = 3 the axes come from the Gram matrix of the centred
+        # states and the norms from row dot products: no (n, d) temporary
+        pts = rng.normal(0, 1, (20_000, 50))
+        tracemalloc.start()
+        try:
+            datasets._cell_keys(pts, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pts.nbytes / 4
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_brute_force_across_1e12(self, dim, rng):

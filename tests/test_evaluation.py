@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpland.datasets import generate, split
+from qpland.datasets import generate, load_dataset, save_dataset, split
 from qpland.decomposition import AnalyticDecomposition, init_model
 from qpland.errors import QplandError
 from qpland.evaluation import (_CHUNK, _equal_arclength, arc_length, build_report, make_grid,
@@ -135,6 +135,16 @@ class TestRolloutReference:
     def test_none_without_trajectories(self):
         dataset = split(generate(make_system("bistable3d"), 10, 1e-2, 0.5, 5, seed=0), seed=1)
         assert rollout_reference(dataset, "val", max_trajectories=0) is None
+
+    def test_dataset_without_its_sidecar_is_rejected(self, exact_bistable, tmp_path):
+        # without the sidecar's m the stored states, m steps apart, would be
+        # compared against rollouts of one step each
+        path = tmp_path / "d.qptd"
+        save_dataset(generate(make_system("bistable3d"), 10, 1e-2, 0.5, 5, seed=0), path)
+        (tmp_path / "d.qptd.json").unlink()
+        loaded = load_dataset(path)
+        with pytest.raises(QplandError, match="no stride 'm'"):
+            build_report(exact_bistable, dataset=loaded, split=None)
 
     def test_zero_norm_reference_rejected_with_index(self, exact_bistable):
         x0 = np.array([[0.5, 0.2, 0.0], [0.0, 0.0, 0.0]])

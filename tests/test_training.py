@@ -1,8 +1,4 @@
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +8,16 @@ from hypothesis import strategies as st
 from qpland import training
 from qpland.config import parse_config
 from qpland.datasets import generate, representative_sample, split
-from qpland.decomposition import AnalyticDecomposition, ModelGrads, init_model
+from qpland.decomposition import (AnalyticDecomposition, ModelGrads, drift_with_tape,
+                                  init_model)
 from qpland.errors import ConfigError, NonFiniteError, QplandError, TrainingDivergedError
-from qpland.nets import Workspace
+from qpland.nets import Workspace, forward, input_gradient
 from qpland.systems import make_system
 from qpland.training import (AdamState, LossConfig, TrainConfig, adam_step,
                              cosine_penalty, dyn_loss, huber, orth_loss, orth_loss_and_grad,
                              total_loss, total_loss_and_grad, train, write_history_csv)
 
 from conftest import make_net
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class Linear1d:
@@ -332,6 +327,22 @@ class TestWorkspace:
                 assert ws._arrays.keys() == arrays.keys()
                 assert all(ws._arrays[k] is a for k, a in arrays.items())
 
+    def test_calls_without_one_share_no_arrays(self):
+        # each call without a workspace writes into one of its own, so no
+        # later call, of any of these, overwrites what an earlier one returned
+        model, x, y, dt, reps, cfg = loss_case(64, 40, "tanh")
+
+        def results(x):
+            f, tape = drift_with_tape(model, x)
+            grads = total_loss_and_grad(model, x, y, dt, reps, cfg)[3]
+            return [forward(model.rotational_net, x), input_gradient(model.potential_net, x),
+                    f, tape.grad_v, tape.g, *tape.pot_tape.hid, grads.potential]
+
+        first = results(x)
+        kept = [a.copy() for a in first]
+        second = results(x + 0.5)
+        assert not any(np.array_equal(a, b) for a, b in zip(second, kept))
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
 
     def test_tanh_step_keeps_one_array_per_hidden_layer(self):
         # the names after one step on tanh nets of width 16 at d = 3: every
@@ -564,43 +575,6 @@ class TestTrainLoop:
         train_cfg.batch_size = 8  # fewer than both pairs and representatives
         result = train(dataset, reps, model, loss_cfg, train_cfg)
         assert len(result.history) >= 1
-
-
-# In a fresh process: free a 16 MB mapped array, which raises glibc's mmap
-# threshold, so 2 MB blocks come from its heap; allocate a live 64 KB block
-# after each, and free the 2 MB blocks. The live blocks keep the heap from
-# shrinking at its top, so the freed pages stay resident until a trim.
-# Prints the MB the trim returned.
-PINNED_HEAP_SCRIPT = """
-import os
-import numpy as np
-from qpland import training
-
-def rss_mb():
-    with open("/proc/self/statm") as f:
-        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
-
-big = np.ones(2**21)
-del big
-blocks, pins = [], []
-for _ in range(32):
-    blocks.append(np.ones(2**18))
-    pins.append(bytes(2**16))
-del blocks
-held = rss_mb()
-training._release_freed_memory()
-print(held - rss_mb())
-"""
-
-
-class TestReleaseFreedMemory:
-    @pytest.mark.skipif(training._malloc_trim is None or not os.path.exists("/proc/self/statm"),
-                        reason="needs glibc and /proc")
-    def test_freed_heap_pages_below_a_live_block_are_returned(self):
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", PINNED_HEAP_SCRIPT], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
-        assert float(proc.stdout) > 48.0  # of the 64 MB freed
 
 
 class TestConfigValidation:
