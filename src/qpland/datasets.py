@@ -322,20 +322,28 @@ def _cell_index(keys, live):
 
 _QPTD_HEADER = struct.Struct("<4sIIQQd")
 _QPRS_HEADER = struct.Struct("<4sIIdQ")
-_LOAD_BLOCK_BYTES = 1 << 18
+# bytes of pair records that save_dataset and load_dataset hold at a time
+_BLOCK_BYTES = 1 << 18
 
 
 def _pair_dtype(d):
     return np.dtype([("tid", "<u4"), ("x", "<f8", (d,)), ("y", "<f8", (d,))])
 
 
+def _record_block(d):
+    """An empty array of about ``_BLOCK_BYTES`` of pair records, at least one."""
+    dtype = _pair_dtype(d)
+    return np.empty(max(1, _BLOCK_BYTES // dtype.itemsize), dtype=dtype)
+
+
 def save_dataset(dataset, path):
+    """Write the dataset to a QPTD file and its provenance to the JSON
+    sidecar. The records are written in blocks of about ``_BLOCK_BYTES``,
+    each filled from the three arrays, so saving holds no copy of the
+    dataset."""
     header = _QPTD_HEADER.pack(QPTD_MAGIC, FILE_VERSION, dataset.dim,
                                dataset.n_pairs, dataset.n_trajectories, dataset.dt)
-    rec = np.empty(dataset.n_pairs, dtype=_pair_dtype(dataset.dim))
-    rec["tid"] = dataset.traj_id
-    rec["x"] = dataset.x
-    rec["y"] = dataset.x_next
+    block = _record_block(dataset.dim)
     meta = dict(dataset.metadata)
     if dataset.split_seed is not None:
         meta["split_seed"] = dataset.split_seed
@@ -343,14 +351,19 @@ def save_dataset(dataset, path):
     with (atomic_write(path, "wb") as fh,
           atomic_write(str(path) + ".json", "w", encoding="utf-8") as sidecar):
         fh.write(header)
-        fh.write(rec.data)
+        for start in range(0, dataset.n_pairs, len(block)):
+            rec = block[: dataset.n_pairs - start]
+            rows = slice(start, start + len(rec))
+            rec["tid"], rec["x"], rec["y"] = (dataset.traj_id[rows], dataset.x[rows],
+                                              dataset.x_next[rows])
+            fh.write(rec.data)
         json.dump(meta, sidecar, sort_keys=True)
 
 
 def load_dataset(path):
     """The dataset in a QPTD file and its sidecar. The records are read in
-    blocks of about ``_LOAD_BLOCK_BYTES``, each scattered into the three
-    arrays, so loading holds little more than the dataset itself."""
+    blocks of about ``_BLOCK_BYTES``, each scattered into the three arrays,
+    so loading holds little more than the dataset itself."""
     with open(path, "rb") as fh:
         head = fh.read(_QPTD_HEADER.size)
         if len(head) < _QPTD_HEADER.size:
@@ -369,7 +382,7 @@ def load_dataset(path):
             x = np.empty((n_pairs, d))
             x_next = np.empty((n_pairs, d))
             traj_id = np.empty(n_pairs, dtype=np.uint32)
-            block = np.empty(max(1, _LOAD_BLOCK_BYTES // dtype.itemsize), dtype=dtype)
+            block = _record_block(d)
             body = 0
             for start in range(0, n_pairs, len(block)):
                 rec = block[: n_pairs - start]
@@ -418,19 +431,26 @@ def save_representatives(reps, path):
 
 
 def load_representatives(path):
+    """The representative set in a QPRS file; the body is read straight
+    into the points array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _QPRS_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, d, radius, count = _QPRS_HEADER.unpack_from(blob)
-    if magic != QPRS_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {QPRS_MAGIC!r}")
-    if version != FILE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    body = blob[_QPRS_HEADER.size :]
-    if len(body) != count * d * 8:
-        raise FormatError(f"{path}: body has {len(body)} bytes, expected {count * d * 8}")
-    pts = np.frombuffer(body, dtype="<f8").reshape(count, d).copy()
+        head = fh.read(_QPRS_HEADER.size)
+        if len(head) < _QPRS_HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, d, radius, count = _QPRS_HEADER.unpack(head)
+        if magic != QPRS_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {QPRS_MAGIC!r}")
+        if version != FILE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        # as in load_dataset: the size is checked before the array is
+        # allocated, and again by what was read into it
+        expect = count * d * 8
+        body = os.fstat(fh.fileno()).st_size - _QPRS_HEADER.size
+        if body == expect:
+            pts = np.empty((count, d), dtype="<f8")
+            body = fh.readinto(pts.view(np.uint8))
+        if body != expect:
+            raise FormatError(f"{path}: body has {body} bytes, expected {expect}")
     return RepresentativeSet(points=pts, radius=float(radius))
 
 

@@ -325,25 +325,57 @@ def gl_stable_states(system, dt=5e-4, tol=1e-8, max_steps=2_000_000):
 # --------------------------------------------------------------------------
 # Example 5: discretized Brusselator (non-gradient), state (u_0..u_I, v_0..v_I)
 
-def _neumann_lap(w, h2):
-    # ghost nodes mirror the first interior neighbor: w_{-1} = w_1, w_{I+1} = w_{I-1}
-    lap = np.empty_like(w)
-    lap[..., 1:-1] = w[..., :-2] - 2.0 * w[..., 1:-1] + w[..., 2:]
-    lap[..., 0] = 2.0 * (w[..., 1] - w[..., 0])
-    lap[..., -1] = 2.0 * (w[..., -2] - w[..., -1])
-    return lap / h2
+def _neumann_lap(x, m, out):
+    """h^2 times the Neumann Laplacian of both m-node fields in the rows of
+    the C-ordered ``x``, written into ``out``.
+
+    Ghost nodes mirror the first interior neighbor: w_{-1} = w_1,
+    w_{I+1} = w_{I-1}. Inside a field the sum is (-2 w_i + w_{i-1}) +
+    w_{i+1}, the roundings of w_{i-1} - 2 w_i + w_{i+1}, with each
+    neighbour added over the whole flattened batch in one contiguous pass,
+    as in gl_energy_gradient; that pass hands each end node a node of the
+    other field or the next row, so the end columns are built again."""
+    flat_out, flat_x = out.reshape(-1), x.reshape(-1)
+    np.multiply(x, -2.0, out=out)
+    flat_out[1:] += flat_x[:-1]
+    flat_out[:-1] += flat_x[1:]
+    # (rows, field, node) views: 2 (w_1 - w_0) and 2 (w_{I-1} - w_I)
+    fields_out, fields_x = out.reshape(-1, 2, m), x.reshape(-1, 2, m)
+    for end, inner in ((0, 1), (-1, -2)):
+        ends = np.subtract(fields_x[..., inner], fields_x[..., end], out=fields_out[..., end])
+        ends *= 2.0
+    return out
 
 
 def rhs_brusselator(x, n_cells, alpha, a_param, out=None):
-    x = np.asarray(x, dtype=np.float64)
+    # x and out in C order, so that the flat views taken below are views
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if out is not None and not out.flags.c_contiguous:
+        out[...] = rhs_brusselator(x, n_cells, alpha, a_param)
+        return out
     if out is None:
         out = np.empty_like(x)
     m = n_cells + 1
-    u, v = x[..., :m], x[..., m:]
-    h2 = (1.0 / n_cells) ** 2
-    uu_v = u * u * v
-    np.divide(_neumann_lap(u, h2) + 1.0 + uu_v - (1.0 + a_param) * u, alpha, out=out[..., :m])
-    np.subtract(_neumann_lap(v, h2) + a_param * u, uu_v, out=out[..., m:])
+    _neumann_lap(x, m, out)
+    out /= (1.0 / n_cells) ** 2
+    # (lap u + 1 + u u v - (1 + A) u) / alpha and lap v + A u - u u v, each
+    # with these roundings, in contiguous passes over the flattened batch:
+    # node i of v lies m entries after node i of u, so a pass over entries
+    # [:-m] against [m:] pairs them up. Each pass also fills the entries of
+    # the other field, which are not kept (and are finite wherever the
+    # state's products are): the u half is built in ``du`` and copied into
+    # ``out``, the v half in ``out`` itself.
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    uu_v = flat_x[:-m] * flat_x[:-m]
+    uu_v *= flat_x[m:]
+    du = flat_out + 1.0
+    du[:-m] += uu_v
+    scaled_u = flat_x * (1.0 + a_param)
+    du -= scaled_u
+    du /= alpha
+    flat_out[m:] += np.multiply(flat_x[:-m], a_param, out=scaled_u[:-m])
+    flat_out[m:] -= uu_v
+    out.reshape(-1, 2 * m)[:, :m] = du.reshape(-1, 2 * m)[:, :m]
     return out
 
 

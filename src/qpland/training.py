@@ -20,7 +20,9 @@ order, which differs from one pass by rounding only.
 
 One ``nets.Workspace``, a local of ``train``, holds the batch gathers and
 every block-sized array of a step from one step to the next; it is dropped
-before each validation and freed when ``train`` returns or raises.
+before each validation and freed when ``train`` returns or raises. Each
+batch is gathered into the workspace straight from the dataset's own rows,
+by the row numbers of the train split, so no split is copied for the run.
 """
 
 import logging
@@ -311,20 +313,20 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     needed, neither empty). Returns the best-validation snapshot;
     single-threaded and bit-reproducible for a fixed seed.
     """
-    x_tr, y_tr = dataset.pairs("train")
     x_va, y_va = dataset.pairs("val")
     reps_tr = representatives["train"].points
     reps_va = representatives["val"].points
-    for what, points in (("dataset", x_tr), ("train representatives", reps_tr),
+    for what, points in (("dataset", dataset.x), ("train representatives", reps_tr),
                          ("val representatives", reps_va)):
         evaluation.check_width(what, points, model.dim)
     for what, points in (("train representatives", reps_tr), ("val representatives", reps_va)):
         evaluation.check_nonempty(what, points)
     fit_center(model, dataset.states("train"))
+    tr_rows = np.flatnonzero(dataset.pair_mask("train"))
 
     rng = np.random.default_rng(train_cfg.seed)
     decay = train_cfg.resolved_decay()
-    batch = min(train_cfg.batch_size, len(x_tr))
+    batch = min(train_cfg.batch_size, len(tr_rows))
     adam_pot = AdamState.like(model.potential_net.params)
     adam_rot = AdamState.like(model.rotational_net.params)
 
@@ -337,18 +339,22 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     try:
         for step in range(1, train_cfg.max_steps + 1):
             if order is None or pos + batch > len(order):
-                order = rng.permutation(len(x_tr))
+                order = rng.permutation(len(tr_rows))
                 pos = 0
-            idx = order[pos : pos + batch]
+            rows = tr_rows[order[pos : pos + batch]]
             pos += batch
+            # each gather in mode "clip", as every index is in range by
+            # construction: mode "raise" would first copy ``out``
             if len(reps_tr) > train_cfg.batch_size:
                 ridx = rng.permutation(len(reps_tr))[: train_cfg.batch_size]
-                rep_batch = np.take(reps_tr, ridx, axis=0,
+                rep_batch = np.take(reps_tr, ridx, axis=0, mode="clip",
                                     out=ws.take("reps", (len(ridx), reps_tr.shape[1])))
             else:
                 rep_batch = reps_tr
-            x = np.take(x_tr, idx, axis=0, out=ws.take("x", (batch, x_tr.shape[1])))
-            x_next = np.take(y_tr, idx, axis=0, out=ws.take("x_next", x.shape))
+            x = np.take(dataset.x, rows, axis=0, mode="clip",
+                        out=ws.take("x", (batch, dataset.dim)))
+            x_next = np.take(dataset.x_next, rows, axis=0, mode="clip",
+                             out=ws.take("x_next", x.shape))
             loss, ld, lo, grads = total_loss_and_grad(
                 model, x, x_next, dataset.dt, rep_batch, loss_cfg, workspace=ws)
             if not np.isfinite(loss):

@@ -443,6 +443,31 @@ class TestPersistence:
         assert loaded.equals(dataset)
         assert peak < 1.3 * (loaded.x.nbytes + loaded.x_next.nbytes + loaded.traj_id.nbytes)
 
+    def test_save_writes_whole_records_in_blocks(self, tmp_path, rng):
+        # twelve blocks of records: the file is the record array built
+        # whole, and saving holds about one block of it at a time
+        block_rows = datasets._BLOCK_BYTES // datasets._pair_dtype(3).itemsize
+        n = 12 * block_rows + 7
+        dataset = split(TrajectoryDataset(dt=0.1, x=rng.normal(0, 1, (n, 3)),
+                                          x_next=rng.normal(0, 1, (n, 3)),
+                                          traj_id=np.repeat(np.arange(n // 100 + 1,
+                                                                      dtype=np.uint32),
+                                                            100)[:n],
+                                          n_trajectories=n // 100 + 1), seed=3)
+        path = tmp_path / "d.qptd"
+        tracemalloc.start()
+        try:
+            save_dataset(dataset, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rec = np.empty(n, dtype=datasets._pair_dtype(3))
+        rec["tid"], rec["x"], rec["y"] = dataset.traj_id, dataset.x, dataset.x_next
+        header = datasets._QPTD_HEADER.pack(datasets.QPTD_MAGIC, datasets.FILE_VERSION, 3,
+                                            n, dataset.n_trajectories, 0.1)
+        assert path.read_bytes() == header + rec.tobytes()
+        assert peak < 2 * datasets._BLOCK_BYTES + 64 * 1024
+
     def test_empty_dataset_round_trip(self, tmp_path):
         empty = TrajectoryDataset(dt=0.1, x=np.zeros((0, 2)), x_next=np.zeros((0, 2)),
                                   traj_id=np.zeros(0, dtype=np.uint32), n_trajectories=0)
@@ -459,6 +484,29 @@ class TestPersistence:
         loaded = load_representatives(path)
         assert np.array_equal(loaded.points, reps.points)
         assert loaded.radius == 0.3
+
+    def test_representatives_load_holds_only_the_points(self, tmp_path, rng):
+        reps = RepresentativeSet(points=rng.normal(0, 1, (40_000, 5)), radius=0.3)
+        path = tmp_path / "r.qprs"
+        save_representatives(reps, path)
+        tracemalloc.start()
+        try:
+            loaded = load_representatives(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.points, reps.points)
+        assert peak < 1.1 * reps.points.nbytes
+
+    @pytest.mark.parametrize("cut", [3, 8 * 5 * 3])
+    def test_representatives_truncated_body(self, tmp_path, rng, cut):
+        path = tmp_path / "r.qprs"
+        save_representatives(RepresentativeSet(rng.normal(0, 1, (7, 5)), 0.5), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) - cut])
+        with pytest.raises(FormatError, match=f"body has {7 * 5 * 8 - cut} bytes, "
+                                              f"expected {7 * 5 * 8}"):
+            load_representatives(path)
 
     def test_representatives_bad_magic(self, tmp_path, rng):
         path = tmp_path / "r.qprs"

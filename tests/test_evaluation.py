@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qpland.datasets import generate, load_dataset, save_dataset, split
-from qpland.decomposition import AnalyticDecomposition, init_model
+from qpland.datasets import RepresentativeSet, generate, load_dataset, save_dataset, split
+from qpland.decomposition import AnalyticDecomposition, init_model, orthogonality_cosine
 from qpland.errors import QplandError
 from qpland.evaluation import (_CHUNK, _equal_arclength, arc_length, build_report, make_grid,
                                quasipotential_errors, rollout_errors_against_reference,
@@ -161,6 +163,27 @@ class TestRolloutReference:
         assert not dataset.trajectories()[1][1].any()
         with pytest.raises(QplandError, match="trajectory 1 has zero norm"):
             build_report(exact_bistable, dataset=dataset, split=None)
+
+
+class TestReportCosines:
+    def test_chunked_cosines_have_the_whole_array_bits_and_a_chunk_of_tape(self, rng):
+        # six chunks, the last one partial; the whole-array call's peak is
+        # the tape of every representative at once
+        model = init_model(3, 8, "tanh", seed=2)
+        model.center = np.array([0.1, -0.3, 0.2])
+        points = rng.normal(0.0, 1.0, (5 * _CHUNK + 5, 3))
+        tracemalloc.start()
+        try:
+            whole = np.abs(orthogonality_cosine(model, points))
+            whole_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            report = build_report(model, representatives=RepresentativeSet(points, 0.1))
+            report_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.cos_mean_abs.hex() == float(whole.mean()).hex()
+        assert report.cos_max_abs.hex() == float(whole.max()).hex()
+        assert report_peak < whole_peak / 2
 
 
 class TestWriteCsv:

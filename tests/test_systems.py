@@ -175,7 +175,40 @@ class TestGinzburgLandauGradient:
         assert np.ascontiguousarray(strided).tobytes() == want.tobytes()
 
 
+def brusselator_rhs_on_slices(x, n_cells, alpha, a_param):
+    """The right-hand side built from per-field slices, in the order of
+    operations ``rhs_brusselator`` keeps."""
+    m = n_cells + 1
+    u, v = x[..., :m], x[..., m:]
+
+    def lap(w):
+        out = np.empty_like(w)
+        out[..., 1:-1] = w[..., :-2] - 2.0 * w[..., 1:-1] + w[..., 2:]
+        out[..., 0] = 2.0 * (w[..., 1] - w[..., 0])
+        out[..., -1] = 2.0 * (w[..., -2] - w[..., -1])
+        return out / (1.0 / n_cells) ** 2
+
+    uu_v = u * u * v
+    return np.concatenate([(lap(u) + 1.0 + uu_v - (1.0 + a_param) * u) / alpha,
+                           lap(v) + a_param * u - uu_v], axis=-1)
+
+
 class TestBrusselator:
+    @pytest.mark.parametrize("n_cells", [2, 3, 19])
+    @pytest.mark.parametrize("lead", [(), (1,), (37,), (2, 3)])
+    def test_bit_identical_to_the_slices(self, n_cells, lead, rng):
+        # signed zeros and +-1, where -0.0 and 0.0 could part ways
+        x = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300],
+                       size=(*lead, 2 * (n_cells + 1)))
+        x = np.where(rng.random(x.shape) < 0.5, x, rng.normal(0.0, 1.0, x.shape))
+        want = brusselator_rhs_on_slices(x, n_cells, 0.1, 0.5)
+        assert systems.rhs_brusselator(x, n_cells, 0.1, 0.5).tobytes() == want.tobytes()
+        fortran = np.asfortranarray(x)
+        assert systems.rhs_brusselator(fortran, n_cells, 0.1, 0.5).tobytes() == want.tobytes()
+        strided = np.full((*x.shape, 2), np.nan)[..., 0]
+        assert systems.rhs_brusselator(x, n_cells, 0.1, 0.5, out=strided) is strided
+        assert np.ascontiguousarray(strided).tobytes() == want.tobytes()
+
     def test_dimension_for_default_grid(self):
         system = make_system("brusselator")
         assert system.params["I"] == 19
@@ -302,6 +335,8 @@ PINNED_GENERATE_SHA256 = {
                    "d95f1b77890d59c6a0adb19df701f286e2c4f8db253bb23192f84efcf68a7da5"),
     "ginzburg_landau": ("b3caf8690a50a2a3b35bcd33f37c22ae8037d28d730c95c2c2d927a9718bf74a",
                         "2a57abbe8c879ca37c69d12b8f673f52e88e4bb6af46156d8ff19c296100e68c"),
+    "brusselator": ("b1d394b66edae9cd04a709878b3099d552df538d6c8d47d3e02efc9926a8f10c",
+                    "64400eee0f6abb234bb88ac4eff4bff9576d3719a9f37d5022619a976402efa8"),
 }
 
 
@@ -315,6 +350,7 @@ class TestGeneratedBytes:
     @pytest.mark.parametrize("name, params, n, dt, pairs", [
         ("bistable3d", {}, 4, 1e-2, 3),
         ("ginzburg_landau", {"I": 6, "delta": 0.1}, 8, 1e-3, 20),
+        ("brusselator", {"I": 5}, 8, 1e-3, 20),
     ])
     def test_generated_pairs_match_pinned_bytes(self, name, params, n, dt, pairs):
         dataset = generate(make_system(name, params), n, dt, 2 * pairs * dt, 2, seed=11)

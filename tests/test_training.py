@@ -1,13 +1,15 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpland import training
+from qpland import evaluation, training
 from qpland.config import parse_config
-from qpland.datasets import generate, representative_sample, split
+from qpland.datasets import (RepresentativeSet, TrajectoryDataset, generate,
+                             representative_sample, split)
 from qpland.decomposition import (AnalyticDecomposition, ModelGrads, drift_with_tape,
                                   init_model)
 from qpland.errors import ConfigError, NonFiniteError, QplandError, TrainingDivergedError
@@ -575,6 +577,71 @@ class TestTrainLoop:
         train_cfg.batch_size = 8  # fewer than both pairs and representatives
         result = train(dataset, reps, model, loss_cfg, train_cfg)
         assert len(result.history) >= 1
+
+
+def random_pairs(rng, n_trajectories, pairs_per_trajectory, d):
+    n = n_trajectories * pairs_per_trajectory
+    return split(TrajectoryDataset(
+        dt=0.01, x=rng.normal(0, 1, (n, d)), x_next=rng.normal(0, 1, (n, d)),
+        traj_id=np.repeat(np.arange(n_trajectories, dtype=np.uint32), pairs_per_trajectory),
+        n_trajectories=n_trajectories), seed=1)
+
+
+def random_reps(rng, n, d):
+    return RepresentativeSet(rng.normal(0, 1, (n, d)), 0.1)
+
+
+class TestTrainMemory:
+    def test_no_copy_of_the_train_split(self, rng):
+        # 42k train pairs, 82 blocks: the peak is fit_center's transient
+        # states and the val pairs, plus less than one side of the split
+        # (row indices, and a step's block-sized arrays)
+        dataset = random_pairs(rng, 100, 600, 3)
+        reps = {"train": random_reps(rng, 300, 3), "val": random_reps(rng, 100, 3)}
+        train_bytes = dataset.pairs("train")[0].nbytes
+        states_bytes = dataset.states("train").nbytes
+        val_bytes = sum(side.nbytes for side in dataset.pairs("val"))
+        train_cfg = TrainConfig(batch_size=512, max_steps=2, eval_every=2,
+                                val_rollout_trajectories=0)
+        tracemalloc.start()
+        try:
+            train(dataset, reps, init_model(3, 4, "tanh", seed=0), LossConfig(), train_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < states_bytes + val_bytes + train_bytes
+
+    def test_one_step_gathers_into_the_workspace_alone(self, rng, monkeypatch):
+        # a batch-sized train split and more representatives than the batch;
+        # the loss is stubbed out, so from the set-up's end to the loss call
+        # a step allocates its three gathers and their indices, and no copy
+        # of a gather's ``out`` (which np.take's default mode "raise" makes)
+        dataset = random_pairs(rng, 50, 200, 10)
+        n_train = int(np.count_nonzero(dataset.pair_mask("train")))
+        reps = {"train": random_reps(rng, n_train + 2000, 10), "val": random_reps(rng, 50, 10)}
+        seen = {}
+        rollout_reference = evaluation.rollout_reference
+
+        def set_up_done(*args, **kwargs):
+            ref = rollout_reference(*args, **kwargs)
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return ref
+
+        def loss_stub(model, *args, **kwargs):
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            return 0.0, 0.0, 0.0, ModelGrads.zeros_like(model)
+
+        monkeypatch.setattr(evaluation, "rollout_reference", set_up_done)
+        monkeypatch.setattr(training, "total_loss_and_grad", loss_stub)
+        train_cfg = TrainConfig(batch_size=n_train, max_steps=1, val_rollout_trajectories=0)
+        tracemalloc.start()
+        try:
+            train(dataset, reps, init_model(10, 4, "tanh", seed=0), LossConfig(), train_cfg)
+        finally:
+            tracemalloc.stop()
+        gather_bytes = n_train * 10 * 8
+        assert seen["peak"] - seen["base"] < 3 * gather_bytes + gather_bytes / 2
 
 
 class TestConfigValidation:
