@@ -214,6 +214,10 @@ def representative_sample(states, radius, seed):
 # cells per grid axis at most, so that three axes of cell indices make an
 # int64 key and a cell index is rounded by less than 2**-32 of a cell
 _MAX_CELLS = 2**20
+# entries of ``order`` per block of the greedy net, and the floats of
+# differences (1 MB) that one block tests at most; see ``_greedy_net``
+_NET_WINDOW = 512
+_NET_BUDGET = 2**17
 
 
 def _greedy_net(states, radius, order):
@@ -248,13 +252,32 @@ def _greedy_net(states, radius, order):
     3**(k-1) rows next to a pick. Once more than half of the indexed states
     have died, the index is rebuilt on the live ones, so large radii do not
     scan dead states; index sizes then shrink geometrically, and the
-    rebuilds cost at most a log factor over the scanning already done."""
+    rebuilds cost at most a log factor over the scanning already done.
+
+    Candidates are taken a block at a time with the result of taking them
+    one at a time (Blelloch, Fineman & Shun, SPAA 2012): the picks are the
+    lexicographically first maximal independent set, in ``order``, of the
+    graph joining every two states that pass the exact test. A block is the
+    live states among the next ``_NET_WINDOW`` entries of ``order``, cut
+    after the last candidate for which the grid rows of the block so far
+    hold at most ``_NET_BUDGET`` floats (rows times d, the differences the
+    block tests); it keeps at least one candidate. One ``searchsorted`` call
+    finds the rows of every candidate, and each live state in them is
+    tested against its candidate with the arithmetic of a single pick. A
+    candidate is picked unless an earlier pick of its block passes the
+    exact test with it. That is the one-at-a-time rule: every state within
+    r of an earlier block's picks died before the block was formed, and the
+    block's own conflicts are resolved in order. The picks' balls die once
+    the block is resolved, and the rebuild rule is checked once per
+    block."""
     n = states.shape[0]
     if n == 0:
         return states.copy()
+    d = states.shape[1]
     keys, rows = _cell_keys(states, radius)
-    alive = bytearray(b"\x01") * n
-    alive_mask = np.frombuffer(alive, dtype=bool)
+    alive_mask = np.ones(n, dtype=bool)
+    # a candidate's position in its block, -1 for any other state
+    slot = np.full(n, -1, dtype=np.int32)
     reps = []
     r2 = radius * radius
     live = np.arange(n)
@@ -262,23 +285,54 @@ def _greedy_net(states, radius, order):
     # a row's keys run from its key - 1 to its key + 1; keys being integers,
     # the run ends where its key + 2 would be inserted
     edges = np.column_stack([rows - 1, rows + 2]).ravel()
-    hits = 0
-    for i in order.tolist():
-        if not alive[i]:
+    pos = 0
+    while pos < len(order):
+        window = order[pos : pos + _NET_WINDOW]
+        at = np.flatnonzero(alive_mask[window])
+        if not len(at):
+            pos += len(window)
             continue
-        reps.append(i)
+        cand = window[at]
+        hits = len(live) - np.count_nonzero(alive_mask)  # indexed states now dead
         if 2 * hits > len(live):
             live = np.flatnonzero(alive_mask)
             sorted_keys, ids = _cell_index(keys, live)
-            hits = 0
-        bounds = sorted_keys.searchsorted(keys[i] + edges).tolist()
-        nb = np.concatenate([ids[a:b] for a, b in zip(bounds[::2], bounds[1::2])])
-        nb = nb[alive_mask[nb]]
-        x = states[i]
-        kill = nb[((states[nb] - x) ** 2).sum(axis=1) < r2]
-        alive_mask[kill] = False
-        hits += len(kill)
-    return states[np.array(reps, dtype=np.intp)].copy()
+        bounds = sorted_keys.searchsorted(keys[cand][:, None] + edges)
+        starts = bounds[:, 0::2]
+        lengths = bounds[:, 1::2] - starts
+        counts = lengths.sum(axis=1)
+        m = max(1, int(np.searchsorted(np.cumsum(counts) * d, _NET_BUDGET, side="right")))
+        cand = cand[:m]
+        pos += int(at[m - 1]) + 1
+        # the candidates' rows, expanded into (owner, state) pairs
+        lengths = lengths[:m].ravel()
+        ends = np.cumsum(lengths)
+        nb = np.repeat(starts[:m].ravel() - ends + lengths, lengths)
+        nb += np.arange(ends[-1])
+        nb = ids[nb]
+        owner = np.repeat(np.arange(m, dtype=np.int32), counts[:m])
+        keep = alive_mask[nb]
+        nb, owner = nb[keep], owner[keep]
+        # the exact test, with the arithmetic of ((states[nb] - x) ** 2).sum(axis=1)
+        diff = np.take(states, nb, axis=0)
+        diff -= np.take(states, cand[owner], axis=0)
+        np.square(diff, out=diff)
+        near = diff.sum(axis=1) < r2
+        nb, owner = nb[near], owner[near]
+        # in-block conflicts in order: a candidate that an earlier pick of
+        # the block passes the test with is not picked
+        slot[cand] = np.arange(m)
+        later = slot[nb]
+        conflict = later > owner
+        picked = bytearray(b"\x01") * m
+        for a, b in zip(owner[conflict].tolist(), later[conflict].tolist()):
+            if picked[a]:
+                picked[b] = 0
+        slot[cand] = -1
+        picked = np.frombuffer(picked, dtype=bool)
+        reps.append(cand[picked])
+        alive_mask[nb[picked[owner]]] = False
+    return states[np.concatenate(reps)]
 
 
 def _cell_keys(states, radius):

@@ -150,25 +150,42 @@ def quasipotential_errors(model, exact_u, points):
     reads 0 at its lowest point there; this makes the metrics invariant to
     the additive constants both are only defined up to. An exact landscape
     that is constant on ``points`` leaves nothing to compare against and is
-    rejected.
+    rejected before the model runs.
 
-    Works in place on the two landscapes, with no third array; each sum is
-    the one a plain expression such as ``(diff * diff).sum()`` would take,
-    since |d| |d| = d d exactly and u_exact is nonnegative once shifted."""
-    u_learned = potential_values(model, points)
-    u_learned *= 2.0
-    u_learned -= u_learned.min()
-    u_exact = _chunked(points, exact_u)
-    u_exact -= u_exact.min()
-    if not u_exact.any():
-        raise QplandError(f"the exact landscape has zero norm on the {len(u_exact)} grid "
+    Holds one landscape-sized array. The exact landscape is evaluated per
+    ``_CHUNK`` rows three times: for its minimum and maximum, for the
+    differences, which replace the learned landscape in place, and once the
+    sums of those are taken, for its own sums in the same array. Each sum
+    is over the whole array, the one a plain expression such as
+    ``(diff * diff).sum()`` would take, since |d| |d| = d d exactly and
+    u_exact is nonnegative once shifted."""
+    points = np.asarray(points, dtype=np.float64)
+    low, high = np.inf, -np.inf
+    for _, u_exact in _exact_chunks(exact_u, points):
+        low, high = np.minimum(low, u_exact.min()), np.maximum(high, u_exact.max())
+    if high - low == 0.0:
+        raise QplandError(f"the exact landscape has zero norm on the {len(points)} grid "
                           f"points (constant there); rRMSE and rMAE are undefined")
-    diff = np.subtract(u_learned, u_exact, out=u_learned)
-    diff_abs = np.abs(diff, out=diff).sum()
-    diff_sq = np.multiply(diff, diff, out=diff).sum()
-    exact_abs = u_exact.sum()
-    exact_sq = np.multiply(u_exact, u_exact, out=u_exact).sum()
+    u = potential_values(model, points)
+    u *= 2.0
+    u -= u.min()
+    for rows, u_exact in _exact_chunks(exact_u, points):
+        u[rows] -= u_exact - low
+    diff_abs = np.abs(u, out=u).sum()
+    diff_sq = np.multiply(u, u, out=u).sum()
+    for rows, u_exact in _exact_chunks(exact_u, points):
+        u[rows] = u_exact
+    u -= low
+    exact_abs = u.sum()
+    exact_sq = np.multiply(u, u, out=u).sum()
     return float(np.sqrt(diff_sq) / np.sqrt(exact_sq)), float(diff_abs / exact_abs)
+
+
+def _exact_chunks(exact_u, points):
+    """(rows, exact_u(points[rows])) for each chunk of ``_CHUNK`` rows."""
+    for i in range(0, len(points), _CHUNK):
+        rows = slice(i, i + _CHUNK)
+        yield rows, exact_u(points[rows])
 
 
 # -- landscape export ------------------------------------------------------------

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qpland.nets import Activation, Mlp, param_count
+
+# The same examples on every run, and no replay of earlier failures from a
+# local example database: two runs of one tree give one verdict.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -264,7 +265,9 @@ class TestRepresentativeSample:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 50])
     def test_matches_brute_force(self, dim, rng, monkeypatch):
         # radii from every state kept to a single representative; the middle
-        # ones delete enough states between picks to rebuild the cell index
+        # ones delete enough states between blocks to rebuild the cell index.
+        # The rebuild rule is checked once per block, so the window is cut
+        # to 16 blocks' worth of the 500 states.
         builds = []
 
         def counting_index(keys, live):
@@ -273,6 +276,7 @@ class TestRepresentativeSample:
 
         cell_index = datasets._cell_index
         monkeypatch.setattr(datasets, "_cell_index", counting_index)
+        monkeypatch.setattr(datasets, "_NET_WINDOW", 32)
         pts = rng.normal(0, 1, (500, dim))
         gaps = pairwise_distances(pts)
         radii = np.geomspace(0.5 * gaps.min(), 1.01 * gaps.max(), 12)
@@ -369,6 +373,104 @@ class TestRepresentativeSample:
     def test_empty_input(self):
         reps = representative_sample(np.zeros((0, 3)), 0.5, seed=0)
         assert reps.count == 0
+
+
+# sha256 of the little-endian float64 bytes of the representatives that the
+# scan one pick at a time chose, recorded with NumPy 2.4.6 on x86_64. Both
+# sets span many windows of the blocked scan: the 40,000 bistable3d states
+# run in 86 blocks, 4 of them cut by the budget, and the 8,000 d = 50 states
+# in 32 blocks, 18 of them cut.
+PINNED_REPRESENTATIVES_SHA256 = {
+    "bistable3d": "394d0e65406043381718ef3b2ff5e9069e6db7bb957707dc12524ae4d5dcabf1",
+    "ginzburg_landau": "acf5870968827d40f59f18becf5ec7d57abdf52cc3bc1f5452e27f47bc33cd29",
+}
+
+
+class TestBlockedNet:
+    @pytest.mark.parametrize("name, params, n, dt, horizon, radius, n_states", [
+        ("bistable3d", {}, 400, 1e-2, 5.0, 0.1, 40_000),
+        ("ginzburg_landau", {"I": 51}, 200, 1e-3, 0.2, 0.5, 8_000),
+    ])
+    def test_representatives_match_pinned_bytes(self, name, params, n, dt, horizon, radius,
+                                                 n_states):
+        states = generate(make_system(name, params), n, dt, horizon, 10, seed=5).states()
+        assert len(states) == n_states
+        points = representative_sample(states, radius, seed=3).points
+        digest = hashlib.sha256(np.ascontiguousarray(points, dtype="<f8").tobytes()).hexdigest()
+        assert digest == PINNED_REPRESENTATIVES_SHA256[name]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 50])
+    def test_matches_brute_force_across_windows(self, dim, rng):
+        # radii at which a ball holds about 0.1%, 1% and 10% of the states
+        n = 3 * datasets._NET_WINDOW + 100
+        pts = rng.normal(0, 1, (n, dim))
+        order = rng.permutation(n)
+        for r in np.quantile(pairwise_distances(pts), [1e-3, 1e-2, 1e-1]):
+            assert np.array_equal(_greedy_net(pts, r, order), brute_force_net(pts, r, order))
+
+    @pytest.mark.parametrize("dim", [3, 50])
+    def test_dense_cluster_cuts_the_block_to_one_candidate(self, dim, rng):
+        # a cluster under r / 2 across lies in the grid rows of each of its
+        # states, which then hold more than the budget's floats on their own
+        r = 0.1
+        size = datasets._NET_BUDGET // dim + 1
+        cluster = rng.uniform(-0.2 * r, 0.2 * r, (size, dim)) / np.sqrt(dim)
+        pts = np.vstack([cluster, rng.uniform(-5.0, 5.0, (300, dim))])
+        order = rng.permutation(len(pts))
+        got = _greedy_net(pts, r, order)
+        assert np.array_equal(got, brute_force_net(pts, r, order))
+        assert np.count_nonzero(np.abs(got).max(axis=1) < r) == 1
+
+    def test_duplicates_conflict_and_states_r_apart_do_not(self, rng):
+        # a 30 x 30 integer lattice, each state three times: at r = 1 a state
+        # conflicts with its copies (distance 0), not with its neighbours
+        # (d2 == r2)
+        lattice = np.stack(np.meshgrid(np.arange(30.0), np.arange(30.0)), axis=-1)
+        pts = np.repeat(lattice.reshape(-1, 2), 3, axis=0)
+        order = rng.permutation(len(pts))
+        for r in (1e-12, 1.0, 1.5):
+            got = _greedy_net(pts, r, order)
+            assert np.array_equal(got, brute_force_net(pts, r, order))
+        assert len(_greedy_net(pts, 1.0, order)) == 900
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_clusters=st.integers(min_value=1, max_value=30),
+        per_cluster=st.integers(min_value=1, max_value=50),
+        dim=st.sampled_from([1, 2, 3, 5, 50]),
+        spread=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+        r=st.floats(min_value=0.01, max_value=2.0),
+        window=st.integers(min_value=1, max_value=64),
+        budget=st.integers(min_value=1, max_value=4096),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_brute_force_property(self, n_clusters, per_cluster, dim, spread, r,
+                                          window, budget, seed):
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(-3.0, 3.0, (n_clusters, 1, dim))
+        pts = (centres + rng.normal(0, spread, (n_clusters, per_cluster, dim))).reshape(-1, dim)
+        order = rng.permutation(len(pts))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datasets, "_NET_WINDOW", window)
+            mp.setattr(datasets, "_NET_BUDGET", budget)
+            got = _greedy_net(pts, r, order)
+        assert np.array_equal(got, brute_force_net(pts, r, order))
+
+    def test_peak_is_the_index_and_one_block(self, rng):
+        # 100k states in 200 clusters at the workloads' radius. The scan one
+        # pick at a time peaked at 3.2 times the states here, most of it the
+        # order as a list of Python ints; the blocked scan holds the cell
+        # index and one block of at most the budget's differences.
+        centres = rng.uniform(-2.0, 2.0, (200, 1, 3))
+        pts = (centres + rng.normal(0, 0.05, (200, 500, 3))).reshape(-1, 3)
+        order = rng.permutation(len(pts))
+        tracemalloc.start()
+        try:
+            _greedy_net(pts, 0.1, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pts.nbytes
 
 
 class TestPersistence:

@@ -32,11 +32,45 @@ class TestQuasipotentialErrors:
         with pytest.raises(QplandError, match="zero norm"):
             quasipotential_errors(exact_bistable, system.exact_u, points)
 
-    def test_constant_exact_landscape_rejected(self, exact_bistable):
-        points, _ = make_grid([[-1.0, 1.0]] * 3, 4)
-        with pytest.raises(QplandError, match="zero norm"):
-            quasipotential_errors(exact_bistable, lambda x: np.full(len(x), 3.0), points)
+    def test_constant_exact_landscape_rejected(self):
+        class Unrun:
+            """A model that must not run: the exact landscape is checked first."""
 
+            def potential(self, x, workspace=None):
+                raise AssertionError("the model ran")
+
+        points, _ = make_grid([[-1.0, 1.0]] * 3, 4)
+        with pytest.raises(QplandError) as exc:
+            quasipotential_errors(Unrun(), lambda x: np.full(len(x), 3.0), points)
+        assert str(exc.value) == ("the exact landscape has zero norm on the 64 grid points "
+                                  "(constant there); rRMSE and rMAE are undefined")
+
+    def test_exact_landscape_is_evaluated_a_chunk_at_a_time(self, exact_bistable):
+        rows = []
+
+        def exact_u(x):
+            rows.append(len(x))
+            return make_system("bistable3d").exact_u(x)
+
+        points, _ = make_grid([[-2.0, 2.0], [-1.5, 1.5], [-1.5, 1.5]], 25)
+        assert quasipotential_errors(exact_bistable, exact_u, points) == (0.0, 0.0)
+        assert max(rows) == _CHUNK
+
+    def test_peak_is_one_landscape(self):
+        # the grid spans more than four chunks; the learned landscape is the
+        # one array of its size, and the exact one is held a chunk at a time
+        model = init_model(3, 8, "tanh", seed=4)
+        exact_u = make_system("bistable3d").exact_u
+        points, _ = make_grid([[-2.0, 2.0], [-1.5, 1.5], [-1.0, 1.0]], 60)
+        assert len(points) > 4 * _CHUNK
+        landscape = 8 * len(points)
+        tracemalloc.start()
+        try:
+            quasipotential_errors(model, exact_u, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * landscape
 
     def test_same_bits_as_whole_array_expressions(self):
         # the reference takes every step as a plain expression on full-size
