@@ -19,7 +19,7 @@ from . import datasets, evaluation, systems, training
 from .config import load_config
 from .decomposition import (AnalyticDecomposition, floored_cosine, init_model,
                             load_checkpoint, save_checkpoint)
-from .errors import ConfigError, NonFiniteError, QplandError, TrainingDivergedError
+from .errors import ConfigError, QplandError, TrainingDivergedError, check_finite
 from .fileio import atomic_write
 
 log = logging.getLogger("qpland.cli")
@@ -239,8 +239,7 @@ def cmd_mep(args):
         model = _resolve_model(args.model)
         if model.dim != system.dim:
             raise ConfigError([f"model dim {model.dim} != system dim {system.dim}"])
-        u_learned = 2.0 * model.potential(path)
-        profile_cols["U_theta"] = u_learned - u_learned.min()
+        profile_cols["U_theta"] = evaluation.landscape_values(model, path)
     s = evaluation.arc_length(path)
     alpha = s / s[-1] if s[-1] > 0 else s
     cols = ["alpha"] + [f"x{i}" for i in range(path.shape[1])] + list(profile_cols)
@@ -258,9 +257,7 @@ def _load_points(path):
         points = datasets.load_representatives(path).points
     else:
         points = _read_points_csv(path)
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise NonFiniteError(f"{path} points", index=int(np.argmax(~finite)))
+    check_finite(f"{path} points", points)
     return points
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError, NonFiniteError, QplandError
+from .errors import FormatError, QplandError, check_finite
 from .fileio import atomic_write
 from .integrators import rk4_step
 from .nets import Workspace
@@ -122,17 +122,20 @@ def generate(system, n_trajectories, dt, horizon, stride, seed):
     rights = np.empty_like(lefts)
     workspace = Workspace()
     states = (np.empty_like(x), np.empty_like(x))
+    limit = system.extras.get("rk4_dt_limit", np.inf)
+    cause = (f"dt {dt:.6g} exceeds {limit:.6g}, the largest step at which explicit RK4 "
+             f"is linearly stable on {system.name}") if dt > limit else None
 
     def step(x):
         # into whichever state array x is not
-        return rk4_step(system.field, x, dt, check=False, out=states[x is states[0]],
-                        workspace=workspace)
+        return rk4_step(system.field, x, dt, out=states[x is states[0]], workspace=workspace)
 
     # a blown-up step overflows; the located error below is its one report
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m_last + 1):
             r = step(x)
-            _check_samples(system, dt, x, r, j)
+            # the step adds x last, so r is non-finite in every row where x is
+            check_finite("trajectory generation", r, step=j, cause=cause)
             lefts[:, j] = x
             rights[:, j] = r
             if j < m_last:
@@ -156,18 +159,6 @@ def generate(system, n_trajectories, dt, horizon, stride, seed):
         n_trajectories=int(n_trajectories),
         metadata=meta,
     )
-
-
-def _check_samples(system, dt, left, right, j):
-    ok = np.isfinite(left).all(axis=1) & np.isfinite(right).all(axis=1)
-    if not ok.all():
-        limit = system.extras.get("rk4_dt_limit")
-        cause = None
-        if limit is not None and dt > limit:
-            cause = (f"dt {dt:.6g} exceeds {limit:.6g}, the largest step at which "
-                     f"explicit RK4 is linearly stable on {system.name}")
-        raise NonFiniteError("trajectory generation", index=int(np.argmax(~ok)), step=j,
-                             cause=cause)
 
 
 def split(dataset, seed):
@@ -203,9 +194,7 @@ def representative_sample(states, radius, seed):
     if radius <= 0:
         raise QplandError(f"representative radius must be positive, got {radius}")
     states = np.ascontiguousarray(np.asarray(states, dtype=np.float64))
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        raise NonFiniteError("representative states", index=int(np.argmax(~finite)))
+    check_finite("representative states", states)
     order = np.random.default_rng(seed).permutation(states.shape[0])
     points = _greedy_net(states, radius, order)
     return RepresentativeSet(points=points, radius=float(radius))
@@ -250,9 +239,9 @@ def _greedy_net(states, radius, order):
     ``_MAX_CELLS`` cells. Each grid row along the last axis is a contiguous
     range of the sorted cell keys, so one ``searchsorted`` call finds the
     3**(k-1) rows next to a pick. Once more than half of the indexed states
-    have died, the index is rebuilt on the live ones, so large radii do not
-    scan dead states; index sizes then shrink geometrically, and the
-    rebuilds cost at most a log factor over the scanning already done.
+    have died, the index is rebuilt on the live ones by filtering it
+    (``_cell_index``), so large radii do not scan dead states; index sizes
+    then shrink geometrically, and the rebuilds cost O(n) in all.
 
     Candidates are taken a block at a time with the result of taking them
     one at a time (Blelloch, Fineman & Shun, SPAA 2012): the picks are the
@@ -280,8 +269,8 @@ def _greedy_net(states, radius, order):
     slot = np.full(n, -1, dtype=np.int32)
     reps = []
     r2 = radius * radius
-    live = np.arange(n)
-    sorted_keys, ids = _cell_index(keys, live)
+    ids = np.argsort(keys, kind="stable")
+    sorted_keys = keys[ids]
     # a row's keys run from its key - 1 to its key + 1; keys being integers,
     # the run ends where its key + 2 would be inserted
     edges = np.column_stack([rows - 1, rows + 2]).ravel()
@@ -293,10 +282,9 @@ def _greedy_net(states, radius, order):
             pos += len(window)
             continue
         cand = window[at]
-        hits = len(live) - np.count_nonzero(alive_mask)  # indexed states now dead
-        if 2 * hits > len(live):
-            live = np.flatnonzero(alive_mask)
-            sorted_keys, ids = _cell_index(keys, live)
+        hits = len(ids) - np.count_nonzero(alive_mask)  # indexed states now dead
+        if 2 * hits > len(ids):
+            sorted_keys, ids = _cell_index(sorted_keys, ids, alive_mask)
         bounds = sorted_keys.searchsorted(keys[cand][:, None] + edges)
         starts = bounds[:, 0::2]
         lengths = bounds[:, 1::2] - starts
@@ -366,10 +354,12 @@ def _cell_keys(states, radius):
     return cells @ strides, rows
 
 
-def _cell_index(keys, live):
-    """(sorted cell keys of the ``live`` states, their state indices)."""
-    ids = live[np.argsort(keys[live], kind="stable")]
-    return keys[ids], ids
+def _cell_index(sorted_keys, ids, alive_mask):
+    """The cell index (sorted cell keys, their state indices) cut to the
+    live states: a stable sort of a subset keeps the order the whole set
+    had, so this is the index a new sort of the live keys would give."""
+    keep = alive_mask[ids]
+    return sorted_keys[keep], ids[keep]
 
 
 # -- persistence --------------------------------------------------------------

@@ -2,9 +2,9 @@
 landscape U = 2V - C.
 
 U is defined only up to the constant C. Everywhere in ``qpland`` C is pinned
-to 2 min V over the set of points being evaluated, so min U = 0 there
-(``evaluation.export_landscape``, ``evaluation.quasipotential_errors``);
-checkpoints store no C.
+to 2 min V over the set of points being evaluated, so min U = 0 there, by
+one function, ``evaluation.landscape_values`` (for the rRMSE, the exported
+slices and the ``mep`` profile); checkpoints store no C.
 
 ``V(x) = Vhat(x - center) + |x - center|^2`` where Vhat is a tanh network:
 the quadratic term makes V radially unbounded no matter what the (globally

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_finite``, the one
+place a located NonFiniteError is raised."""
+
+import numpy as np
 
 
 class QplandError(Exception):
@@ -15,20 +18,30 @@ class DimensionMismatchError(QplandError):
 class NonFiniteError(QplandError):
     """A computation produced NaN/Inf. Carries enough context to locate it."""
 
-    def __init__(self, where, index=None, stage=None, step=None, cause=None):
+    def __init__(self, where, index=None, step=None, cause=None):
         self.where = where
         self.index = index
-        self.stage = stage
         self.step = step
         parts = [where]
-        if stage is not None:
-            parts.append(f"stage {stage}")
         if step is not None:
             parts.append(f"step {step}")
         if index is not None:
             parts.append(f"index {index}")
         message = "non-finite value in " + ", ".join(parts)
         super().__init__(message if cause is None else f"{message}: {cause}")
+
+
+def check_finite(where, values, start=0, step=None, cause=None):
+    """Raise NonFiniteError naming ``where`` unless every entry of ``values``
+    is finite. Its index is ``start`` plus the first row, along axis 0, that
+    holds a NaN or an inf: one entry of a 1-D array; a scalar has none."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    index = None
+    if finite.ndim:
+        index = start + int(np.argmax(~finite.reshape(len(finite), -1).all(axis=1)))
+    raise NonFiniteError(where, index=index, step=step, cause=cause)
 
 
 class ConfigError(QplandError):

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import orthogonality_cosine
-from .errors import DimensionMismatchError, NonFiniteError, QplandError
+from .errors import DimensionMismatchError, QplandError, check_finite
 from .fileio import atomic_write
 from .integrators import rk2_step
 from .nets import Workspace
@@ -44,6 +44,15 @@ def potential_values(model, points):
     ones."""
     ws = Workspace()
     return _chunked(points, lambda x: model.potential(x, workspace=ws))
+
+
+def landscape_values(model, points):
+    """U = 2V - C at ``points``, C = min 2V = 2 min V over them (doubling is
+    exact), so the minimum there is exactly zero."""
+    u = potential_values(model, points)
+    u *= 2.0
+    u -= u.min()
+    return u
 
 
 def check_width(what, points, dim):
@@ -166,9 +175,7 @@ def quasipotential_errors(model, exact_u, points):
     if high - low == 0.0:
         raise QplandError(f"the exact landscape has zero norm on the {len(points)} grid "
                           f"points (constant there); rRMSE and rMAE are undefined")
-    u = potential_values(model, points)
-    u *= 2.0
-    u -= u.min()
+    u = landscape_values(model, points)
     for rows, u_exact in _exact_chunks(exact_u, points):
         u[rows] -= u_exact - low
     diff_abs = np.abs(u, out=u).sum()
@@ -235,11 +242,10 @@ class LandscapeGrid:
 
 
 def export_landscape(model, slice_spec):
-    """Evaluate U = 2V - C on the slice, with C = 2 min V over this very
-    grid, so the exported minimum is exactly zero."""
+    """Evaluate U = 2V - C on the slice, with C pinned over this very grid
+    (``landscape_values``), so the exported minimum is exactly zero."""
     ab, (ax1, ax2) = make_grid(slice_spec.box, slice_spec.resolution)
-    v = potential_values(model, slice_spec.to_state(ab))
-    values = (2.0 * v - 2.0 * float(v.min())).reshape(len(ax1), len(ax2))
+    values = landscape_values(model, slice_spec.to_state(ab)).reshape(len(ax1), len(ax2))
     return LandscapeGrid(ax1, ax2, values, slice_spec.axis_names)
 
 
@@ -275,9 +281,7 @@ def string_mep(energy_gradient, a, b, n_images=50, n_iters=2000, step=1e-3,
     for it in range(1, n_iters + 1):
         prev = images.copy()
         images[1:-1] -= step * energy_gradient(images[1:-1])
-        if not np.all(np.isfinite(images)):
-            raise NonFiniteError("string image", step=it,
-                                 index=int(np.argmax(~np.isfinite(images).all(axis=1))))
+        check_finite("string image", images, step=it)
         images = _equal_arclength(images)
         if np.abs(images - prev).max() < tol:
             converged = True

@@ -12,7 +12,8 @@ Each ``rhs_*`` function, ``gl_energy_gradient`` and each
 state's shape, it writes f(x) there and returns it; otherwise it returns a
 new array. ``out`` must not be the state itself, which is read while
 ``out`` is written. The arithmetic does not depend on ``out``, so neither
-do the bits.
+do the bits. A field must take ``out``: ``integrators.rk4_step`` passes
+each stage its buffer.
 """
 
 import math
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError
+from .errors import ConfigError, SamplingError, check_finite
 from .integrators import rk4_step
 
 SYSTEM_NAMES = ("bistable3d", "limitcycle2d", "yeast3d", "ginzburg_landau", "brusselator")
@@ -40,7 +41,7 @@ class SystemSpec:
     dim: int
     params: dict
     domain: Optional[np.ndarray]  # (d, 2) sampling box, None for mode-based samplers
-    field: Callable  # right-hand side, (..., d) -> (..., d)
+    field: Callable  # right-hand side, (..., d) -> (..., d); takes out=None
     sample: Callable  # (rng, n) -> (n, d)
     # closed-form quasipotential U, valid on the basins of (+-1, 0, 0) minus the
     # separatrix (bistable3d) and on the whole plane (limitcycle2d)
@@ -308,16 +309,20 @@ def _make_ginzburg_landau(params):
 
 
 def gl_stable_states(system, dt=5e-4, tol=1e-8, max_steps=2_000_000):
-    """The two energy minima u_-, u_+, found by relaxing -+0.5 plateau seeds."""
+    """The two energy minima u_-, u_+, found by relaxing -+0.5 plateau seeds.
+    A NaN or inf, as at a ``dt`` above ``rk4_dt_limit``, raises at its step."""
     out = []
     for sign in (-1.0, 1.0):
         u = np.full(system.dim, 0.5 * sign)
-        for _ in range(max_steps):
-            u = rk4_step(system.field, u, dt)
-            if np.abs(system.field(u)).max() <= tol:
-                break
-        else:
-            raise SamplingError("ginzburg_landau relaxation did not converge")
+        # a blown-up step overflows; the located error below is its one report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, max_steps + 1):
+                u = rk4_step(system.field, u, dt)
+                check_finite("ginzburg_landau relaxation", u, step=step)
+                if np.abs(system.field(u)).max() <= tol:
+                    break
+            else:
+                raise SamplingError("ginzburg_landau relaxation did not converge")
         out.append(u)
     return out[0], out[1]
 

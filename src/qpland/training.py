@@ -35,7 +35,7 @@ from . import evaluation
 from .decomposition import (ModelGrads, drift_vjp, drift_with_tape, fit_center,
                             floored_cosine, orthogonality_cosine, potential_gradient_vjp,
                             rotation_vjp)
-from .errors import ConfigError, NonFiniteError, TrainingDivergedError
+from .errors import ConfigError, NonFiniteError, TrainingDivergedError, check_finite
 from .integrators import rk2_step
 from .nets import Workspace
 
@@ -120,15 +120,6 @@ def huber_grad(e, delta, out=None):
 _BLOCK = 512
 
 
-def _check_residual(e, start=0):
-    """Raise NonFiniteError at the first row of ``e`` that is not finite,
-    located as row ``start`` + its row in ``e``."""
-    ok = np.isfinite(e).all(axis=-1)
-    if not ok.all():
-        raise NonFiniteError("dyn loss residual",
-                             index=start + int(np.argmax(~np.atleast_1d(ok))))
-
-
 def dyn_loss(model, x, x_next, dt, huber_delta):
     """Mean Huber loss of the one-step velocity residual over a pair batch,
     summed block by block (see the module docstring)."""
@@ -138,7 +129,7 @@ def dyn_loss(model, x, x_next, dt, huber_delta):
     for start in range(0, len(x), _BLOCK):
         block = slice(start, start + _BLOCK)
         e = (rk2_step(model.drift, x[block], dt) - x_next[block]) / dt
-        _check_residual(e, start)
+        check_finite("dyn loss residual", e, start)
         total += huber(e, huber_delta).sum()
     return float(total / x.size)
 
@@ -202,7 +193,7 @@ def _dyn_block(model, x, x_next, dt, huber_delta, size, start, grads, ws):
     np.add(x, e, out=e)
     e -= x_next
     e /= dt
-    _check_residual(e, start)
+    check_finite("dyn loss residual", e, start)
     loss_sum = huber(e, huber_delta, out=ws.take("huber", e.shape)).sum()
     # cotangent of f2: 0.5 dt ibar, with ibar = huber_grad(e) / (size dt)
     cot = huber_grad(e, huber_delta, out=ws.take("cot", e.shape))
@@ -281,18 +272,17 @@ class AdamState:
 def adam_step(params, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Standard Adam update with bias correction, in place. Refuses to apply
     (or produce) non-finite values so the parameters always stay loadable."""
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteError("adam gradient", index=int(np.argmax(~np.isfinite(grad))))
+    check_finite("adam gradient", grad)
     state.t += 1
     state.m = beta1 * state.m + (1.0 - beta1) * grad
     state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
     m_hat = state.m / (1.0 - beta1**state.t)
     v_hat = state.v / (1.0 - beta2**state.t)
     step = lr * m_hat / (np.sqrt(v_hat) + eps)
-    params -= step
-    if not np.all(np.isfinite(params)):
-        params += step  # roll back; keep the last finite iterate
-        raise NonFiniteError("adam parameters", index=int(np.argmax(~np.isfinite(params - step))))
+    # out of place, so that a refused step leaves the last finite iterate
+    new = np.subtract(params, step, out=step)
+    check_finite("adam parameters", new)
+    params[...] = new
     return params
 
 
@@ -357,8 +347,7 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
                              out=ws.take("x_next", x.shape))
             loss, ld, lo, grads = total_loss_and_grad(
                 model, x, x_next, dataset.dt, rep_batch, loss_cfg, workspace=ws)
-            if not np.isfinite(loss):
-                raise NonFiniteError("training loss", step=step)
+            check_finite("training loss", loss, step=step)
             lr = train_cfg.lr0 * decay**step
             adam_step(model.potential_net.params, grads.potential, adam_pot, lr)
             adam_step(model.rotational_net.params, grads.rotational, adam_rot, lr)

@@ -265,14 +265,14 @@ class TestRepresentativeSample:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 50])
     def test_matches_brute_force(self, dim, rng, monkeypatch):
         # radii from every state kept to a single representative; the middle
-        # ones delete enough states between blocks to rebuild the cell index.
-        # The rebuild rule is checked once per block, so the window is cut
-        # to 16 blocks' worth of the 500 states.
+        # ones delete enough states between blocks to rebuild the cell index
+        # more than once. The rebuild rule is checked once per block, so the
+        # window is cut to 16 blocks' worth of the 500 states.
         builds = []
 
-        def counting_index(keys, live):
-            builds.append(len(live))
-            return cell_index(keys, live)
+        def counting_index(sorted_keys, ids, alive_mask):
+            builds.append(len(ids))
+            return cell_index(sorted_keys, ids, alive_mask)
 
         cell_index = datasets._cell_index
         monkeypatch.setattr(datasets, "_cell_index", counting_index)

@@ -198,7 +198,8 @@ class TestLyapunovDescent:
             x0 = rng.uniform([-2, -1.5, -1.5], [2, 1.5, 1.5])
             states = [x0]
             for _ in range(500):
-                states.append(rk4_step(exact_bistable.drift, states[-1], 1e-2))
+                states.append(rk4_step(lambda s, out=None: exact_bistable.drift(s),
+                                       states[-1], 1e-2))
             v = exact_bistable.potential(np.array(states))
             assert np.diff(v).max() <= 1e-10
 

@@ -146,6 +146,7 @@ class FixedStarts:
     dim = 3
     name = "bistable3d"
     params = {}
+    extras = {}
     field = staticmethod(rhs_bistable3d)
 
     def __init__(self, starts):

@@ -7,7 +7,7 @@ import pytest
 
 from qpland import systems
 from qpland.datasets import generate
-from qpland.errors import ConfigError, SamplingError
+from qpland.errors import ConfigError, NonFiniteError, SamplingError
 from qpland.integrators import rk4_step
 from qpland.systems import (exact_decomposition_bistable3d, exact_u_limitcycle2d, gl_energy,
                             gl_stable_states, make_system, rhs_bistable3d, rhs_yeast3d)
@@ -134,6 +134,15 @@ class TestGinzburgLandau:
         assert np.abs(u_plus + u_minus).max() < 1e-6  # u -> -u symmetry
         # so U = 2E, pinned to 0 at u_-, vanishes at u_+ too
         assert abs(2.0 * system.energy(u_plus) - 2.0 * system.energy(u_minus)) < 1e-6
+
+    def test_relaxation_blow_up_is_located_at_its_step(self):
+        # at 4 times the stable step the relaxation overflows within a few
+        # steps; a NaN never meets tol, so unchecked it would run max_steps
+        system = make_system("ginzburg_landau", {"I": 21, "delta": 0.1})
+        dt = 4.0 * system.extras["rk4_dt_limit"]
+        with pytest.raises(NonFiniteError) as exc:
+            gl_stable_states(system, dt=dt)
+        assert str(exc.value) == "non-finite value in ginzburg_landau relaxation, step 3, index 0"
 
     def test_sampler_normalization_is_exact(self):
         system = make_system("ginzburg_landau", {"I": 21, "delta": 0.1})

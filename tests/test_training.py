@@ -457,6 +457,17 @@ class TestAdam:
         with pytest.raises(NonFiniteError):
             adam_step(p, np.array([1.0, np.inf]), AdamState.like(p), lr=0.1)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_refused_step_leaves_the_params_bit_identical(self):
+        # 1.7e308 + 1e308 overflows; undoing an in-place step would leave
+        # inf - 1e308 = inf there
+        p = np.array([1.7e308, 0.5])
+        before = p.copy()
+        with pytest.raises(NonFiniteError) as exc:
+            adam_step(p, np.array([-1.0, 1.0]), AdamState.like(p), lr=1e308)
+        assert exc.value.index == 0
+        assert p.tobytes() == before.tobytes()
+
     def test_lr_schedule_strictly_decreasing(self):
         cfg = TrainConfig(max_steps=100, lr0=1e-3, decay_rate=0.95)
         lrs = [cfg.lr0 * cfg.resolved_decay() ** t for t in range(1, 20)]
