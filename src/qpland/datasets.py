@@ -20,6 +20,7 @@ from .errors import FormatError, QplandError, check_finite
 from .fileio import atomic_write
 from .integrators import rk4_step
 from .nets import Workspace
+from .systems import rk4_dt_cause
 
 QPTD_MAGIC = b"QPTD"
 QPRS_MAGIC = b"QPRS"
@@ -112,7 +113,7 @@ def generate(system, n_trajectories, dt, horizon, stride, seed):
     that the steps write in turn, so no step allocates; all are freed when
     the call returns. A state that turns NaN or inf raises NonFiniteError
     naming the record and the trajectory; when ``dt`` is above the system's
-    ``rk4_dt_limit``, the error names both steps."""
+    ``rk4_dt_limit``, the error names both steps (``systems.rk4_dt_cause``)."""
     n_sparse = int(np.floor(horizon / (stride * dt) + 1e-9))
     if n_sparse < 1:
         raise QplandError(f"horizon {horizon} too short for stride {stride} at dt {dt}")
@@ -122,9 +123,7 @@ def generate(system, n_trajectories, dt, horizon, stride, seed):
     rights = np.empty_like(lefts)
     workspace = Workspace()
     states = (np.empty_like(x), np.empty_like(x))
-    limit = system.extras.get("rk4_dt_limit", np.inf)
-    cause = (f"dt {dt:.6g} exceeds {limit:.6g}, the largest step at which explicit RK4 "
-             f"is linearly stable on {system.name}") if dt > limit else None
+    cause = rk4_dt_cause(system, dt)
 
     def step(x):
         # into whichever state array x is not

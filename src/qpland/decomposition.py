@@ -11,6 +11,12 @@ the quadratic term makes V radially unbounded no matter what the (globally
 bounded) network does, and the tanh choice keeps V smooth. The rotational
 component g is a second network with configurable activation. Models are
 immutable after training; every evaluation here is pure.
+
+The drift f = g - grad V has one implementation, ``_DriftPass``: the
+training tape (``drift_with_tape``) makes one per call, and
+``DecompositionModel.drift`` keeps one in its workspace per input shape, so
+that a Heun rollout (``evaluation``) or the validation loss (``training``)
+runs the same arithmetic in place, with no array or tape made per call.
 """
 
 import copy
@@ -21,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import nets
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DimensionMismatchError, FormatError
 from .fileio import atomic_write
 from .nets import Activation, Mlp
 
@@ -69,8 +75,21 @@ class DecompositionModel:
     def rotation(self, x):
         return nets.forward(self.rotational_net, self.centered(x))
 
-    def drift(self, x):
-        return -self.potential_gradient(x) + self.rotation(x)
+    def drift(self, x, *, out=None, workspace=None):
+        """f = g - grad V at a state or the rows of a batch, written into
+        ``out`` when given, else into a new array. Through a workspace, the
+        evaluation prepared at the first call for a shape (see ``_DriftPass``)
+        runs again at each later call for that shape, so a rollout prepares
+        it once and allocates nothing per call."""
+        x = np.asarray(x, dtype=np.float64)
+        ws = workspace or nets.Workspace()
+        key = ("drift", x.shape)
+        run = ws.kept(key)
+        if run is None or not run.reads(self):
+            run = ws.keep(key, _DriftPass(self, x.shape, ws))
+        f = np.empty(x.shape) if out is None else out
+        run(x, f if f.ndim == 2 else f[None])
+        return f
 
     def copy(self):
         return copy.deepcopy(self)
@@ -95,8 +114,10 @@ class AnalyticDecomposition:
     def rotation(self, x):
         return self.g_fn(np.asarray(x, dtype=np.float64))
 
-    def drift(self, x):
-        return -self.potential_gradient(x) + self.rotation(x)
+    def drift(self, x, *, out=None, workspace=None):
+        """f = g - grad V, into ``out`` when given; nothing here needs a
+        workspace."""
+        return np.subtract(self.rotation(x), self.potential_gradient(x), out=out)
 
     @classmethod
     def from_system(cls, system):
@@ -173,18 +194,55 @@ class DriftTape:
     g: np.ndarray
 
 
+class _DriftPass:
+    """One drift evaluation over the rows of a ``(B, d)`` or ``(d,)`` shape,
+    prepared once: the nets' ``NetPass`` es and the arrays ``xt`` and
+    ``grad_v``, taken from a workspace, in which the tape reads them.
+
+    A call writes f = g - grad V at ``x`` into ``out``, of the rows' shape:
+    xt = x - center, both forward passes (the potential net's without its
+    scalar output layer, which a drift never reads), grad V = 2 xt + grad
+    Vhat and f = g - grad V, with ``np.matmul(h, W.T)`` in every layer.
+    The model's center is read at each call; the layer views are those of
+    the parameter arrays the pass was made for, which ``reads`` checks."""
+
+    def __init__(self, model, shape, ws):
+        d = model.dim
+        if len(shape) not in (1, 2) or shape[-1] != d:
+            raise DimensionMismatchError("Mlp input", d, shape[-1] if shape else None)
+        rows = shape[0] if len(shape) == 2 else 1
+        self.model = model
+        self.params = (model.potential_net.params, model.rotational_net.params)
+        self.xt = ws.take("xt", (rows, d))
+        self.pot = nets.NetPass(model.potential_net, rows, ws.part("pot"), value=False,
+                                sweep=ws.shared())
+        self.rot = nets.NetPass(model.rotational_net, rows, ws.part("rot"))
+        self.grad_v = ws.take("grad_v", (rows, d))
+
+    def reads(self, model):
+        """Whether the pass evaluates ``model`` as it stands."""
+        return (model is self.model and self.params[0] is model.potential_net.params
+                and self.params[1] is model.rotational_net.params)
+
+    def __call__(self, x, out):
+        xt = np.subtract(x, self.model.center, out=self.xt)
+        self.pot.forward(xt)
+        g = self.rot.forward(xt)
+        grad_v = np.multiply(2.0, xt, out=self.grad_v)
+        grad_v += self.pot.gradient()
+        return np.subtract(g, grad_v, out=out)
+
+
 def drift_with_tape(model, x, *, workspace=None):
     """f at the rows of x, and the tape its VJPs read. Through a workspace
     part, the tape holds the part's arrays (see ``nets``)."""
     ws = workspace or nets.Workspace()
     x = np.atleast_2d(x)
-    xt = np.subtract(x, model.center, out=ws.take("xt", x.shape))
-    _, pot_tape = nets.forward_tape(model.potential_net, xt, workspace=ws.part("pot"))
-    g, rot_tape = nets.forward_tape(model.rotational_net, xt, workspace=ws.part("rot"))
-    grad_v = np.multiply(2.0, xt, out=ws.take("grad_v", xt.shape))
-    grad_v += nets.tape_gradient(model.potential_net, pot_tape, workspace=ws.shared())
-    tape = DriftTape(xt, pot_tape, rot_tape, grad_v, g)
-    return np.subtract(g, grad_v, out=ws.take("f", xt.shape)), tape
+    run = _DriftPass(model, x.shape, ws)
+    f = run(x, ws.take("f", x.shape))
+    tape = DriftTape(run.xt, run.pot.tape(run.xt), run.rot.tape(run.xt), run.grad_v,
+                      run.rot.value)
+    return f, tape
 
 
 def drift_vjp(model, tape, cotangent, grads, *, workspace=None):

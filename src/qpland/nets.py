@@ -42,12 +42,11 @@ activation declares in ``ActivationFns.reads_pre``:
 
 The value and both derivatives take ``out=``, the array to write into.
 
-Workspace: ``forward``, ``forward_tape``, ``tape_gradient``,
-``value_backprop`` and ``grad_backprop`` take a keyword-only ``workspace``
-and write every batch-sized array into it: a tape's activations
-``hid<l>``, its pre-activations ``pre<l>`` only where the activation reads
-them, and its ``value``, and the derivatives, tangents and adjoints of the
-sweeps.
+Workspace: ``forward``, ``forward_tape``, ``value_backprop`` and
+``grad_backprop`` take a keyword-only ``workspace`` and write every
+batch-sized array into it: a tape's activations ``hid<l>``, its
+pre-activations ``pre<l>`` only where the activation reads them, and its
+``value``, and the derivatives, tangents and adjoints of the sweeps.
 ``training.train`` owns one for the whole run. The losses call these in
 blocks of ``training._BLOCK`` rows, so besides the batch gathers it holds
 block-sized arrays, and a step after the first allocates no batch-sized
@@ -61,6 +60,16 @@ without a workspace makes a fresh one that dies with it, so nothing it
 returns is shared with another call.
 A workspace belongs to its caller, not to the tape, which still caches
 nothing.
+
+Prepared passes: a ``NetPass`` takes its layer views and arrays once, and
+each run writes the same arrays; ``forward_tape`` and ``input_gradient``
+make one per call, the drift of ``decomposition`` one per input shape and
+workspace. A drift writes, per net, the hidden activations (``pre`` where
+read) and, for the rotational net only, the value: the potential net's
+scalar output is never computed, since grad V reads only the hidden layers
+and the output row of weights. Its input gradient writes ``abar`` and
+``hbar`` per hidden layer. ``grad_backprop`` computes no tangent adjoint
+at the input layer, which nothing reads.
 """
 
 from dataclasses import dataclass, field
@@ -134,17 +143,21 @@ class Workspace:
     for. ``part(name)`` is a view of the same store whose names cannot meet
     those of another part; ``shared()`` is the view of the whole store, in
     which arrays that die with a call are kept.
+
+    ``kept(key)`` and ``keep(key, obj)`` hold one more kind of thing per
+    part: an object a caller prepared once, such as the drift evaluation of
+    ``decomposition``, to run again at the next call instead of anew.
     """
 
-    def __init__(self, _arrays=None, _prefix=()):
-        self._arrays = {} if _arrays is None else _arrays
+    def __init__(self, _stores=None, _prefix=()):
+        self._arrays, self._kept = ({}, {}) if _stores is None else _stores
         self._prefix = _prefix
 
     def part(self, name):
-        return Workspace(self._arrays, (*self._prefix, name))
+        return Workspace((self._arrays, self._kept), (*self._prefix, name))
 
     def shared(self):
-        return Workspace(self._arrays)
+        return Workspace((self._arrays, self._kept))
 
     def take(self, name, shape):
         key = (*self._prefix, name, *shape[1:])
@@ -152,6 +165,15 @@ class Workspace:
         if array is None or len(array) < shape[0]:
             array = self._arrays[key] = np.empty(shape)
         return array[: shape[0]]
+
+    def kept(self, key):
+        """The object last kept under ``key`` in this part, or None."""
+        return self._kept.get((*self._prefix, key))
+
+    def keep(self, key, obj):
+        """Keep ``obj`` under ``key`` in this part, and return it."""
+        self._kept[(*self._prefix, key)] = obj
+        return obj
 
 
 def layer_shapes(input_dim, hidden_widths, output_dim):
@@ -233,26 +255,70 @@ class Tape:
     value: np.ndarray = None
 
 
+class NetPass:
+    """One net evaluated at ``rows`` rows, prepared once: its layer views and
+    every array its forward pass writes, taken from ``workspace`` when the
+    pass is made, so that running it again builds and takes nothing.
+
+    ``forward(x)`` writes the pass over the rows of ``x`` and returns the
+    value, or with ``value=False`` the last activation, skipping the output
+    layer. ``gradient()`` returns grad_x of a scalar net's output at the
+    rows of the last forward, in the ``abar`` and ``hbar`` arrays of
+    ``sweep``, the workspace the pass was made with for them.
+    ``tape(x)`` is the ``Tape`` of the last forward at ``x``.
+    """
+
+    def __init__(self, net, rows, workspace, *, value=True, sweep=None):
+        self.act = act = _ACT[net.activation]
+        self.rows = rows
+        self.layers = net.layers()
+        self.hidden = []
+        for l, (w, _) in enumerate(self.layers[:-1]):
+            shape = (rows, len(w))
+            # an activation whose derivatives do not read pre is written over it
+            pre = workspace.take(f"pre{l}" if act.reads_pre else f"hid{l}", shape)
+            self.hidden.append((pre, workspace.take(f"hid{l}", shape) if act.reads_pre else pre))
+        self.value = workspace.take("value", (rows, net.output_dim)) if value else None
+        if sweep is not None:
+            self.sweep = [(w, pre, hid, sweep.take("abar", hid.shape),
+                           sweep.take("hbar", (rows, w.shape[1])))
+                          for (w, _), (pre, hid) in zip(reversed(self.layers[:-1]),
+                                                        reversed(self.hidden))]
+
+    def forward(self, x):
+        h = x
+        for (w, b), (pre, hid) in zip(self.layers, self.hidden):
+            a = np.matmul(h, w.T, out=pre)
+            a += b
+            h = self.act.value(a, out=hid)
+        if self.value is None:
+            return h
+        w, b = self.layers[-1]
+        y = np.matmul(h, w.T, out=self.value)
+        y += b
+        return y
+
+    def gradient(self):
+        d1 = self.act.d1
+        t = self.layers[-1][0][0]
+        for w, a, h, abar, hbar in self.sweep:
+            s = d1(a, h, out=abar)
+            s *= t
+            t = np.matmul(s, w, out=hbar)
+        # without hidden layers the gradient is the output row at every row
+        return t if self.sweep else np.broadcast_to(t, (self.rows, len(t)))
+
+    def tape(self, x):
+        reads_pre = self.act.reads_pre
+        return Tape(x=x, pre=[pre if reads_pre else None for pre, _ in self.hidden],
+                    hid=[hid for _, hid in self.hidden], value=self.value)
+
+
 def forward_tape(net, x, *, workspace=None):
-    ws = workspace or Workspace()
     x, single = _as_batch(net, x)
-    act = _ACT[net.activation]
-    tape = Tape(x=x)
-    rows = x.shape[0]
-    h = x
-    layers = net.layers()
-    for l, (w, b) in enumerate(layers[:-1]):
-        shape = (rows, len(w))
-        a = np.matmul(h, w.T, out=ws.take(f"pre{l}" if act.reads_pre else f"hid{l}", shape))
-        a += b
-        # an activation whose derivatives do not read pre is written over it
-        h = act.value(a, out=ws.take(f"hid{l}", shape) if act.reads_pre else a)
-        tape.pre.append(a if act.reads_pre else None)
-        tape.hid.append(h)
-    w, b = layers[-1]
-    tape.value = np.matmul(h, w.T, out=ws.take("value", (rows, len(w))))
-    tape.value += b
-    return (tape.value[0] if single else tape.value), tape
+    run = NetPass(net, len(x), workspace or Workspace())
+    y = run.forward(x)
+    return (y[0] if single else y), run.tape(x)
 
 
 def forward(net, x, *, workspace=None):
@@ -268,30 +334,17 @@ def input_gradient(net, x):
     if net.output_dim != 1:
         raise DimensionMismatchError("input_gradient output_dim", 1, net.output_dim)
     x_b, single = _as_batch(net, x)
-    _, tape = forward_tape(net, x_b)
-    g = tape_gradient(net, tape)
+    ws = Workspace()
+    run = NetPass(net, len(x_b), ws, value=False, sweep=ws)
+    run.forward(x_b)
+    g = run.gradient()
     return g[0] if single else g
 
 
-# Scratch arrays of the three sweeps below, in the shared view of a
-# workspace: "abar" and "hbar" (tape_gradient, value_backprop and
-# grad_backprop), and "d1_<l>", "adot<l>", "hdot<l>", "adotbar" and "hdotbar"
-# (grad_backprop). A sweep returns its input gradient or adjoint in "hbar".
-
-def tape_gradient(net, tape, *, workspace=None):
-    """grad_x of a scalar net's output at the tape points, ``(B, d)``."""
-    ws = workspace or Workspace()
-    d1 = _ACT[net.activation].d1
-    layers = net.layers()
-    w_row = layers[-1][0][0]
-    rows = tape.x.shape[0]
-    t = np.broadcast_to(w_row, (rows, w_row.shape[0]))
-    for (w, _), a, h in zip(reversed(layers[:-1]), reversed(tape.pre), reversed(tape.hid)):
-        s = d1(a, h, out=ws.take("abar", h.shape))
-        s *= t
-        t = np.matmul(s, w, out=ws.take("hbar", (rows, w.shape[1])))
-    return t
-
+# Scratch arrays of the sweeps, in the shared view of a workspace: "abar"
+# and "hbar" (NetPass.gradient, value_backprop and grad_backprop), and
+# "d1_<l>", "adot<l>", "hdot<l>", "adotbar" and "hdotbar" (grad_backprop).
+# A sweep returns its input gradient or adjoint in "hbar".
 
 def value_backprop(net, tape, cotangent, *, workspace=None):
     """Gradient of sum_b cotangent_b . y_b w.r.t. params, plus input adjoint.
@@ -357,7 +410,7 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
     grads[-1] = (hdots_in[-1].sum(axis=0)[None, :], np.zeros(1))
     hbar = ws.take("hbar", (rows, w_out.shape[1]))
     hbar.fill(0.0)
-    hdotbar = np.broadcast_to(w_out[0], (rows, w_out.shape[1]))
+    hdotbar = w_out[0]
 
     for l in range(nh - 1, -1, -1):
         w, _ = layers[l]
@@ -371,7 +424,8 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
         abar += curv
         grads[l] = (abar.T @ hs[l] + adotbar.T @ hdots_in[l], abar.sum(axis=0))
         hbar = np.matmul(abar, w, out=ws.take("hbar", (rows, w.shape[1])))
-        hdotbar = np.matmul(adotbar, w, out=ws.take("hdotbar", (rows, w.shape[1])))
+        if l:  # the input layer's tangent adjoint has no reader
+            hdotbar = np.matmul(adotbar, w, out=ws.take("hdotbar", (rows, w.shape[1])))
     return _flatten_grads(net, grads), hbar
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, SamplingError, check_finite
 from .integrators import rk4_step
+from .nets import Workspace
 
 SYSTEM_NAMES = ("bistable3d", "limitcycle2d", "yeast3d", "ginzburg_landau", "brusselator")
 
@@ -308,17 +309,36 @@ def _make_ginzburg_landau(params):
     )
 
 
+def rk4_dt_cause(system, dt):
+    """Why RK4 at step ``dt`` may blow up on ``system``: the text naming
+    ``dt`` and the system's ``rk4_dt_limit`` when ``dt`` exceeds it (a
+    system without one has none), else None."""
+    limit = system.extras.get("rk4_dt_limit", np.inf)
+    if dt <= limit:
+        return None
+    return (f"dt {dt:.6g} exceeds {limit:.6g}, the largest step at which explicit RK4 "
+            f"is linearly stable on {system.name}")
+
+
 def gl_stable_states(system, dt=5e-4, tol=1e-8, max_steps=2_000_000):
     """The two energy minima u_-, u_+, found by relaxing -+0.5 plateau seeds.
-    A NaN or inf, as at a ``dt`` above ``rk4_dt_limit``, raises at its step."""
+    A NaN or inf, as at a ``dt`` above ``rk4_dt_limit``, raises at its step,
+    with ``rk4_dt_cause`` as its cause. One workspace holds the RK4 stages of
+    the whole relaxation, and each seed's steps write two state arrays in
+    turn."""
+    workspace = Workspace()
+    cause = rk4_dt_cause(system, dt)
     out = []
     for sign in (-1.0, 1.0):
         u = np.full(system.dim, 0.5 * sign)
+        states = (np.empty_like(u), np.empty_like(u))
         # a blown-up step overflows; the located error below is its one report
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, max_steps + 1):
-                u = rk4_step(system.field, u, dt)
-                check_finite("ginzburg_landau relaxation", u, step=step)
+                # into whichever state array u is not
+                u = rk4_step(system.field, u, dt, out=states[u is states[0]],
+                             workspace=workspace)
+                check_finite("ginzburg_landau relaxation", u, step=step, cause=cause)
                 if np.abs(system.field(u)).max() <= tol:
                     break
             else:

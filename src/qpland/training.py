@@ -27,6 +27,7 @@ by the row numbers of the train split, so no split is copied for the run.
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -122,15 +123,22 @@ _BLOCK = 512
 
 def dyn_loss(model, x, x_next, dt, huber_delta):
     """Mean Huber loss of the one-step velocity residual over a pair batch,
-    summed block by block (see the module docstring)."""
+    summed block by block (see the module docstring). The blocks share one
+    workspace, for the Heun stages, the drift that ``model.drift`` prepares
+    in it once per block size, and the residual."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
+    ws = Workspace()
+    field = partial(model.drift, workspace=ws)
     total = 0.0
     for start in range(0, len(x), _BLOCK):
         block = slice(start, start + _BLOCK)
-        e = (rk2_step(model.drift, x[block], dt) - x_next[block]) / dt
+        x_block = x[block]
+        e = rk2_step(field, x_block, dt, out=ws.take("e", x_block.shape), workspace=ws)
+        e -= x_next[block]
+        e /= dt
         check_finite("dyn loss residual", e, start)
-        total += huber(e, huber_delta).sum()
+        total += huber(e, huber_delta, out=ws.take("huber", e.shape)).sum()
     return float(total / x.size)
 
 

@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -24,3 +26,13 @@ def make_net(input_dim, hidden, output_dim, activation, rng, scale=0.6):
 def tanh_111(weight=1.0, bias=0.0):
     """1-1-1 net (single hidden unit): y = w2 * tanh(w1 x + b1) + b2."""
     return Mlp(1, (1,), 1, Activation.TANH, np.array([weight, bias, weight, bias]))
+
+
+def called_name(call):
+    """The name an ``ast.Call`` calls: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None

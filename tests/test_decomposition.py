@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from qpland.decomposition import (CHECKPOINT_VERSION, AnalyticDecomposition,
-                                  DecompositionModel, fit_center, floored_cosine, init_model,
-                                  load_checkpoint, orthogonality_cosine,
-                                  save_checkpoint)
-from qpland.errors import ConfigError
+                                  DecompositionModel, drift_with_tape, fit_center,
+                                  floored_cosine, init_model, load_checkpoint,
+                                  orthogonality_cosine, save_checkpoint)
+from qpland.errors import ConfigError, DimensionMismatchError
 from qpland.evaluation import export_landscape, make_grid, planar_slice
 from qpland.integrators import rk4_step
-from qpland.nets import Activation, Mlp, forward, param_count
+from qpland.nets import Activation, Mlp, Workspace, forward, param_count
 from qpland.systems import make_system
 
 
@@ -18,6 +18,15 @@ def zero_model(d=2, width=3):
     model = init_model(d, width, "tanh", seed=0)
     model.potential_net.params[:] = 0.0
     model.rotational_net.params[:] = 0.0
+    return model
+
+
+def random_model(act, rng):
+    """A d = 3 model of width 10 with random parameters and center."""
+    model = init_model(3, 10, act, seed=8)
+    model.potential_net.params[:] = rng.normal(0, 0.5, model.potential_net.params.shape)
+    model.rotational_net.params[:] = rng.normal(0, 0.5, model.rotational_net.params.shape)
+    model.center = rng.normal(0, 1, 3)
     return model
 
 
@@ -99,6 +108,71 @@ class TestDrift:
         x = rng.normal(0, 1, (20, 3))
         assert np.array_equal(model.drift(x),
                               -model.potential_gradient(x) + model.rotation(x))
+
+
+    @pytest.mark.parametrize("act", ["tanh", "relu2"])
+    @pytest.mark.parametrize("shape", [(3,), (7, 3)], ids=["state", "batch"])
+    def test_plain_in_place_and_taped_drift_agree_to_the_bit(self, act, shape, rng):
+        model = random_model(act, rng)
+        x = rng.normal(0, 1, shape)
+        plain = model.drift(x)
+        ws = Workspace()
+        out = np.full(shape, np.nan)
+        assert model.drift(x, out=out, workspace=ws) is out
+        taped = drift_with_tape(model, x)[0]
+        assert plain.tobytes() == out.tobytes() == taped.reshape(shape).tobytes()
+        # the drift prepared in the workspace runs again at other states
+        x2 = x[::-1] + 0.5
+        out2 = np.full(shape, np.nan)
+        assert model.drift(x2, out=out2, workspace=ws).tobytes() == model.drift(x2).tobytes()
+        assert out.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (7, 3)], ids=["state", "batch"])
+    def test_without_out_a_new_array(self, shape, rng):
+        model = random_model("tanh", rng)
+        x = rng.normal(0, 1, shape)
+        ws = Workspace()
+        for kwargs in ({}, {"workspace": ws}):
+            first = model.drift(x, **kwargs)
+            kept = first.copy()
+            second = model.drift(x + 0.5, **kwargs)
+            assert first.shape == second.shape == shape
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, kept)
+
+    def test_a_workspace_follows_the_model_it_runs(self, rng):
+        # a drift prepared in a workspace is made again for another model or
+        # for new parameter arrays; it reads the center and in-place updates
+        models = [random_model("tanh", rng), random_model("relu2", rng)]
+        x = rng.normal(0, 1, (5, 3))
+        ws = Workspace()
+
+        def check(model):
+            assert model.drift(x, workspace=ws).tobytes() == model.drift(x).tobytes()
+
+        for model in (*models, models[0]):
+            check(model)
+        model = models[0]
+        model.center = model.center + 0.25
+        check(model)
+        model.potential_net.params *= 1.5
+        check(model)
+        model.rotational_net.params = 0.5 * model.rotational_net.params
+        check(model)
+        check(model.copy())
+
+    def test_exact_drift_into_out(self, exact_bistable, rng):
+        x = rng.uniform(-2, 2, (9, 3))
+        out = np.full_like(x, np.nan)
+        assert exact_bistable.drift(x, out=out, workspace=Workspace()) is out
+        want = -exact_bistable.potential_gradient(x) + exact_bistable.rotation(x)
+        assert out.tobytes() == want.tobytes() == exact_bistable.drift(x).tobytes()
+
+    def test_wrong_width_rejected(self, rng):
+        model = random_model("tanh", rng)
+        for x in (np.zeros(4), np.zeros((2, 2)), np.zeros((2, 1, 3))):
+            with pytest.raises(DimensionMismatchError):
+                model.drift(x, workspace=Workspace())
 
 
 class TestCosine:

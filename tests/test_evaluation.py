@@ -1,4 +1,6 @@
+import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +200,121 @@ class TestRolloutReference:
         assert not dataset.trajectories()[1][1].any()
         with pytest.raises(QplandError, match="trajectory 1 has zero norm"):
             build_report(exact_bistable, dataset=dataset, split=None)
+
+
+def rollout_case(d, act, k):
+    """An untrained model (width 16, or 50 at d = 50) with its center off the
+    origin, ``k`` starts and references at six comparison times."""
+    model = init_model(d, 50 if d == 50 else 16, act, seed=d + k)
+    rng = np.random.default_rng(100 * d + k)
+    model.center = rng.normal(0.0, 0.3, d)
+    return model, rng.normal(0.0, 1.0, (k, d)), rng.normal(0.0, 1.0, (6, k, d))
+
+
+def exact_case(system, k):
+    """The exact decomposition of ``system`` (V = E, g = 0 for the gradient
+    system ``ginzburg_landau``, as the benchmark scores it), ``k`` sampled
+    starts and references at six comparison times."""
+    if system.exact_grad_v is not None:
+        model = AnalyticDecomposition.from_system(system)
+    else:
+        model = AnalyticDecomposition(system.dim, system.energy, system.energy_gradient,
+                                      np.zeros_like)
+    rng = np.random.default_rng(k)
+    return model, system.sample(rng, k), rng.normal(0.0, 1.0, (6, k, system.dim))
+
+
+# (model, x0, refs), dt, stride, dt_eval
+ROLLOUT_CASES = {
+    "d3-tanh-k1": (lambda: rollout_case(3, "tanh", 1), 1e-2, 5, None),
+    "d3-relu2-k4": (lambda: rollout_case(3, "relu2", 4), 1e-2, 5, None),
+    "d3-tanh-k4-half-dt": (lambda: rollout_case(3, "tanh", 4), 1e-2, 5, 5e-3),
+    "d50-tanh-k3": (lambda: rollout_case(50, "tanh", 3), 1e-3, 10, None),
+    "d50-relu2-k30": (lambda: rollout_case(50, "relu2", 30), 1e-3, 10, None),
+    "d50-tanh-k3-half-dt": (lambda: rollout_case(50, "tanh", 3), 1e-3, 10, 5e-4),
+    "exact-bistable3d-k5": (lambda: exact_case(make_system("bistable3d"), 5), 1e-2, 5, None),
+    "exact-gl50-k3": (lambda: exact_case(make_system("ginzburg_landau", {"I": 51}), 3),
+                      1e-3, 10, None),
+}
+
+# sha256 of each case's errors as little-endian float64
+PINNED_ROLLOUTS = {
+    "d3-relu2-k4": "708401df6f6e23072ed28fb6d355d02937403a000545fa9a17b14ec347892b19",
+    "d3-tanh-k1": "db7918106fe87df2c1660fc1be0e45637d102781a0dd656b4b96d6ad6b13a4b5",
+    "d3-tanh-k4-half-dt": "e8df4925ade4b1bfd50595688845bfeaa8a615dab6f70ccfc4e3536e0ff4824d",
+    "d50-relu2-k30": "c0eed40875bc731cdad6dfd10fe5fa374c2ec9837b6fc0ba071ea50b1d2294d2",
+    "d50-tanh-k3": "7bf39af91303f78fd85a181238bb2547b45bc06e871ed182b5388f7108333cba",
+    "d50-tanh-k3-half-dt": "81ed72173597da60dda5e5a8b0f033b508caa499ba7b7ff1ea459693fb3cea4f",
+    "exact-bistable3d-k5": "5f59f12058d15d32eea2430d68808c2bda7d4734b4c6989e6bb43533f23150d4",
+    "exact-gl50-k3": "612cd4260228902a37244bb4a0be3a7dfa3da23f54c16d5edbb819216eada397",
+}
+
+
+class TestRolloutPins:
+    """Rollout errors pinned to the bit: a change that moves one Heun step or
+    one drift evaluation by an ulp changes these digests."""
+
+    @pytest.mark.parametrize("name", sorted(ROLLOUT_CASES))
+    def test_pinned(self, name):
+        build, dt, stride, dt_eval = ROLLOUT_CASES[name]
+        model, x0, refs = build()
+        errs = rollout_errors_against_reference(model, x0, refs, dt, stride, dt_eval)
+        assert np.isfinite(errs).all()
+        digest = hashlib.sha256(errs.astype("<f8").tobytes()).hexdigest()
+        assert digest == PINNED_ROLLOUTS[name]
+
+    def test_diverged_trajectory_reports_inf_without_a_warning(self):
+        # the ReLU^2 drift grows quadratically: the first start, ten times
+        # farther out, overflows, and the others keep their finite errors
+        model, x0, refs = rollout_case(3, "relu2", 4)
+        model.rotational_net.params *= 2.0
+        x0[0] *= 10.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errs = rollout_errors_against_reference(model, x0, refs, 0.1, 5)
+        assert [float(v).hex() for v in errs] == [
+            "inf", "0x1.f5cc3e53e4293p-1", "0x1.08171ae564690p+0", "0x1.045eee34c6a0dp+0"]
+
+
+class WatchedDrift:
+    """A model whose drift runs ``model.drift`` and, once the first Heun
+    step (two calls) is done, resets the peak of the traced memory and
+    records the memory traced at that point in ``base``."""
+
+    def __init__(self, model):
+        self.model, self.calls, self.base = model, 0, None
+
+    def drift(self, x, *, out=None, workspace=None):
+        f = self.model.drift(x, out=out, workspace=workspace)
+        self.calls += 1
+        if self.calls == 2:
+            tracemalloc.reset_peak()
+            self.base = tracemalloc.get_traced_memory()[0]
+        return f
+
+
+class TestRolloutMemory:
+    def test_steps_after_the_first_allocate_no_state(self):
+        # 30 states of d = 50, as the gl50 benchmark rolls out. After the
+        # first Heun step only transients stay: NumPy's buffer for a
+        # broadcast operand, at most one state's size; a drift or a step
+        # that allocated its arrays would hold several states at once
+        model, x0, _ = rollout_case(50, "tanh", 30)
+        peaks = {}
+        for comparisons in (2, 20):
+            refs = np.random.default_rng(comparisons).normal(0.0, 1.0, (comparisons, 30, 50))
+            watched = WatchedDrift(model)
+            tracemalloc.start()
+            try:
+                rollout_errors_against_reference(watched, x0, refs, 1e-3, 10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert watched.calls == 2 * 10 * comparisons
+            assert peak - watched.base < 2 * x0.nbytes
+            peaks[comparisons] = peak
+        # ten times the steps, the same peak to within a few small objects
+        assert peaks[20] < peaks[2] + x0.nbytes / 4
 
 
 class TestReportCosines:

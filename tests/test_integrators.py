@@ -52,7 +52,7 @@ class TestSteps:
 
     def test_rk2_local_error_order_three(self):
         # embed time as a state; x(t) = t^3 has Heun one-step error 0.5 dt^3
-        def field(s):
+        def field(s, out=None):
             out = np.empty_like(s)
             out[..., 0] = 1.0
             out[..., 1] = 3.0 * s[..., 0] ** 2
@@ -146,6 +146,36 @@ class TestWorkspaceStep:
         assert ws._arrays.keys() == arrays.keys()
         assert all(ws._arrays[k] is a for k, a in arrays.items())
         assert np.array_equal(out, first) and np.array_equal(x, before)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.37])
+    def test_rk2_same_bits_with_and_without_a_workspace(self, dt):
+        # Heun's k1, k2 and stage input are one block of three; a second step
+        # through the same workspace reuses it, and each step returns out
+        cases = [
+            (make_system("bistable3d").field,
+             np.random.default_rng(1).uniform(-2.0, 2.0, (500, 3))),
+            (make_system("ginzburg_landau", {"I": 11}).field,
+             np.random.default_rng(2).uniform(-1.0, 1.0, (60, 10))),
+            (lambda s, out=None: s, np.random.default_rng(3).normal(0.0, 1.0, (40, 4))),
+            (lambda s, out=None: np.negative(s, out=out), np.array([1.0, -0.5])),
+        ]
+        for field, x in cases:
+            before = x.copy()
+            ws = Workspace()
+            out = np.full_like(x, np.nan)
+            assert rk2_step(field, x, dt, out=out, workspace=ws) is out
+            assert out.tobytes() == rk2_step(field, before.copy(), dt).tobytes()
+            assert out.tobytes() == rk2_reference(field, before.copy(), dt).tobytes()
+            assert np.array_equal(x, before)
+            arrays = dict(ws._arrays)
+            assert [a.shape for a in arrays.values()] == [(3, *x.shape)]
+            first = out.copy()
+            x2 = x[::-1].copy()
+            out2 = np.full_like(x, np.nan)
+            assert rk2_step(field, x2, dt, out=out2, workspace=ws) is out2
+            assert out2.tobytes() == rk2_step(field, x2.copy(), dt).tobytes()
+            assert all(ws._arrays[k] is a for k, a in arrays.items())
+            assert ws._arrays.keys() == arrays.keys() and np.array_equal(out, first)
 
     def test_without_a_workspace_same_bits_as_with_one(self):
         # without one, a step takes its buffers from a fresh workspace of its

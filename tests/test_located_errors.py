@@ -5,23 +5,16 @@ the rule for where a NaN or inf is reported stays in one place."""
 import ast
 from pathlib import Path
 
+from conftest import called_name
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "qpland"
-
-
-def _called_name(call):
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def modules_building_non_finite_errors(src=SRC):
     """Names of the modules in ``src``, ``errors`` aside, that call
     ``NonFiniteError`` by name or as an attribute."""
     return {path.stem for path in sorted(src.glob("*.py")) if path.stem != "errors"
-            and any(isinstance(node, ast.Call) and _called_name(node) == "NonFiniteError"
+            and any(isinstance(node, ast.Call) and called_name(node) == "NonFiniteError"
                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
 
 

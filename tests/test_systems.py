@@ -142,7 +142,11 @@ class TestGinzburgLandau:
         dt = 4.0 * system.extras["rk4_dt_limit"]
         with pytest.raises(NonFiniteError) as exc:
             gl_stable_states(system, dt=dt)
-        assert str(exc.value) == "non-finite value in ginzburg_landau relaxation, step 3, index 0"
+        limit = system.extras["rk4_dt_limit"]
+        assert str(exc.value) == (
+            "non-finite value in ginzburg_landau relaxation, step 3, index 0: "
+            f"dt {dt:.6g} exceeds {limit:.6g}, the largest step at which explicit RK4 "
+            "is linearly stable on ginzburg_landau")
 
     def test_sampler_normalization_is_exact(self):
         system = make_system("ginzburg_landau", {"I": 21, "delta": 0.1})

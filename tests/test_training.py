@@ -296,6 +296,26 @@ PINNED_RELU2_ORTH = {
 }
 
 
+def dyn_case(d, act, rows):
+    """A model (width 16, or 50 at d = 50) with its center off the origin,
+    and ``rows`` pairs about one step of 1e-3 apart."""
+    rng = np.random.default_rng(10 * d + rows)
+    model = init_model(d, 50 if d == 50 else 16, act, seed=d)
+    model.center = rng.normal(0.0, 0.3, d)
+    x = rng.normal(0.0, 1.0, (rows, d))
+    return model, x, x + 1e-3 * rng.normal(0.0, 1.0, x.shape), 1e-3, 1.0
+
+
+# dyn_loss of dyn_case(d, act, rows) as float.hex(); every case spans
+# several blocks, the last one partial
+PINNED_DYN_LOSS = {
+    (3, "tanh", 1100): "0x1.7b05b4851c939p+0",
+    (3, "relu2", 1100): "0x1.77d301edd5933p+0",
+    (50, "tanh", 600): "0x1.61ea4e610c039p+0",
+    (50, "relu2", 600): "0x1.60b2fe7114c90p+0",
+}
+
+
 class TestPinnedArithmetic:
     @pytest.mark.parametrize("rows", sorted(PINNED_RELU2_ORTH))
     def test_relu2_orth_loss_and_grad_pinned(self, rows):
@@ -306,6 +326,15 @@ class TestPinnedArithmetic:
         losses, pot, rot = PINNED_RELU2_ORTH[rows]
         assert (total.hex(), ld.hex(), lo.hex()) == losses
         assert (sha256_f8(grads.potential), sha256_f8(grads.rotational)) == (pot, rot)
+
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DYN_LOSS))
+    def test_dyn_loss_pinned(self, case):
+        # the validation loss: a change that moves one Heun step or one drift
+        # evaluation by an ulp changes these values
+        d, act, rows = case
+        assert rows > training._BLOCK and rows % training._BLOCK
+        assert dyn_loss(*dyn_case(d, act, rows)).hex() == PINNED_DYN_LOSS[case]
 
 
 class TestWorkspace:
@@ -348,22 +377,22 @@ class TestWorkspace:
 
     def test_tanh_step_keeps_one_array_per_hidden_layer(self):
         # the names after one step on tanh nets of width 16 at d = 3: every
-        # tape holds hid0 and hid1 and no pre-activation
+        # tape holds hid0 and hid1 and no pre-activation, only the rotational
+        # net has a value, and no sweep keeps a tangent adjoint at the input
         ws = Workspace()
         total_loss_and_grad(*loss_case(64, 40, "tanh"), workspace=ws)
         tapes = {(part, net, f"hid{l}", 16) for part in "AB" for net in ("pot", "rot")
                  for l in (0, 1)}
-        tapes |= {(part, net, "value", out) for part in "AB"
-                  for net, out in (("pot", 1), ("rot", 3))}
+        tapes |= {(part, "rot", "value", 3) for part in "AB"}
         tapes |= {(part, name, 3) for part in "AB" for name in ("xt", "grad_v", "f")}
         sweeps = {(name, 16) for name in ("abar", "adotbar", "hbar", "hdotbar", "d1_0", "d1_1",
                                           "adot0", "adot1", "hdot0", "hdot1")}
-        sweeps |= {("hbar", 3), ("hdotbar", 3)}
+        sweeps |= {("hbar", 3)}
         losses = {(name, 3) for name in ("x2", "e", "huber", "cot", "drift_vjp.neg_c",
                                          "potential_gradient_vjp.x_adj", "orth.along",
                                          "orth.cu", "orth.cg")}
         assert set(ws._arrays) == tapes | sweeps | losses
-        assert len(ws._arrays) == 39
+        assert len(ws._arrays) == 36
 
 
 def loss_results_equal(got, want):
