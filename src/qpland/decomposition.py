@@ -68,12 +68,15 @@ class DecompositionModel:
         vhat = nets.forward(self.potential_net, xt, workspace=workspace)
         return vhat[..., 0] + np.square(xt).sum(axis=-1)
 
-    def potential_gradient(self, x):
+    def potential_gradient(self, x, *, workspace=None):
+        """grad V at x, a new array. A workspace holds the net's sweep."""
         xt = self.centered(x)
-        return nets.input_gradient(self.potential_net, xt) + 2.0 * xt
+        return nets.input_gradient(self.potential_net, xt, workspace=workspace) + 2.0 * xt
 
-    def rotation(self, x):
-        return nets.forward(self.rotational_net, self.centered(x))
+    def rotation(self, x, *, workspace=None):
+        """g at x. Through a workspace it is a view, valid until the next
+        call with it."""
+        return nets.forward(self.rotational_net, self.centered(x), workspace=workspace)
 
     def drift(self, x, *, out=None, workspace=None):
         """f = g - grad V at a state or the rows of a batch, written into
@@ -108,10 +111,10 @@ class AnalyticDecomposition:
     def potential(self, x, *, workspace=None):
         return self.potential_fn(np.asarray(x, dtype=np.float64))
 
-    def potential_gradient(self, x):
+    def potential_gradient(self, x, *, workspace=None):
         return self.grad_v_fn(np.asarray(x, dtype=np.float64))
 
-    def rotation(self, x):
+    def rotation(self, x, *, workspace=None):
         return self.g_fn(np.asarray(x, dtype=np.float64))
 
     def drift(self, x, *, out=None, workspace=None):
@@ -140,8 +143,15 @@ def init_model(dim, hidden_width, rot_activation, seed):
     return DecompositionModel(pot, rot, np.zeros(dim))
 
 
-def fit_center(model, states):
-    model.center = np.asarray(states, dtype=np.float64).mean(axis=0)
+def fit_center(model, states, split=None):
+    """Center the model at the mean of ``states``, an (n, d) array; or, given
+    a ``split``, at the mean of that split's states of ``states``, a
+    dataset, which are summed without being gathered
+    (``TrajectoryDataset.state_mean``). The two give the same bits."""
+    if split is None:
+        model.center = np.asarray(states, dtype=np.float64).mean(axis=0)
+    else:
+        model.center = states.state_mean(split)
     return model
 
 
@@ -159,11 +169,14 @@ def floored_cosine(u, g):
     return np.where(ok, (u * g).sum(axis=-1) / (nu * ng), 0.0), ok, nu, ng
 
 
-def orthogonality_cosine(model, x):
-    """Floored cosine of grad V and g at a state or at the rows of a batch."""
+def orthogonality_cosine(model, x, *, workspace=None):
+    """Floored cosine of grad V and g at a state or at the rows of a batch.
+    A workspace holds the nets' arrays from call to call."""
     x = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x)
-    cos = floored_cosine(model.potential_gradient(rows), model.rotation(rows))[0]
+    ws = workspace or nets.Workspace()
+    cos = floored_cosine(model.potential_gradient(rows, workspace=ws.part("pot")),
+                         model.rotation(rows, workspace=ws.part("rot")))[0]
     return cos[0] if x.ndim == 1 else cos
 
 

@@ -42,24 +42,25 @@ activation declares in ``ActivationFns.reads_pre``:
 
 The value and both derivatives take ``out=``, the array to write into.
 
-Workspace: ``forward``, ``forward_tape``, ``value_backprop`` and
-``grad_backprop`` take a keyword-only ``workspace`` and write every
-batch-sized array into it: a tape's activations ``hid<l>``, its
-pre-activations ``pre<l>`` only where the activation reads them, and its
-``value``, and the derivatives, tangents and adjoints of the sweeps.
-``training.train`` owns one for the whole run. The losses call these in
-blocks of ``training._BLOCK`` rows, so besides the batch gathers it holds
-block-sized arrays, and a step after the first allocates no batch-sized
-array and touches no fresh pages.
-``evaluation.potential_values`` owns one for the chunks of a grid. Each
-array is kept under a name and reused by the next call that asks for that
-name. So a tape recorded through a part of a workspace is valid until the
-next tape is recorded in that part (in training, until the next step), and
-the gradient or adjoint that a sweep returns until the next sweep. A call
-without a workspace makes a fresh one that dies with it, so nothing it
-returns is shared with another call.
-A workspace belongs to its caller, not to the tape, which still caches
-nothing.
+Workspace: ``forward``, ``forward_tape``, ``input_gradient``,
+``value_backprop`` and ``grad_backprop`` take a keyword-only ``workspace``
+and write every batch-sized array into it: a tape's activations
+``hid<l>``, its pre-activations ``pre<l>`` only where the activation reads
+them, and its ``value``, and the derivatives, tangents and adjoints of the
+sweeps. ``training.train`` owns one for the whole run, with one more for
+each further lane kept in it (see ``lanes``). The losses call these in
+blocks of ``training._BLOCK`` rows, so besides the batch gathers each
+holds block-sized arrays, and a step after the first allocates no
+batch-sized array and touches no fresh pages.
+``evaluation.potential_values`` owns one, and so one per lane, for the
+chunks of a grid. Each array is kept under a name and reused by the next
+call that asks for that name. So a tape recorded through a part of a
+workspace is valid until the next tape is recorded in that part (in
+training, until the next step), and the gradient or adjoint that a sweep
+returns until the next sweep. A call without a workspace makes a fresh one
+that dies with it, so nothing it returns is shared with another call.
+A workspace belongs to one lane of its caller, not to the tape, which
+still caches nothing.
 
 Prepared passes: a ``NetPass`` takes its layer views and arrays once, and
 each run writes the same arrays; ``forward_tape`` and ``input_gradient``
@@ -72,6 +73,9 @@ and the output row of weights. Its input gradient writes ``abar`` and
 at the input layer, which nothing reads.
 """
 
+import math
+import mmap
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -147,23 +151,51 @@ class Workspace:
     ``kept(key)`` and ``keep(key, obj)`` hold one more kind of thing per
     part: an object a caller prepared once, such as the drift evaluation of
     ``decomposition``, to run again at the next call instead of anew.
+
+    A workspace belongs to one lane (see ``lanes``): only one thread writes
+    it at a time. ``lane(k)`` is the workspace of lane ``k`` of a blocked
+    computation: this one for lane 0, else one kept in this one's store and
+    dropped with it; ``is_new()`` tells whether it has taken an array yet.
+
+    Where an array lives depends on the thread that takes it. On the thread
+    that made the workspace, it comes from the heap, whose holes it can
+    reuse. On any other thread, a lane thread, it is an anonymous memory
+    mapping of its own, which goes back to the OS when the workspace dies:
+    a heap array that a lane thread allocates stays in that thread's malloc
+    arena after the thread ends, for no later caller to reuse. ``lanes``
+    runs the first block of a new lane on the calling thread, so that a
+    lane thread takes only what that block did not.
     """
 
-    def __init__(self, _stores=None, _prefix=()):
-        self._arrays, self._kept = ({}, {}) if _stores is None else _stores
+    def __init__(self, _store=None, _prefix=()):
+        self._store = _Store() if _store is None else _store
+        self._arrays, self._kept = self._store.arrays, self._store.kept
         self._prefix = _prefix
 
     def part(self, name):
-        return Workspace((self._arrays, self._kept), (*self._prefix, name))
+        return Workspace(self._store, (*self._prefix, name))
 
     def shared(self):
-        return Workspace((self._arrays, self._kept))
+        return Workspace(self._store)
+
+    def lane(self, k):
+        """The workspace of lane ``k``."""
+        if k == 0:
+            return self
+        lanes = self._store.lanes
+        while len(lanes) < k:
+            lanes.append(Workspace())
+        return lanes[k - 1]
+
+    def is_new(self):
+        """Whether no array has been taken from the store yet."""
+        return not self._arrays
 
     def take(self, name, shape):
         key = (*self._prefix, name, *shape[1:])
         array = self._arrays.get(key)
         if array is None or len(array) < shape[0]:
-            array = self._arrays[key] = np.empty(shape)
+            array = self._arrays[key] = self._store.empty(shape)
         return array[: shape[0]]
 
     def kept(self, key):
@@ -174,6 +206,23 @@ class Workspace:
         """Keep ``obj`` under ``key`` in this part, and return it."""
         self._kept[(*self._prefix, key)] = obj
         return obj
+
+
+class _Store:
+    """What a workspace and its views share: the arrays, the kept objects,
+    the workspaces of lanes 1, 2, ... and the thread that made it."""
+
+    def __init__(self):
+        self.arrays, self.kept, self.lanes = {}, {}, []
+        self.owner = threading.get_ident()
+
+    def empty(self, shape):
+        """A new array, on the heap on the owner thread, else in an
+        anonymous mapping of its own (see ``Workspace``)."""
+        if threading.get_ident() == self.owner:
+            return np.empty(shape)
+        count = math.prod(shape)
+        return np.frombuffer(mmap.mmap(-1, max(8 * count, 1)), count=count).reshape(shape)
 
 
 def layer_shapes(input_dim, hidden_widths, output_dim):
@@ -328,13 +377,15 @@ def forward(net, x, *, workspace=None):
     return y
 
 
-def input_gradient(net, x):
+def input_gradient(net, x, *, workspace=None):
     """grad_x of a scalar net's output, ``(d,)``/``(B, d)``. Scalar nets
-    only, like ``grad_backprop``: nothing needs a vector net's Jacobian."""
+    only, like ``grad_backprop``: nothing needs a vector net's Jacobian.
+    Through a workspace the gradient is a view, valid until the next call
+    with it."""
     if net.output_dim != 1:
         raise DimensionMismatchError("input_gradient output_dim", 1, net.output_dim)
     x_b, single = _as_batch(net, x)
-    ws = Workspace()
+    ws = workspace or Workspace()
     run = NetPass(net, len(x_b), ws, value=False, sweep=ws)
     run.forward(x_b)
     g = run.gradient()
@@ -343,8 +394,9 @@ def input_gradient(net, x):
 
 # Scratch arrays of the sweeps, in the shared view of a workspace: "abar"
 # and "hbar" (NetPass.gradient, value_backprop and grad_backprop), and
-# "d1_<l>", "adot<l>", "hdot<l>", "adotbar" and "hdotbar" (grad_backprop).
-# A sweep returns its input gradient or adjoint in "hbar".
+# "d1_<l>", "adot<l>" and "hdot<l>" (grad_backprop, whose reverse sweep
+# writes its tangent adjoints over the dead tangents). A sweep returns its
+# input gradient or adjoint in "hbar".
 
 def value_backprop(net, tape, cotangent, *, workspace=None):
     """Gradient of sum_b cotangent_b . y_b w.r.t. params, plus input adjoint.
@@ -416,8 +468,10 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
         w, _ = layers[l]
         # hdot_l = d1(a_l) * adot_l couples the primal adjoint to curvature:
         # abar = d1 * hbar + (d2 * adot) * hdotbar, with d2 written over d1
+        # hdot_l was last read by the layer above, so adotbar is written
+        # over it
         abar = np.multiply(d1s[l], hbar, out=ws.take("abar", hbar.shape))
-        adotbar = np.multiply(d1s[l], hdotbar, out=ws.take("adotbar", hbar.shape))
+        adotbar = np.multiply(d1s[l], hdotbar, out=hdots[l])
         curv = act.d2(tape.pre[l], tape.hid[l], out=d1s[l])
         curv *= adots[l]
         curv *= hdotbar
@@ -425,7 +479,9 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
         grads[l] = (abar.T @ hs[l] + adotbar.T @ hdots_in[l], abar.sum(axis=0))
         hbar = np.matmul(abar, w, out=ws.take("hbar", (rows, w.shape[1])))
         if l:  # the input layer's tangent adjoint has no reader
-            hdotbar = np.matmul(adotbar, w, out=ws.take("hdotbar", (rows, w.shape[1])))
+            # adot_l has no reader left: the tangent adjoint takes its
+            # array, which is adot_l's own when the two layers are as wide
+            hdotbar = np.matmul(adotbar, w, out=ws.take(f"adot{l}", (rows, w.shape[1])))
     return _flatten_grads(net, grads), hbar
 
 

@@ -18,11 +18,19 @@ rows. Up to ``_BLOCK`` rows the results are bit-identical to one pass over
 the batch; above it they equal the sum of the block results in block
 order, which differs from one pass by rounding only.
 
+The blocks of a loss are independent, so they run on lanes, one per CPU
+the process may use (see ``lanes``). A block keeps the gradient terms it
+would add, and the calling thread adds them to the totals in the serial
+order: every block's terms, in the order the block made them, block after
+block. Summing a block's terms first would move the rounding. So losses
+and gradients are bit-identical for any number of lanes.
+
 One ``nets.Workspace``, a local of ``train``, holds the batch gathers and
-every block-sized array of a step from one step to the next; it is dropped
-before each validation and freed when ``train`` returns or raises. Each
-batch is gathered into the workspace straight from the dataset's own rows,
-by the row numbers of the train split, so no split is copied for the run.
+every block-sized array of a step from one step to the next, with one
+more workspace per further lane kept in it; all of them are dropped before
+each validation and freed when ``train`` returns or raises. Each batch is
+gathered into the workspace straight from the dataset's own rows, by the
+row numbers of the train split, so no split is copied for the run.
 """
 
 import logging
@@ -32,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import evaluation
+from . import evaluation, lanes
 from .decomposition import (ModelGrads, drift_vjp, drift_with_tape, fit_center,
                             floored_cosine, orthogonality_cosine, potential_gradient_vjp,
                             rotation_vjp)
@@ -121,25 +129,61 @@ def huber_grad(e, delta, out=None):
 _BLOCK = 512
 
 
+class _Terms(list):
+    """The terms a block adds to one net's gradient, in the order it adds
+    them: ``terms += g`` keeps ``g`` where ``grads.potential += g`` would
+    add it."""
+
+    def __iadd__(self, g):
+        self.append(g)
+        return self
+
+
+def _block_sums(rows, block, workspace, grads=None):
+    """The sum of ``block(start, block_grads, ws)`` over the blocks of
+    ``_BLOCK`` of ``rows`` rows, run on lanes (see ``lanes``) and added in
+    block order. With ``grads``, each block adds its gradient terms to
+    ``block_grads`` and they are added to ``grads`` in the order made,
+    block after block, as a serial loop would add them."""
+    starts = range(0, rows, _BLOCK)
+    total = 0.0
+
+    def work(i, ws):
+        block_grads = ModelGrads(_Terms(), _Terms()) if grads is not None else None
+        return block(starts[i], block_grads, ws), block_grads
+
+    def reduce(result):
+        nonlocal total
+        block_sum, block_grads = result
+        total += block_sum
+        if grads is not None:
+            for g in block_grads.potential:
+                grads.potential += g
+            for g in block_grads.rotational:
+                grads.rotational += g
+
+    lanes.run_blocks(len(starts), work, reduce, workspace)
+    return total
+
+
 def dyn_loss(model, x, x_next, dt, huber_delta):
     """Mean Huber loss of the one-step velocity residual over a pair batch,
-    summed block by block (see the module docstring). The blocks share one
-    workspace, for the Heun stages, the drift that ``model.drift`` prepares
-    in it once per block size, and the residual."""
+    summed block by block (see the module docstring). The blocks of a lane
+    share its workspace, for the Heun stages, the drift that ``model.drift``
+    prepares in it once per block size, and the residual."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
-    ws = Workspace()
-    field = partial(model.drift, workspace=ws)
-    total = 0.0
-    for start in range(0, len(x), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        x_block = x[block]
+
+    def block(start, _, ws):
+        x_block = x[start : start + _BLOCK]
+        field = partial(model.drift, workspace=ws)
         e = rk2_step(field, x_block, dt, out=ws.take("e", x_block.shape), workspace=ws)
-        e -= x_next[block]
+        e -= x_next[start : start + _BLOCK]
         e /= dt
         check_finite("dyn loss residual", e, start)
-        total += huber(e, huber_delta, out=ws.take("huber", e.shape)).sum()
-    return float(total / x.size)
+        return huber(e, huber_delta, out=ws.take("huber", e.shape)).sum()
+
+    return float(_block_sums(len(x), block, Workspace()) / x.size)
 
 
 def cosine_penalty(cos, neg_cos_weight):
@@ -148,13 +192,15 @@ def cosine_penalty(cos, neg_cos_weight):
 
 def orth_loss(model, points, neg_cos_weight):
     """Mean asymmetric quadratic penalty on the grad-V / g cosine, summed
-    block by block (see the module docstring)."""
+    block by block (see the module docstring). The blocks of a lane share
+    its workspace."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    total = 0.0
-    for start in range(0, len(points), _BLOCK):
-        cos = orthogonality_cosine(model, points[start : start + _BLOCK])
-        total += cosine_penalty(cos, neg_cos_weight).sum()
-    return float(total / len(points))
+
+    def block(start, _, ws):
+        cos = orthogonality_cosine(model, points[start : start + _BLOCK], workspace=ws)
+        return cosine_penalty(cos, neg_cos_weight).sum()
+
+    return float(_block_sums(len(points), block, Workspace()) / len(points))
 
 
 def total_loss(model, x, x_next, dt, rep_points, cfg):
@@ -165,20 +211,20 @@ def total_loss(model, x, x_next, dt, rep_points, cfg):
 def dyn_loss_and_grad(model, x, x_next, dt, huber_delta, grads, *, workspace=None):
     """dyn_loss plus its parameter gradient, accumulated into ``grads``.
 
-    The rows go through ``_dyn_block`` in blocks of ``_BLOCK``, whose loss
-    sums add up to the batch's; the workspace holds block-sized arrays.
-    Bit-identical to one pass at up to ``_BLOCK`` rows, equal to the sum in
-    block order above it.
+    The rows go through ``_dyn_block`` in blocks of ``_BLOCK``, on lanes,
+    whose loss sums add up to the batch's; the workspace of each lane
+    holds block-sized arrays. Bit-identical to one pass at up to ``_BLOCK``
+    rows, equal to the sum in block order above it.
     """
-    ws = workspace or Workspace()
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
-    total = 0.0
-    for start in range(0, len(x), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        total += _dyn_block(model, x[block], x_next[block], dt, huber_delta, x.size, start,
-                            grads, ws)
-    return float(total / x.size)
+
+    def block(start, block_grads, ws):
+        rows = slice(start, start + _BLOCK)
+        return _dyn_block(model, x[rows], x_next[rows], dt, huber_delta, x.size, start,
+                          block_grads, ws)
+
+    return float(_block_sums(len(x), block, workspace or Workspace(), grads) / x.size)
 
 
 def _dyn_block(model, x, x_next, dt, huber_delta, size, start, grads, ws):
@@ -218,17 +264,18 @@ def _dyn_block(model, x, x_next, dt, huber_delta, size, start, grads, ws):
 def orth_loss_and_grad(model, points, neg_cos_weight, grads, *, workspace=None):
     """orth_loss plus its parameter gradient, accumulated into ``grads``.
 
-    The points go through ``_orth_block`` in blocks of ``_BLOCK``, with the
-    same rounding contract as ``dyn_loss_and_grad``; the workspace holds
-    block-sized arrays.
+    The points go through ``_orth_block`` in blocks of ``_BLOCK``, on
+    lanes, with the same rounding contract as ``dyn_loss_and_grad``; the
+    workspace of each lane holds block-sized arrays.
     """
-    ws = workspace or Workspace()
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    total = 0.0
-    for start in range(0, len(points), _BLOCK):
-        total += _orth_block(model, points[start : start + _BLOCK], neg_cos_weight,
-                             len(points), grads, ws)
-    return float(total / len(points))
+
+    def block(start, block_grads, ws):
+        return _orth_block(model, points[start : start + _BLOCK], neg_cos_weight,
+                           len(points), block_grads, ws)
+
+    return float(_block_sums(len(points), block, workspace or Workspace(), grads)
+                 / len(points))
 
 
 def _orth_block(model, points, neg_cos_weight, count, grads, ws):
@@ -308,10 +355,11 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     """Mini-batch Adam over the train split with periodic validation.
 
     ``representatives`` maps split name -> RepresentativeSet (train and val
-    needed, neither empty). Returns the best-validation snapshot;
-    single-threaded and bit-reproducible for a fixed seed.
+    needed, neither empty). Returns the best-validation snapshot. The
+    blocks of each loss run on lanes, threads that end with the call that
+    starts them; the result is bit-reproducible for a fixed seed, for any
+    number of CPUs.
     """
-    x_va, y_va = dataset.pairs("val")
     reps_tr = representatives["train"].points
     reps_va = representatives["val"].points
     for what, points in (("dataset", dataset.x), ("train representatives", reps_tr),
@@ -319,8 +367,10 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
         evaluation.check_width(what, points, model.dim)
     for what, points in (("train representatives", reps_tr), ("val representatives", reps_va)):
         evaluation.check_nonempty(what, points)
-    fit_center(model, dataset.states("train"))
-    tr_rows = np.flatnonzero(dataset.pair_mask("train"))
+    fit_center(model, dataset, "train")
+    # int32 row numbers gather the same rows at half the memory
+    tr_rows = np.flatnonzero(dataset.pair_mask("train")).astype(
+        np.int32 if len(dataset.x) <= np.iinfo(np.int32).max else np.intp)
 
     rng = np.random.default_rng(train_cfg.seed)
     decay = train_cfg.resolved_decay()
@@ -332,11 +382,17 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     ws = Workspace()
     history = []
     best = {"loss": np.inf, "model": None, "step": -1}
+    # the best snapshot is one model, allocated before the step workspaces,
+    # into which each better validation copies the parameters; a copy made
+    # at a validation would sit above the step arrays just freed and keep
+    # the heap from shrinking back
+    snapshot = model.copy()
     running = []
     order, pos = None, 0
     try:
         for step in range(1, train_cfg.max_steps + 1):
             if order is None or pos + batch > len(order):
+                order = None  # never two permutations alive at once
                 order = rng.permutation(len(tr_rows))
                 pos = 0
             rows = tr_rows[order[pos : pos + batch]]
@@ -361,30 +417,36 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
             adam_step(model.rotational_net.params, grads.rotational, adam_rot, lr)
             running.append((loss, ld, lo))
             if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
-                ws = Workspace()  # validation needs none of it: free the memory first
-                rec = _evaluate(model, x_va, y_va, dataset.dt, reps_va, loss_cfg,
-                                val_ref, step, lr, running)
+                # validation needs none of the lanes' workspaces: free them first
+                ws = Workspace()
+                rec = _evaluate(model, dataset, reps_va, loss_cfg, val_ref, step, lr,
+                                running)
                 running = []
                 history.append(rec)
                 log.info("step %d lr %.3g train %.4g val %.4g (dyn %.3g orth %.3g roll %.3g)",
                          step, lr, rec["train_loss"], rec["val_loss"], rec["val_dyn"],
                          rec["val_orth"], rec["val_rollout"])
                 if rec["val_loss"] < best["loss"]:
-                    best.update(loss=rec["val_loss"], model=model.copy(), step=step)
+                    snapshot.potential_net.params[...] = model.potential_net.params
+                    snapshot.rotational_net.params[...] = model.rotational_net.params
+                    best.update(loss=rec["val_loss"], model=snapshot, step=step)
     except NonFiniteError as err:
         # parameters are still the last finite iterate; prefer the best
         # validated snapshot, else keep what we have
-        snapshot = best["model"] if best["model"] is not None else model.copy()
+        kept = best["model"] if best["model"] is not None else model.copy()
         raise TrainingDivergedError(getattr(err, "step", None) or adam_pot.t,
-                                    snapshot=snapshot, history=history) from err
+                                    snapshot=kept, history=history) from err
     if best["model"] is None:
         best.update(model=model.copy(), step=train_cfg.max_steps, loss=np.nan)
     return TrainResult(model=best["model"], history=history, best_step=best["step"],
                        best_val_loss=best["loss"])
 
 
-def _evaluate(model, x_va, y_va, dt, reps_va, loss_cfg, val_ref, step, lr, running):
-    val_dyn = dyn_loss(model, x_va, y_va, dt, loss_cfg.huber_delta)
+def _evaluate(model, dataset, reps_va, loss_cfg, val_ref, step, lr, running):
+    """The history record of a validation. The val pairs are gathered here,
+    so that they are not held between validations."""
+    dt = dataset.dt
+    val_dyn = dyn_loss(model, *dataset.pairs("val"), dt, loss_cfg.huber_delta)
     val_orth = orth_loss(model, reps_va, loss_cfg.neg_cos_weight)
     tr = np.array(running) if running else np.full((1, 3), np.nan)
     val_rollout = np.nan

@@ -194,6 +194,54 @@ class TestStates:
         assert peak <= states.nbytes + 10 * n
 
 
+def scaled_pairs(rng, n_trajectories, pairs_per_trajectory, d):
+    """A split dataset of states whose rows differ in scale by 1000x, so
+    that summing them in another order moves the last bits."""
+    n = n_trajectories * pairs_per_trajectory
+    scale = rng.uniform(0.1, 100.0, (n, 1))
+    return split(TrajectoryDataset(
+        dt=0.1, x=rng.normal(3.0, 10.0, (n, d)) * scale,
+        x_next=rng.normal(-1.0, 10.0, (n, d)) * scale,
+        traj_id=np.repeat(np.arange(n_trajectories, dtype=np.uint32), pairs_per_trajectory),
+        n_trajectories=n_trajectories), seed=2)
+
+
+class TestStateMean:
+    @pytest.mark.parametrize("d", [1, 2, 3, 50])
+    @pytest.mark.parametrize("split_name", [None, "train", "test"])
+    def test_bits_of_the_gathered_mean(self, rng, d, split_name):
+        # 1500 trajectories of 7 pairs: no split's row count is a multiple
+        # of the rows per gather, and each spans several gathers
+        dataset = scaled_pairs(rng, 1500, 7, d)
+        rows = 2 * np.count_nonzero(dataset.pair_mask(split_name))
+        assert rows > 2 * datasets._MEAN_ROWS and rows % datasets._MEAN_ROWS
+        want = dataset.states(split_name).mean(axis=0)
+        assert dataset.state_mean(split_name).tobytes() == want.tobytes()
+
+    def test_signed_zeros_and_a_single_pair(self):
+        # ten one-pair trajectories: the test split is one pair; a column
+        # of -0.0 sums as NumPy sums it
+        x = np.column_stack([np.full(10, -0.0), np.arange(10.0)])
+        dataset = split(TrajectoryDataset(dt=0.1, x=x, x_next=x.copy(),
+                                          traj_id=np.arange(10, dtype=np.uint32),
+                                          n_trajectories=10), seed=0)
+        for name in (None, "train", "test"):
+            want = dataset.states(name).mean(axis=0)
+            assert dataset.state_mean(name).tobytes() == want.tobytes()
+
+    def test_states_are_not_gathered(self, rng):
+        dataset = scaled_pairs(rng, 400, 50, 50)
+        states_bytes = dataset.states("train").nbytes
+        tracemalloc.start()
+        try:
+            dataset.state_mean("train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the row indices, the mask and one gather buffer
+        assert peak < states_bytes / 4
+
+
 def brute_force_net(states, radius, order):
     """The greedy r-net by brute force: each pick tests every live state."""
     alive = np.ones(states.shape[0], dtype=bool)

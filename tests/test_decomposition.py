@@ -7,6 +7,7 @@ from qpland.decomposition import (CHECKPOINT_VERSION, AnalyticDecomposition,
                                   DecompositionModel, drift_with_tape, fit_center,
                                   floored_cosine, init_model, load_checkpoint,
                                   orthogonality_cosine, save_checkpoint)
+from qpland.datasets import generate, split
 from qpland.errors import ConfigError, DimensionMismatchError
 from qpland.evaluation import export_landscape, make_grid, planar_slice
 from qpland.integrators import rk4_step
@@ -89,6 +90,13 @@ class TestPotential:
         states = rng.normal(2.0, 1.0, (100, 3))
         fit_center(model, states)
         assert np.array_equal(model.center, states.mean(axis=0))
+
+    def test_fit_center_on_a_split_has_the_bits_of_its_states_mean(self):
+        dataset = split(generate(make_system("bistable3d"), 300, 1e-2, 0.5, 10, seed=1), seed=2)
+        streamed, gathered = zero_model(3), zero_model(3)
+        fit_center(streamed, dataset, "train")
+        fit_center(gathered, dataset.states("train"))
+        assert streamed.center.tobytes() == gathered.center.tobytes()
 
 
 class TestDrift:
