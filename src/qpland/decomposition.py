@@ -12,11 +12,13 @@ bounded) network does, and the tanh choice keeps V smooth. The rotational
 component g is a second network with configurable activation. Models are
 immutable after training; every evaluation here is pure.
 
-The drift f = g - grad V has one implementation, ``_DriftPass``: the
-training tape (``drift_with_tape``) makes one per call, and
-``DecompositionModel.drift`` keeps one in its workspace per input shape, so
-that a Heun rollout (``evaluation``) or the validation loss (``training``)
-runs the same arithmetic in place, with no array or tape made per call.
+The drift f = g - grad V has one implementation, ``_DriftPass``, prepared
+in one place, ``_kept_pass``: once per input shape and workspace part, and
+again only when the model's parameter arrays are replaced. The pass is also
+the tape that the VJPs read. ``DecompositionModel.drift`` runs it for a
+Heun rollout (``evaluation``) or the validation loss (``training``), and
+``drift_with_tape`` for each stage of a train step, so each runs the same
+arithmetic in place, with no array or tape made per call.
 """
 
 import copy
@@ -85,11 +87,7 @@ class DecompositionModel:
         runs again at each later call for that shape, so a rollout prepares
         it once and allocates nothing per call."""
         x = np.asarray(x, dtype=np.float64)
-        ws = workspace or nets.Workspace()
-        key = ("drift", x.shape)
-        run = ws.kept(key)
-        if run is None or not run.reads(self):
-            run = ws.keep(key, _DriftPass(self, x.shape, ws))
+        run = _kept_pass(self, x.shape, workspace or nets.Workspace())
         f = np.empty(x.shape) if out is None else out
         run(x, f if f.ndim == 2 else f[None])
         return f
@@ -171,12 +169,14 @@ def floored_cosine(u, g):
 
 def orthogonality_cosine(model, x, *, workspace=None):
     """Floored cosine of grad V and g at a state or at the rows of a batch.
-    A workspace holds the nets' arrays from call to call."""
+    A workspace holds the nets' arrays from call to call; grad V is a new
+    array, so g's pass writes the arrays of grad V's pass it shares a name
+    with."""
     x = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x)
     ws = workspace or nets.Workspace()
-    cos = floored_cosine(model.potential_gradient(rows, workspace=ws.part("pot")),
-                         model.rotation(rows, workspace=ws.part("rot")))[0]
+    cos = floored_cosine(model.potential_gradient(rows, workspace=ws),
+                         model.rotation(rows, workspace=ws))[0]
     return cos[0] if x.ndim == 1 else cos
 
 
@@ -198,19 +198,14 @@ class ModelGrads:
         return self
 
 
-@dataclass
-class DriftTape:
-    xt: np.ndarray
-    pot_tape: nets.Tape
-    rot_tape: nets.Tape
-    grad_v: np.ndarray  # grad V (quadratic included) at the tape points
-    g: np.ndarray
-
-
 class _DriftPass:
     """One drift evaluation over the rows of a ``(B, d)`` or ``(d,)`` shape,
     prepared once: the nets' ``NetPass`` es and the arrays ``xt`` and
-    ``grad_v``, taken from a workspace, in which the tape reads them.
+    ``grad_v``, taken from a workspace.
+
+    The pass is the tape of its last call, which the VJPs read: ``xt``, the
+    nets' passes ``pot_tape`` and ``rot_tape``, ``grad_v`` (grad V, the
+    quadratic term included) and ``g``, the rotational net's value.
 
     A call writes f = g - grad V at ``x`` into ``out``, of the rows' shape:
     xt = x - center, both forward passes (the potential net's without its
@@ -227,9 +222,10 @@ class _DriftPass:
         self.model = model
         self.params = (model.potential_net.params, model.rotational_net.params)
         self.xt = ws.take("xt", (rows, d))
-        self.pot = nets.NetPass(model.potential_net, rows, ws.part("pot"), value=False,
-                                sweep=ws.shared())
-        self.rot = nets.NetPass(model.rotational_net, rows, ws.part("rot"))
+        self.pot_tape = nets.NetPass(model.potential_net, rows, ws.part("pot"), value=False,
+                                     sweep=ws.shared())
+        self.rot_tape = nets.NetPass(model.rotational_net, rows, ws.part("rot"))
+        self.g = self.rot_tape.value
         self.grad_v = ws.take("grad_v", (rows, d))
 
     def reads(self, model):
@@ -239,23 +235,31 @@ class _DriftPass:
 
     def __call__(self, x, out):
         xt = np.subtract(x, self.model.center, out=self.xt)
-        self.pot.forward(xt)
-        g = self.rot.forward(xt)
+        self.pot_tape.forward(xt)
+        g = self.rot_tape.forward(xt)
         grad_v = np.multiply(2.0, xt, out=self.grad_v)
-        grad_v += self.pot.gradient()
+        grad_v += self.pot_tape.gradient()
         return np.subtract(g, grad_v, out=out)
 
 
+def _kept_pass(model, shape, ws):
+    """The ``_DriftPass`` of ``model`` at ``shape`` kept in ``ws``, made and
+    kept there first if there is none or it reads other parameter arrays."""
+    key = ("drift", shape)
+    run = ws.kept(key)
+    if run is None or not run.reads(model):
+        run = ws.keep(key, _DriftPass(model, shape, ws))
+    return run
+
+
 def drift_with_tape(model, x, *, workspace=None):
-    """f at the rows of x, and the tape its VJPs read. Through a workspace
-    part, the tape holds the part's arrays (see ``nets``)."""
+    """f at the rows of x, and the tape its VJPs read: the pass kept in the
+    workspace part for the rows' shape, valid until the next call through
+    that part (see ``nets``)."""
     ws = workspace or nets.Workspace()
     x = np.atleast_2d(x)
-    run = _DriftPass(model, x.shape, ws)
-    f = run(x, ws.take("f", x.shape))
-    tape = DriftTape(run.xt, run.pot.tape(run.xt), run.rot.tape(run.xt), run.grad_v,
-                      run.rot.value)
-    return f, tape
+    run = _kept_pass(model, x.shape, ws)
+    return run(x, ws.take("f", x.shape)), run
 
 
 def drift_vjp(model, tape, cotangent, grads, *, workspace=None):

@@ -4,10 +4,11 @@ grids, landscape slices, and the simplified string method for minimum
 energy paths.
 
 Grid evaluation is chunked; reductions stay in index order so results do
-not depend on the chunking. The chunks of ``potential_values`` run on
-lanes, one per CPU the process may use (see ``lanes``), each writing its
-own rows of the output, so its values do not depend on the number of
-lanes either. Rollouts run on the calling thread.
+not depend on the chunking. The chunks of ``potential_values`` and of the
+report's cosines run on lanes, one per CPU the process may use (see
+``lanes``), each writing its own rows of the output, so their values do
+not depend on the number of lanes either. Rollouts run on the calling
+thread.
 """
 
 import json
@@ -28,37 +29,30 @@ from .nets import Workspace
 # the tape memory an evaluation holds, per lane. A tanh tape holds one
 # array per hidden layer, rows x width x 2 layers x 8 B per net: 1.6 MB at
 # 2048 rows of width 50, against 8 MB at 10k rows and 160 MB at 200k; each
-# lane of ``potential_values`` holds one.
+# lane of ``_row_values`` holds one.
 _CHUNK = 2048
 
 
-def _chunked(points, fn):
-    """``fn`` over ``points`` in chunks of ``_CHUNK`` rows, each chunk's result
-    written into one output array."""
-    points = np.asarray(points, dtype=np.float64)
-    first = fn(points[:_CHUNK])
-    out = np.empty((len(points), *first.shape[1:]), dtype=first.dtype)
-    out[: len(first)] = first
-    for i in range(_CHUNK, len(points), _CHUNK):
-        out[i : i + _CHUNK] = fn(points[i : i + _CHUNK])
-    return out
-
-
-def potential_values(model, points):
-    """V at the rows of ``points``. The chunks run on lanes, and each writes
-    its rows of the output. The chunks of a lane share its workspace, so a
-    chunk after the first reuses the tape arrays of the one before instead
-    of paging in new ones."""
+def _row_values(points, fn):
+    """``fn(points[rows], ws)``, one value per row, over the chunks of
+    ``_CHUNK`` rows, run on lanes, each writing its rows of one output. The
+    chunks of a lane share its workspace ``ws``, so a chunk after the first
+    reuses the tape arrays of the one before instead of paging in new ones."""
     points = np.asarray(points, dtype=np.float64)
     out = np.empty(len(points))
     starts = range(0, len(points), _CHUNK)
 
     def chunk(i, ws):
         rows = slice(starts[i], starts[i] + _CHUNK)
-        out[rows] = model.potential(points[rows], workspace=ws)
+        out[rows] = fn(points[rows], ws)
 
     lanes.run_blocks(len(starts), chunk, None, Workspace())
     return out
+
+
+def potential_values(model, points):
+    """V at the rows of ``points``, chunk by chunk on lanes."""
+    return _row_values(points, lambda x, ws: model.potential(x, workspace=ws))
 
 
 def landscape_values(model, points):
@@ -385,9 +379,8 @@ def build_report(model, dataset=None, exact_u=None, grid_points=None, grid_echo=
     if exact_u is not None and grid_points is not None:
         report.rrmse, report.rmae = quasipotential_errors(model, exact_u, grid_points)
     if representatives is not None:
-        ws = Workspace()
-        cos = _chunked(representatives.points,
-                       lambda x: orthogonality_cosine(model, x, workspace=ws))
+        cos = _row_values(representatives.points,
+                          lambda x, ws: orthogonality_cosine(model, x, workspace=ws))
         np.abs(cos, out=cos)
         report.cos_mean_abs = float(cos.mean())
         report.cos_max_abs = float(cos.max())

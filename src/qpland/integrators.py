@@ -7,15 +7,18 @@ Neither step checks its stages for finiteness; each caller checks what it
 keeps with ``errors.check_finite`` (``datasets.generate`` the states,
 ``training.dyn_loss`` the residual), and a diverged rollout reports inf.
 
-Buffers: each step writes its stages into one block of its keyword-only
-``workspace``, a ``nets.Workspace`` kept from call to call, or of a fresh
-one that dies with the call: ``rk4_step`` eight buffers (k1..k4, the stage
-inputs and the ``2 k3`` term), ``rk2_step`` three (k1, k2 and the stage
-input). The field is called as ``field(s, out=buf)``; it must accept
-``out`` and may return ``buf``, its argument ``s`` or a new array. The
-keyword-only ``out`` receives the new state and is returned; it may not be
-``x`` or one of the step's buffers, which it reads while it fills ``out``.
-The stages are valid until the next step through the same workspace."""
+Buffers: each step writes its stages into its keyword-only ``workspace``,
+a ``nets.Workspace`` kept from call to call, or a fresh one that dies with
+the call. ``rk4_step`` takes one "rk4" block of eight buffers (k1..k4, the
+stage inputs and the ``2 k3`` term), whose row 0 holds k1 = f(x) after the
+step. ``rk2_step`` takes three arrays, "rk2.k1", "rk2.k2" and "rk2.s2" (the
+stage input), each kept under its name and the state's width, so that the
+short last block of a batch reuses them. The field is called as
+``field(s, out=buf)``; it must accept ``out`` and may return ``buf``, its
+argument ``s`` or a new array. The keyword-only ``out`` receives the new
+state and is returned; it may not be ``x`` or one of the step's buffers,
+which it reads while it fills ``out``. The stages are valid until the next
+step through the same workspace."""
 
 import numpy as np
 
@@ -49,14 +52,14 @@ def rk4_step(field, x, dt, *, out=None, workspace=None):
 
 def rk2_step(field, x, dt, *, out=None, workspace=None):
     """One Heun step x + dt/2 (k1 + k2), k1 = f(x), k2 = f(x + dt k1), into
-    ``out`` when given; k1, k2 and the stage input are three buffers of one
-    block, with the contract of ``rk4_step``."""
+    ``out`` when given, with the buffers of the module docstring."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     x = np.asarray(x, dtype=np.float64)
-    b1, b2, s2 = (workspace or Workspace()).take("rk2", (3, *x.shape))
-    k1 = field(x, out=b1)
-    k2 = field(_stage_input(x, k1, dt, s2), out=b2)
+    ws = workspace or Workspace()
+    k1 = field(x, out=ws.take("rk2.k1", x.shape))
+    k2 = field(_stage_input(x, k1, dt, ws.take("rk2.s2", x.shape)),
+               out=ws.take("rk2.k2", x.shape))
     acc = np.add(k1, k2, out=out)
     acc *= 0.5 * dt
     acc += x

@@ -22,9 +22,10 @@ itself depends on the parameters (one-step integrators).
 Derivative contract: every activation supplies ``d1(pre, hid)`` and
 ``d2(pre, hid)``, its first and second derivatives at the pre-activation
 ``pre``, given also ``hid``, the activation value the forward pass stored
-for it. Backprop reads both off the ``Tape`` and computes each derivative
-where it is used. Nothing is cached on the tape, where it would hold
-memory for as long as the tape lives.
+for it. Backprop reads both off the tape, the ``NetPass`` of that forward
+evaluation, and computes each derivative where it is used. Nothing is
+cached on the tape, where it would hold memory for as long as the tape
+lives.
 
 What a tape holds follows from what the derivatives read, which an
 activation declares in ``ActivationFns.reads_pre``:
@@ -63,9 +64,10 @@ A workspace belongs to one lane of its caller, not to the tape, which
 still caches nothing.
 
 Prepared passes: a ``NetPass`` takes its layer views and arrays once, and
-each run writes the same arrays; ``forward_tape`` and ``input_gradient``
-make one per call, the drift of ``decomposition`` one per input shape and
-workspace. A drift writes, per net, the hidden activations (``pre`` where
+each run writes the same arrays and records its input, so the pass is the
+tape of its last forward. ``forward_tape`` and ``input_gradient`` make one
+per call, the drift of ``decomposition`` one per input shape and workspace
+part. A drift writes, per net, the hidden activations (``pre`` where
 read) and, for the rotational net only, the value: the potential net's
 scalar output is never computed, since grad V reads only the hidden layers
 and the output row of weights. Its input gradient writes ``abar`` and
@@ -76,7 +78,7 @@ at the input layer, which nothing reads.
 import math
 import mmap
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -288,22 +290,6 @@ def _as_batch(net, x):
     return x, single
 
 
-@dataclass
-class Tape:
-    """One forward evaluation, retained for backprop.
-
-    ``pre[l]``/``hid[l]`` are the pre-activations and activations of hidden
-    layer l for the whole batch; ``value`` is the forward output. ``pre[l]``
-    is None when the activation's derivatives do not read it: the activation
-    was written over it.
-    """
-
-    x: np.ndarray
-    pre: list = field(default_factory=list)
-    hid: list = field(default_factory=list)
-    value: np.ndarray = None
-
-
 class NetPass:
     """One net evaluated at ``rows`` rows, prepared once: its layer views and
     every array its forward pass writes, taken from ``workspace`` when the
@@ -314,30 +300,35 @@ class NetPass:
     layer. ``gradient()`` returns grad_x of a scalar net's output at the
     rows of the last forward, in the ``abar`` and ``hbar`` arrays of
     ``sweep``, the workspace the pass was made with for them.
-    ``tape(x)`` is the ``Tape`` of the last forward at ``x``.
+
+    The pass is the tape of its last forward, which backprop reads: ``x``
+    its input, ``pre[l]``/``hid[l]`` the pre-activations and activations of
+    hidden layer l, and ``value`` its output (None with ``value=False``).
+    ``pre[l]`` is None when the activation's derivatives do not read it:
+    the activation is written over it.
     """
 
     def __init__(self, net, rows, workspace, *, value=True, sweep=None):
         self.act = act = _ACT[net.activation]
         self.rows = rows
         self.layers = net.layers()
-        self.hidden = []
+        self.x, self.pre, self.hid = None, [], []
         for l, (w, _) in enumerate(self.layers[:-1]):
             shape = (rows, len(w))
-            # an activation whose derivatives do not read pre is written over it
-            pre = workspace.take(f"pre{l}" if act.reads_pre else f"hid{l}", shape)
-            self.hidden.append((pre, workspace.take(f"hid{l}", shape) if act.reads_pre else pre))
+            self.pre.append(workspace.take(f"pre{l}", shape) if act.reads_pre else None)
+            self.hid.append(workspace.take(f"hid{l}", shape))
         self.value = workspace.take("value", (rows, net.output_dim)) if value else None
         if sweep is not None:
             self.sweep = [(w, pre, hid, sweep.take("abar", hid.shape),
                            sweep.take("hbar", (rows, w.shape[1])))
-                          for (w, _), (pre, hid) in zip(reversed(self.layers[:-1]),
-                                                        reversed(self.hidden))]
+                          for (w, _), pre, hid in zip(reversed(self.layers[:-1]),
+                                                      reversed(self.pre), reversed(self.hid))]
 
     def forward(self, x):
-        h = x
-        for (w, b), (pre, hid) in zip(self.layers, self.hidden):
-            a = np.matmul(h, w.T, out=pre)
+        self.x = h = x
+        for (w, b), pre, hid in zip(self.layers, self.pre, self.hid):
+            # an activation whose derivatives do not read pre is written over it
+            a = np.matmul(h, w.T, out=hid if pre is None else pre)
             a += b
             h = self.act.value(a, out=hid)
         if self.value is None:
@@ -357,17 +348,13 @@ class NetPass:
         # without hidden layers the gradient is the output row at every row
         return t if self.sweep else np.broadcast_to(t, (self.rows, len(t)))
 
-    def tape(self, x):
-        reads_pre = self.act.reads_pre
-        return Tape(x=x, pre=[pre if reads_pre else None for pre, _ in self.hidden],
-                    hid=[hid for _, hid in self.hidden], value=self.value)
-
 
 def forward_tape(net, x, *, workspace=None):
+    """The value at ``x`` and the tape of its evaluation, a ``NetPass``."""
     x, single = _as_batch(net, x)
     run = NetPass(net, len(x), workspace or Workspace())
     y = run.forward(x)
-    return (y[0] if single else y), run.tape(x)
+    return (y[0] if single else y), run
 
 
 def forward(net, x, *, workspace=None):

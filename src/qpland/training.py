@@ -175,15 +175,22 @@ def dyn_loss(model, x, x_next, dt, huber_delta):
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
 
     def block(start, _, ws):
-        x_block = x[start : start + _BLOCK]
-        field = partial(model.drift, workspace=ws)
-        e = rk2_step(field, x_block, dt, out=ws.take("e", x_block.shape), workspace=ws)
-        e -= x_next[start : start + _BLOCK]
-        e /= dt
-        check_finite("dyn loss residual", e, start)
+        rows = slice(start, start + _BLOCK)
+        e = _residual(partial(model.drift, workspace=ws), x[rows], x_next[rows], dt, start, ws)
         return huber(e, huber_delta, out=ws.take("huber", e.shape)).sum()
 
     return float(_block_sums(len(x), block, Workspace()) / x.size)
+
+
+def _residual(field, x, x_next, dt, start, ws):
+    """The velocity residual (x + dt/2 (k1 + k2) - x_next) / dt of one Heun
+    step of ``field``, in ``ws``, checked finite; ``start`` is the block's
+    first row in the batch."""
+    e = rk2_step(field, x, dt, out=ws.take("e", x.shape), workspace=ws)
+    e -= x_next
+    e /= dt
+    check_finite("dyn loss residual", e, start)
+    return e
 
 
 def cosine_penalty(cos, neg_cos_weight):
@@ -232,22 +239,23 @@ def _dyn_block(model, x, x_next, dt, huber_delta, size, start, grads, ws):
     over ``size`` residual entries) it adds to ``grads``; ``start`` is the
     block's first row in the batch.
 
-    The reverse sweep follows the Heun step: the second drift evaluation
-    sits at a theta-dependent point, so its input adjoint feeds back into
-    the first evaluation's cotangent. The two drift tapes are the
-    workspace's parts "A" and "B".
+    The forward pass is the Heun step of ``dyn_loss``, through a field that
+    keeps each stage's drift tape: stage 1 in the workspace's part "A",
+    stage 2 in part "B". It returns the drift in its part's "f" array, so
+    the step's k1 and k2 buffers are taken but never written. The reverse
+    sweep follows the step: the second drift evaluation sits at a
+    theta-dependent point, so its input adjoint feeds back into the first
+    evaluation's cotangent.
     """
-    f1, tape1 = drift_with_tape(model, x, workspace=ws.part("A"))
-    x2 = np.multiply(dt, f1, out=ws.take("x2", x.shape))
-    x2 += x
-    f2, tape2 = drift_with_tape(model, x2, workspace=ws.part("B"))
-    # e = (x + 0.5 dt (f1 + f2) - x_next) / dt
-    e = np.add(f1, f2, out=ws.take("e", x.shape))
-    e *= 0.5 * dt
-    np.add(x, e, out=e)
-    e -= x_next
-    e /= dt
-    check_finite("dyn loss residual", e, start)
+    tapes = []
+
+    def field(s, out):
+        f, tape = drift_with_tape(model, s, workspace=ws.part("AB"[len(tapes)]))
+        tapes.append(tape)
+        return f
+
+    e = _residual(field, x, x_next, dt, start, ws)
+    tape1, tape2 = tapes
     loss_sum = huber(e, huber_delta, out=ws.take("huber", e.shape)).sum()
     # cotangent of f2: 0.5 dt ibar, with ibar = huber_grad(e) / (size dt)
     cot = huber_grad(e, huber_delta, out=ws.take("cot", e.shape))

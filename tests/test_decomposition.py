@@ -169,6 +169,33 @@ class TestDrift:
         check(model)
         check(model.copy())
 
+    def test_taped_drift_keeps_one_pass_per_shape_and_parameter_arrays(self, rng):
+        # through one workspace part the tape is the same pass for the same
+        # shape, a new one for a new shape or new parameter arrays, and each
+        # call's drift and tape hold the bits of a fresh call
+        model = random_model("relu2", rng)
+        part = Workspace().part("A")
+        x = rng.normal(0, 1, (7, 3))
+
+        def taped(x):
+            f, tape = drift_with_tape(model, x, workspace=part)
+            want, fresh = drift_with_tape(model, x)
+            assert f.tobytes() == want.tobytes()
+            assert tape.grad_v.tobytes() == fresh.grad_v.tobytes()
+            assert tape.g.tobytes() == fresh.g.tobytes()
+            assert tape.pot_tape.hid[1].tobytes() == fresh.pot_tape.hid[1].tobytes()
+            return tape
+
+        tape = taped(x)
+        assert taped(x + 0.5) is tape
+        assert taped(x[:4]) is not tape
+        assert taped(x) is tape
+        model.potential_net.params = model.potential_net.params.copy()
+        renewed = taped(x)
+        assert renewed is not tape
+        model.rotational_net.params = 2.0 * model.rotational_net.params
+        assert taped(x) is not renewed
+
     def test_exact_drift_into_out(self, exact_bistable, rng):
         x = rng.uniform(-2, 2, (9, 3))
         out = np.full_like(x, np.nan)

@@ -149,8 +149,10 @@ class TestWorkspaceStep:
 
     @pytest.mark.parametrize("dt", [1e-3, 0.37])
     def test_rk2_same_bits_with_and_without_a_workspace(self, dt):
-        # Heun's k1, k2 and stage input are one block of three; a second step
-        # through the same workspace reuses it, and each step returns out
+        # Heun's k1, k2 and stage input are three arrays kept under their
+        # names and the state's width; a second step through the same
+        # workspace, and one over fewer rows, reuses them, and each step
+        # returns out
         cases = [
             (make_system("bistable3d").field,
              np.random.default_rng(1).uniform(-2.0, 2.0, (500, 3))),
@@ -168,12 +170,17 @@ class TestWorkspaceStep:
             assert out.tobytes() == rk2_reference(field, before.copy(), dt).tobytes()
             assert np.array_equal(x, before)
             arrays = dict(ws._arrays)
-            assert [a.shape for a in arrays.values()] == [(3, *x.shape)]
+            assert {k: a.shape for k, a in arrays.items()} == {
+                (name, *x.shape[1:]): x.shape for name in ("rk2.k1", "rk2.k2", "rk2.s2")}
             first = out.copy()
             x2 = x[::-1].copy()
             out2 = np.full_like(x, np.nan)
             assert rk2_step(field, x2, dt, out=out2, workspace=ws) is out2
             assert out2.tobytes() == rk2_step(field, x2.copy(), dt).tobytes()
+            if x.ndim == 2:
+                x3 = x2[: len(x) // 3]
+                assert (rk2_step(field, x3, dt, out=np.empty_like(x3), workspace=ws).tobytes()
+                        == rk2_step(field, x3.copy(), dt).tobytes())
             assert all(ws._arrays[k] is a for k, a in arrays.items())
             assert ws._arrays.keys() == arrays.keys() and np.array_equal(out, first)
 

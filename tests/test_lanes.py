@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from qpland import evaluation, lanes, training
-from qpland.datasets import generate, representative_sample, split
-from qpland.decomposition import init_model
+from qpland.datasets import RepresentativeSet, generate, representative_sample, split
+from qpland.decomposition import AnalyticDecomposition, init_model, orthogonality_cosine
 from qpland.errors import NonFiniteError, TrainingDivergedError
 from qpland.evaluation import _CHUNK, build_report, potential_values
 from qpland.nets import Workspace
@@ -206,6 +206,22 @@ class TestSameBytesForAnyLaneCount:
         model.center = np.array([0.3, -0.2, 0.1])
         points = np.random.default_rng(5).normal(0.0, 1.5, (5 * _CHUNK + 77, 3))
         assert digest(potential_values(model, points)) == PINNED_POTENTIAL_VALUES
+
+    @pytest.mark.parametrize("n", LANE_COUNTS)
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "exact"])
+    def test_report_cosines(self, cpus, n, learned):
+        # the chunks on lanes give the bits of one call over every point
+        cpus(n)
+        if learned:
+            model = init_model(3, 16, "relu2", seed=6)
+            model.center = np.array([0.3, -0.2, 0.1])
+        else:
+            model = AnalyticDecomposition.from_system(make_system("bistable3d"))
+        points = np.random.default_rng(7).normal(0.0, 1.5, (5 * _CHUNK + 77, 3))
+        whole = np.abs(orthogonality_cosine(model, points))
+        report = build_report(model, representatives=RepresentativeSet(points, 0.1))
+        assert (report.cos_mean_abs.hex(), report.cos_max_abs.hex()) == (
+            float(whole.mean()).hex(), float(whole.max()).hex())
 
     @pytest.mark.parametrize("n", LANE_COUNTS)
     def test_train_history_and_parameters(self, cpus, n):

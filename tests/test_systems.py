@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -147,6 +148,40 @@ class TestGinzburgLandau:
             "non-finite value in ginzburg_landau relaxation, step 3, index 0: "
             f"dt {dt:.6g} exceeds {limit:.6g}, the largest step at which explicit RK4 "
             "is linearly stable on ginzburg_landau")
+
+    # sha256 of u_- then u_+ as bytes, at the default dt and tol
+    PINNED_MINIMA = {
+        11: "2726b819c2b2ec833d7712376608ead81fabbcbc7208f83be30af4a75fc53a27",
+        51: "3cbae56ffbcc539ac2c9b2ca640caa10fe5b95af9259b85f1203b36b8771fa54",
+    }
+
+    @pytest.mark.parametrize("cells", sorted(PINNED_MINIMA))
+    def test_minima_pinned_at_four_field_calls_per_step(self, cells, monkeypatch):
+        # the test of a state reads k1 of the next step, which is f there
+        system = make_system("ginzburg_landau", {"I": cells})
+        calls = {"field": 0, "step": 0}
+
+        def field(u, out=None):
+            calls["field"] += 1
+            return system.field(u, out=out)
+
+        def step(*args, **kwargs):
+            calls["step"] += 1
+            return rk4_step(*args, **kwargs)
+
+        monkeypatch.setattr(systems, "rk4_step", step)
+        u_minus, u_plus = gl_stable_states(dataclasses.replace(system, field=field))
+        digest = hashlib.sha256(u_minus.tobytes() + u_plus.tobytes()).hexdigest()
+        assert digest == self.PINNED_MINIMA[cells]
+        assert calls["field"] == 4 * calls["step"] > 0
+
+    def test_the_state_at_max_steps_is_tested(self):
+        # the slower seed of I = 11 meets tol at its step 2875
+        system = make_system("ginzburg_landau", {"I": 11})
+        minima = gl_stable_states(system, max_steps=2875)
+        assert all(np.array_equal(a, b) for a, b in zip(minima, gl_stable_states(system)))
+        with pytest.raises(SamplingError):
+            gl_stable_states(system, max_steps=2874)
 
     def test_sampler_normalization_is_exact(self):
         system = make_system("ginzburg_landau", {"I": 21, "delta": 0.1})

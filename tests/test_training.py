@@ -337,6 +337,23 @@ class TestPinnedArithmetic:
         assert dyn_loss(*dyn_case(d, act, rows)).hex() == PINNED_DYN_LOSS[case]
 
 
+class TestLossEqualsGradientPathLoss:
+    """The losses without a gradient and with one share the Heun residual
+    and the cosine, so they read the same bits at one block, at a block
+    boundary and over several blocks."""
+
+    @pytest.mark.parametrize("rows", [1, 511, 512, 1100])
+    @pytest.mark.parametrize("act", ["tanh", "relu2"])
+    @pytest.mark.parametrize("d", [1, 3, 50])
+    def test_dyn_and_orth(self, d, act, rows):
+        model, x, y, dt, delta = dyn_case(d, act, rows)
+        grads = ModelGrads.zeros_like(model)
+        assert dyn_loss(model, x, y, dt, delta).hex() == training.dyn_loss_and_grad(
+            model, x, y, dt, delta, grads).hex()
+        assert orth_loss(model, y, 0.1).hex() == orth_loss_and_grad(
+            model, y, 0.1, grads).hex()
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("act", ["tanh", "relu2"])
     def test_reuse_across_row_counts_matches_fresh_arrays(self, act):
@@ -380,7 +397,9 @@ class TestWorkspace:
         # tape holds hid0 and hid1 and no pre-activation, only the rotational
         # net has a value, no sweep keeps a tangent adjoint at the input, and
         # the tangent adjoints of the reverse sweep are written over the
-        # tangents, which the nets' equal widths let them share
+        # tangents, which the nets' equal widths let them share; the Heun
+        # step takes its three buffers, of which the taped drift, returning
+        # its part's "f", leaves k1 and k2 unwritten
         ws = Workspace()
         total_loss_and_grad(*loss_case(64, 40, "tanh"), workspace=ws)
         tapes = {(part, net, f"hid{l}", 16) for part in "AB" for net in ("pot", "rot")
@@ -390,11 +409,11 @@ class TestWorkspace:
         sweeps = {(name, 16) for name in ("abar", "hbar", "d1_0", "d1_1",
                                           "adot0", "adot1", "hdot0", "hdot1")}
         sweeps |= {("hbar", 3)}
-        losses = {(name, 3) for name in ("x2", "e", "huber", "cot", "drift_vjp.neg_c",
-                                         "potential_gradient_vjp.x_adj", "orth.along",
-                                         "orth.cu", "orth.cg")}
+        losses = {(name, 3) for name in ("rk2.k1", "rk2.k2", "rk2.s2", "e", "huber", "cot",
+                                         "drift_vjp.neg_c", "potential_gradient_vjp.x_adj",
+                                         "orth.along", "orth.cu", "orth.cg")}
         assert set(ws._arrays) == tapes | sweeps | losses
-        assert len(ws._arrays) == 34
+        assert len(ws._arrays) == 36
 
 
 def loss_results_equal(got, want):
