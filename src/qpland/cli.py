@@ -232,9 +232,8 @@ def cmd_mep(args):
     result = evaluation.string_mep(system.energy_gradient, u_minus, u_plus, *cfg.get(
         "eval.mep.n_images", "eval.mep.n_iters", "eval.mep.step", "eval.mep.tol"))
     path = result.images
-    u_exact = 2.0 * system.energy(path)
-    u_exact -= u_exact.min()
-    profile_cols = {"U_exact": u_exact}
+    profile_cols = {"U_exact": evaluation.landscape_values(
+        AnalyticDecomposition.from_system(system), path)}
     if args.model:
         model = _resolve_model(args.model)
         if model.dim != system.dim:

@@ -437,9 +437,10 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """The dataset in a QPTD file and its sidecar. The records are read in
-    blocks of about ``_BLOCK_BYTES``, each scattered into the three arrays,
-    so loading holds little more than the dataset itself."""
+    """The dataset in a QPTD file and its sidecar, a JSON object, which may
+    be missing. The records are read in blocks of about ``_BLOCK_BYTES``,
+    each scattered into the three arrays, so loading holds little more than
+    the dataset itself."""
     with open(path, "rb") as fh:
         head = fh.read(_QPTD_HEADER.size)
         if len(head) < _QPTD_HEADER.size:
@@ -480,20 +481,23 @@ def load_dataset(path):
         i = int(np.searchsorted(traj_id, n_traj))
         raise FormatError(f"{path}: traj_id {traj_id[i]} at pair {i} is out of range "
                           f"for {n_traj} trajectories")
-    meta, split_seed = {}, None
+    meta, sidecar = {}, str(path) + ".json"
     try:
-        with open(str(path) + ".json", "r", encoding="utf-8") as fh:
+        with open(sidecar, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        split_seed = meta.get("split_seed")
     except FileNotFoundError:
         pass
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise FormatError(f"{sidecar}: not valid JSON ({err})") from err
+    if not isinstance(meta, dict):
+        raise FormatError(f"{sidecar}: not a JSON object")
     return TrajectoryDataset(
         dt=float(dt),
         x=x,
         x_next=x_next,
         traj_id=traj_id,
         n_trajectories=int(n_traj),
-        split_seed=split_seed,
+        split_seed=meta.get("split_seed"),
         metadata=meta,
     )
 

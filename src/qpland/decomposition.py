@@ -17,8 +17,10 @@ in one place, ``_kept_pass``: once per input shape and workspace part, and
 again only when the model's parameter arrays are replaced. The pass is also
 the tape that the VJPs read. ``DecompositionModel.drift`` runs it for a
 Heun rollout (``evaluation``) or the validation loss (``training``), and
-``drift_with_tape`` for each stage of a train step, so each runs the same
-arithmetic in place, with no array or tape made per call.
+``drift_with_tape`` for each stage of a train step, writing f into the
+step's stage buffer, and for the orthogonality penalty, which reads grad V
+and g off the tape and computes no f. So each runs the same arithmetic in
+place, with no array or tape made per call.
 """
 
 import copy
@@ -122,10 +124,15 @@ class AnalyticDecomposition:
 
     @classmethod
     def from_system(cls, system):
-        if system.exact_grad_v is None:
-            raise ConfigError([f"system '{system.name}' has no exact decomposition"])
-        return cls(system.dim, lambda x: 0.5 * system.exact_u(x), system.exact_grad_v,
-                   system.exact_g)
+        """The exact decomposition of ``system``: the one it carries, or for
+        a gradient system, which carries its energy E instead, V = E and
+        g = 0."""
+        if system.exact_grad_v is not None:
+            return cls(system.dim, lambda x: 0.5 * system.exact_u(x), system.exact_grad_v,
+                       system.exact_g)
+        if system.energy is not None:
+            return cls(system.dim, system.energy, system.energy_gradient, np.zeros_like)
+        raise ConfigError([f"system '{system.name}' has no exact decomposition"])
 
 
 def init_model(dim, hidden_width, rot_activation, seed):
@@ -207,12 +214,13 @@ class _DriftPass:
     nets' passes ``pot_tape`` and ``rot_tape``, ``grad_v`` (grad V, the
     quadratic term included) and ``g``, the rotational net's value.
 
-    A call writes f = g - grad V at ``x`` into ``out``, of the rows' shape:
-    xt = x - center, both forward passes (the potential net's without its
-    scalar output layer, which a drift never reads), grad V = 2 xt + grad
-    Vhat and f = g - grad V, with ``np.matmul(h, W.T)`` in every layer.
-    The model's center is read at each call; the layer views are those of
-    the parameter arrays the pass was made for, which ``reads`` checks."""
+    A call at ``x`` runs xt = x - center, both forward passes (the
+    potential net's without its scalar output layer, which a drift never
+    reads) and grad V = 2 xt + grad Vhat, with ``np.matmul(h, W.T)`` in
+    every layer, and writes f = g - grad V into ``out``, of the rows'
+    shape, when one is given. The model's center is read at each call; the
+    layer views are those of the parameter arrays the pass was made for,
+    which ``reads`` checks."""
 
     def __init__(self, model, shape, ws):
         d = model.dim
@@ -233,13 +241,14 @@ class _DriftPass:
         return (model is self.model and self.params[0] is model.potential_net.params
                 and self.params[1] is model.rotational_net.params)
 
-    def __call__(self, x, out):
+    def __call__(self, x, out=None):
         xt = np.subtract(x, self.model.center, out=self.xt)
         self.pot_tape.forward(xt)
         g = self.rot_tape.forward(xt)
         grad_v = np.multiply(2.0, xt, out=self.grad_v)
         grad_v += self.pot_tape.gradient()
-        return np.subtract(g, grad_v, out=out)
+        if out is not None:
+            np.subtract(g, grad_v, out=out)
 
 
 def _kept_pass(model, shape, ws):
@@ -252,14 +261,16 @@ def _kept_pass(model, shape, ws):
     return run
 
 
-def drift_with_tape(model, x, *, workspace=None):
-    """f at the rows of x, and the tape its VJPs read: the pass kept in the
-    workspace part for the rows' shape, valid until the next call through
-    that part (see ``nets``)."""
+def drift_with_tape(model, x, *, out=None, workspace=None):
+    """The tape the VJPs read of the drift at the rows of x: the pass kept
+    in the workspace part for the rows' shape, valid until the next call
+    through that part (see ``nets``). f itself is written only into
+    ``out``, when given, of the rows' shape."""
     ws = workspace or nets.Workspace()
     x = np.atleast_2d(x)
     run = _kept_pass(model, x.shape, ws)
-    return run(x, ws.take("f", x.shape)), run
+    run(x, out)
+    return run
 
 
 def drift_vjp(model, tape, cotangent, grads, *, workspace=None):
@@ -319,16 +330,22 @@ def load_checkpoint(path):
     if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"checkpoint {path}: missing or unsupported version "
                           f"(want {CHECKPOINT_VERSION})")
-    try:
-        d = int(payload["dim"])
-        w = int(payload["hidden_width"])
-        model = DecompositionModel(
-            Mlp(d, (w, w), 1, Activation.TANH,
-                np.array(payload["potential_params"], dtype=np.float64)),
-            Mlp(d, (w, w), d, Activation(payload["rot_activation"]),
-                np.array(payload["rotational_params"], dtype=np.float64)),
-            np.array(payload["center"], dtype=np.float64),
-        )
-    except KeyError as err:
-        raise FormatError(f"checkpoint {path}: missing field {err}") from err
+
+    def field(name, convert):
+        try:
+            return convert(payload[name])
+        except KeyError as err:
+            raise FormatError(f"checkpoint {path}: missing field {err}") from err
+        except (ValueError, TypeError) as err:
+            raise FormatError(f"checkpoint {path}: field '{name}': {err}") from err
+
+    def vector(value):
+        return np.array(value, dtype=np.float64)
+
+    d, w = field("dim", int), field("hidden_width", int)
+    model = DecompositionModel(
+        Mlp(d, (w, w), 1, Activation.TANH, field("potential_params", vector)),
+        Mlp(d, (w, w), d, field("rot_activation", Activation), field("rotational_params", vector)),
+        field("center", vector),
+    )
     return model, payload.get("training_config_echo", {})

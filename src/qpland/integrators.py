@@ -15,10 +15,12 @@ step. ``rk2_step`` takes three arrays, "rk2.k1", "rk2.k2" and "rk2.s2" (the
 stage input), each kept under its name and the state's width, so that the
 short last block of a batch reuses them. The field is called as
 ``field(s, out=buf)``; it must accept ``out`` and may return ``buf``, its
-argument ``s`` or a new array. The keyword-only ``out`` receives the new
-state and is returned; it may not be ``x`` or one of the step's buffers,
-which it reads while it fills ``out``. The stages are valid until the next
-step through the same workspace."""
+argument ``s`` or a new array. The drifts that ``qpland`` steps with
+``rk2_step``, plain or taped (``training``), write into ``buf``, so after
+a step "rk2.k1" and "rk2.k2" hold its stage drifts. The keyword-only
+``out`` receives the new state and is returned; it may not be ``x`` or one
+of the step's buffers, which it reads while it fills ``out``. The stages
+are valid until the next step through the same workspace."""
 
 import numpy as np
 

@@ -6,17 +6,19 @@ chunks of an evaluation) hands ``run_blocks`` a ``work(i, workspace)`` for
 block ``i`` and a ``reduce(result)``. The number of lanes is the number of
 CPUs the process may run on, capped at the number of blocks. Lane 0 is the
 calling thread; every other lane is a thread started and joined inside the
-call, so no thread outlives it. The lanes take blocks in order, and each
-runs its blocks through its own workspace, ``workspace.lane(k)`` (see
-``nets.Workspace``). The calling thread reduces each result as soon as the
-results of every earlier block have been reduced. So a reduction does the
-same arithmetic in the same order for any number of lanes, and every value
-it gives is bit-identical to the serial loop's.
+call, so no thread outlives it, and one lane starts none. The lanes take
+blocks in order, and each runs its blocks through its own workspace,
+``workspace.lane(k)`` (see ``nets.Workspace``). The calling thread runs the
+first block of each lane that has no arrays yet, so that its arrays come
+from the caller's heap, and reduces each result as soon as the results of
+every earlier block have been reduced. So a reduction does the same
+arithmetic in the same order for any number of lanes, and every value it
+gives is bit-identical to a serial loop's.
 
 Each lane thread runs in a copy of the caller's context, so it keeps the
 caller's NumPy error state (``np.errstate`` is a context variable, which a
 plain thread does not inherit). An exception raised by a block is raised
-when that block's turn to be reduced comes, so the caller sees the one the
+when that block's turn to be reduced comes, so the caller sees the one a
 serial loop raises: that of the first failing block. No lane takes a new
 block once one has failed.
 """
@@ -38,14 +40,9 @@ def run_blocks(count, work, reduce, workspace):
     reductions on the calling thread in block order. ``ws`` is the
     workspace of the lane that runs the block, ``workspace.lane(k)``;
     ``reduce`` None drops the results."""
-    lanes = min(cpu_count(), count)
-    if lanes <= 1:
-        for i in range(count):
-            result = work(i, workspace)
-            if reduce is not None:
-                reduce(result)
+    if count == 0:
         return
-    spaces = [workspace.lane(k) for k in range(lanes)]
+    spaces = [workspace.lane(k) for k in range(min(cpu_count(), count))]
     cond = threading.Condition()
     done = {}  # block -> (raised, result or exception), until reduced
     next_block, stop = 0, False  # stop: a block failed, or the call is ending

@@ -19,6 +19,11 @@ derivatives that ``grad_backprop`` materializes. It also returns the input
 adjoint, the Hessian-vector product H(x) v needed when the evaluation point
 itself depends on the parameters (one-step integrators).
 
+Both return the parameter gradient as one new vector in the parameters'
+layout, ``Mlp.layers`` being the one place that layout is written down:
+each layer's gradient is written straight into its ``(W, b)`` views
+``net.layers(grad)``.
+
 Derivative contract: every activation supplies ``d1(pre, hid)`` and
 ``d2(pre, hid)``, its first and second derivatives at the pre-activation
 ``pre``, given also ``hid``, the activation value the forward pass stored
@@ -75,9 +80,6 @@ and the output row of weights. Its input gradient writes ``abar`` and
 at the input layer, which nothing reads.
 """
 
-import math
-import mmap
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -159,14 +161,12 @@ class Workspace:
     computation: this one for lane 0, else one kept in this one's store and
     dropped with it; ``is_new()`` tells whether it has taken an array yet.
 
-    Where an array lives depends on the thread that takes it. On the thread
-    that made the workspace, it comes from the heap, whose holes it can
-    reuse. On any other thread, a lane thread, it is an anonymous memory
-    mapping of its own, which goes back to the OS when the workspace dies:
-    a heap array that a lane thread allocates stays in that thread's malloc
-    arena after the thread ends, for no later caller to reuse. ``lanes``
-    runs the first block of a new lane on the calling thread, so that a
-    lane thread takes only what that block did not.
+    Every array is an ``np.empty``, from the malloc arena of the thread
+    that takes it. A heap array that a lane thread allocates stays in that
+    thread's arena after the thread ends, for no later caller to reuse, so
+    ``lanes`` runs the first block of a new lane on the calling thread: the
+    arrays that block takes come from the caller's heap, and a lane thread
+    takes only what that block did not.
     """
 
     def __init__(self, _store=None, _prefix=()):
@@ -197,7 +197,7 @@ class Workspace:
         key = (*self._prefix, name, *shape[1:])
         array = self._arrays.get(key)
         if array is None or len(array) < shape[0]:
-            array = self._arrays[key] = self._store.empty(shape)
+            array = self._arrays[key] = np.empty(shape)
         return array[: shape[0]]
 
     def kept(self, key):
@@ -211,20 +211,11 @@ class Workspace:
 
 
 class _Store:
-    """What a workspace and its views share: the arrays, the kept objects,
-    the workspaces of lanes 1, 2, ... and the thread that made it."""
+    """What a workspace and its views share: the arrays, the kept objects
+    and the workspaces of lanes 1, 2, ..."""
 
     def __init__(self):
         self.arrays, self.kept, self.lanes = {}, {}, []
-        self.owner = threading.get_ident()
-
-    def empty(self, shape):
-        """A new array, on the heap on the owner thread, else in an
-        anonymous mapping of its own (see ``Workspace``)."""
-        if threading.get_ident() == self.owner:
-            return np.empty(shape)
-        count = math.prod(shape)
-        return np.frombuffer(mmap.mmap(-1, max(8 * count, 1)), count=count).reshape(shape)
 
 
 def layer_shapes(input_dim, hidden_widths, output_dim):
@@ -255,14 +246,17 @@ class Mlp:
         if self.params.shape != (expected,):
             raise DimensionMismatchError("Mlp params", (expected,), self.params.shape)
 
-    def layers(self):
-        """[(W, b)] views into the flat parameter vector, in canonical order."""
+    def layers(self, flat=None):
+        """[(W, b)] views into ``flat``, by default the parameter vector, in
+        canonical order; ``flat`` is any vector of the parameters' layout,
+        such as a gradient."""
+        flat = self.params if flat is None else flat
         out = []
         off = 0
         for fi, fo in layer_shapes(self.input_dim, self.hidden_widths, self.output_dim):
-            w = self.params[off : off + fi * fo].reshape(fo, fi)
+            w = flat[off : off + fi * fo].reshape(fo, fi)
             off += fi * fo
-            b = self.params[off : off + fo]
+            b = flat[off : off + fo]
             off += fo
             out.append((w, b))
         return out
@@ -272,12 +266,12 @@ def init_mlp(input_dim, hidden_widths, output_dim, activation, rng):
     """Weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)) per layer, biases zero."""
     if input_dim < 1 or output_dim < 1 or any(w < 1 for w in hidden_widths):
         raise DimensionMismatchError("Mlp dims", "positive", (input_dim, tuple(hidden_widths), output_dim))
-    chunks = []
-    for fi, fo in layer_shapes(input_dim, hidden_widths, output_dim):
-        bound = 1.0 / np.sqrt(fi)
-        chunks.append(rng.uniform(-bound, bound, size=fi * fo))
-        chunks.append(np.zeros(fo))
-    return Mlp(input_dim, tuple(hidden_widths), output_dim, activation, np.concatenate(chunks))
+    net = Mlp(input_dim, tuple(hidden_widths), output_dim, activation,
+              np.zeros(param_count(input_dim, hidden_widths, output_dim)))
+    for w, _ in net.layers():
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def _as_batch(net, x):
@@ -394,20 +388,23 @@ def value_backprop(net, tape, cotangent, *, workspace=None):
     c = np.atleast_2d(np.asarray(cotangent, dtype=np.float64))
     d1 = _ACT[net.activation].d1
     layers = net.layers()
+    grad = np.empty_like(net.params)
+    grads = net.layers(grad)
     rows = c.shape[0]
-    grads = [None] * len(layers)
     hs = [tape.x, *tape.hid]
     hbar = None
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
+        gw, gb = grads[l]
         if l == len(layers) - 1:
             abar = c
         else:
             abar = d1(tape.pre[l], tape.hid[l], out=ws.take("abar", hbar.shape))
             abar *= hbar
-        grads[l] = (abar.T @ hs[l], abar.sum(axis=0))
+        np.matmul(abar.T, hs[l], out=gw)
+        abar.sum(axis=0, out=gb)
         hbar = np.matmul(abar, w, out=ws.take("hbar", (rows, w.shape[1])))
-    return _flatten_grads(net, grads), hbar
+    return grad, hbar
 
 
 def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
@@ -441,12 +438,15 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
 
     hs = [tape.x, *tape.hid]
     hdots_in = [v, *hdots]
-    grads = [None] * len(layers)
+    grad = np.empty_like(net.params)
+    grads = net.layers(grad)
 
     # output layer: y = h_L w^T + b, ydot = hdot_L w^T. Only ydot has a
     # cotangent, so the primal adjoint starts at zero and b gets no gradient.
     w_out = layers[-1][0]
-    grads[-1] = (hdots_in[-1].sum(axis=0)[None, :], np.zeros(1))
+    gw, gb = grads[-1]
+    hdots_in[-1].sum(axis=0, out=gw[0])
+    gb.fill(0.0)
     hbar = ws.take("hbar", (rows, w_out.shape[1]))
     hbar.fill(0.0)
     hdotbar = w_out[0]
@@ -463,22 +463,13 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
         curv *= adots[l]
         curv *= hdotbar
         abar += curv
-        grads[l] = (abar.T @ hs[l] + adotbar.T @ hdots_in[l], abar.sum(axis=0))
+        gw, gb = grads[l]
+        np.matmul(abar.T, hs[l], out=gw)
+        gw += adotbar.T @ hdots_in[l]
+        abar.sum(axis=0, out=gb)
         hbar = np.matmul(abar, w, out=ws.take("hbar", (rows, w.shape[1])))
         if l:  # the input layer's tangent adjoint has no reader
             # adot_l has no reader left: the tangent adjoint takes its
             # array, which is adot_l's own when the two layers are as wide
             hdotbar = np.matmul(adotbar, w, out=ws.take(f"adot{l}", (rows, w.shape[1])))
-    return _flatten_grads(net, grads), hbar
-
-
-def _flatten_grads(net, grads):
-    flat = np.empty_like(net.params)
-    off = 0
-    for g_w, g_b in grads:
-        n = g_w.size
-        flat[off : off + n] = g_w.ravel()
-        off += n
-        flat[off : off + g_b.size] = g_b
-        off += g_b.size
-    return flat
+    return grad, hbar

@@ -241,8 +241,8 @@ def _dyn_block(model, x, x_next, dt, huber_delta, size, start, grads, ws):
 
     The forward pass is the Heun step of ``dyn_loss``, through a field that
     keeps each stage's drift tape: stage 1 in the workspace's part "A",
-    stage 2 in part "B". It returns the drift in its part's "f" array, so
-    the step's k1 and k2 buffers are taken but never written. The reverse
+    stage 2 in part "B". It writes each drift into the step's stage
+    buffer, "rk2.k1" or "rk2.k2". The reverse
     sweep follows the step: the second drift evaluation sits at a
     theta-dependent point, so its input adjoint feeds back into the first
     evaluation's cotangent.
@@ -250,9 +250,8 @@ def _dyn_block(model, x, x_next, dt, huber_delta, size, start, grads, ws):
     tapes = []
 
     def field(s, out):
-        f, tape = drift_with_tape(model, s, workspace=ws.part("AB"[len(tapes)]))
-        tapes.append(tape)
-        return f
+        tapes.append(drift_with_tape(model, s, out=out, workspace=ws.part("AB"[len(tapes)])))
+        return out
 
     e = _residual(field, x, x_next, dt, start, ws)
     tape1, tape2 = tapes
@@ -289,8 +288,8 @@ def orth_loss_and_grad(model, points, neg_cos_weight, grads, *, workspace=None):
 def _orth_block(model, points, neg_cos_weight, count, grads, ws):
     """The cosine penalty sum of one block of points, whose gradient (with
     the mean over ``count`` points) it adds to ``grads``. The drift tape is
-    the workspace's part "A"."""
-    _, tape = drift_with_tape(model, points, workspace=ws.part("A"))
+    the workspace's part "A"; no f is computed."""
+    tape = drift_with_tape(model, points, workspace=ws.part("A"))
     u, g = tape.grad_v, tape.g
     cos, ok, nu, ng = floored_cosine(u, g)
     loss_sum = cosine_penalty(cos, neg_cos_weight).sum()

@@ -494,6 +494,50 @@ class TestErrors:
                       "that rollouts compare at (is its .json sidecar missing?)"}
         assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("rot_activation", "bogus"), ("dim", "two"), ("potential_params", "x")])
+    def test_malformed_checkpoint_field_prints_one_json_line(self, field, value, tmp_path,
+                                                             capsys):
+        # each used to end in a bare ValueError traceback
+        work = tmp_path / "in"
+        work.mkdir()
+        ckpt, points = work / "model.json", work / "points.csv"
+        payload = save_checkpoint(ckpt, init_model(3, 6, "tanh", seed=0))
+        _write_json(ckpt, {**payload, field: value})
+        points.write_text(POINTS, encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["decompose", "--model", str(ckpt), "--points", str(points),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "FormatError"
+        assert payload["detail"].startswith(f"checkpoint {ckpt}: field '{field}': ")
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+    @pytest.mark.parametrize("sidecar, problem", [
+        ("{not json", "not valid JSON"), ("[1, 2]", "not a JSON object")],
+        ids=["not_json", "not_an_object"])
+    def test_corrupt_sidecar_prints_one_json_line(self, sidecar, problem, inputs, tmp_path,
+                                                  capsys):
+        # these used to end in a JSONDecodeError or AttributeError traceback
+        work = tmp_path / "in"
+        work.mkdir()
+        data = shutil.copyfile(inputs["DATA"], work / "data.qptd")
+        (work / "data.qptd.json").write_text(sidecar, encoding="utf-8")
+        cfg = _write_json(work / "run.json", E2E_CONFIG)
+        capsys.readouterr()
+        code = cli.main(["representatives", "--config", cfg, "--data", str(data),
+                         "--out", str(tmp_path / "reps.qprs")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "FormatError"
+        assert payload["detail"].startswith(f"{data}.json: {problem}")
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
     @pytest.mark.parametrize("domain, problem", [
         ([[-1.0, 1.0], [0.0]], "system.domain must be a list of [lo, hi] number pairs, "
                                "got [[-1.0, 1.0], [0.0]]"),

@@ -215,13 +215,9 @@ def exact_case(system, k):
     """The exact decomposition of ``system`` (V = E, g = 0 for the gradient
     system ``ginzburg_landau``, as the benchmark scores it), ``k`` sampled
     starts and references at six comparison times."""
-    if system.exact_grad_v is not None:
-        model = AnalyticDecomposition.from_system(system)
-    else:
-        model = AnalyticDecomposition(system.dim, system.energy, system.energy_gradient,
-                                      np.zeros_like)
     rng = np.random.default_rng(k)
-    return model, system.sample(rng, k), rng.normal(0.0, 1.0, (6, k, system.dim))
+    return (AnalyticDecomposition.from_system(system), system.sample(rng, k),
+            rng.normal(0.0, 1.0, (6, k, system.dim)))
 
 
 # (model, x0, refs), dt, stride, dt_eval

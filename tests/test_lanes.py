@@ -4,7 +4,6 @@ NumPy error state, and leaves no thread running. The lane count is patched,
 so the threaded path runs on a runner of any size."""
 
 import hashlib
-import mmap
 import sys
 import threading
 import time
@@ -108,6 +107,13 @@ class TestRunBlocks:
             sys.setswitchinterval(interval)
         assert lane_threads() == []
 
+    def test_no_blocks_run_nothing(self, cpus, started):
+        cpus(2)
+        ws = Workspace()
+        lanes.run_blocks(0, lambda i, lane_ws: pytest.fail("a block ran"),
+                         lambda result: pytest.fail("a result was reduced"), ws)
+        assert started == [] and ws._store.lanes == []
+
     def test_lanes_never_exceed_the_blocks(self, cpus, started):
         cpus(8)
         ran = set()
@@ -141,30 +147,33 @@ class TestRunBlocks:
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                 lanes.run_blocks(9, work, None, Workspace())
 
-    def test_a_lane_thread_takes_mappings_and_the_caller_heap_arrays(self, cpus):
-        # a new lane's first block runs on the calling thread, so the arrays
-        # it takes are heap arrays; one that a lane thread takes is a mapping
-        cpus(2)
+    def test_a_new_lane_runs_its_first_block_on_the_calling_thread(self, cpus):
+        # so that the arrays a new lane takes in its first block come from
+        # the caller's heap; a lane that has arrays runs every block it
+        # takes on its own thread
+        cpus(3)
         ws = Workspace()
+        caller = threading.current_thread()
 
-        def work(i, lane_ws):
-            lane_ws.take("block", (4, 2))
-            if threading.current_thread() is not threading.main_thread():
-                lane_ws.take("lane thread", (4, 2))
-            time.sleep(0.01)  # so that the lane thread takes blocks
+        def threads_by_lane():
+            runs = []
 
-        lanes.run_blocks(6, work, None, ws)
-        lane = ws.lane(1)
-        assert not mapped(ws.take("block", (4, 2)))
-        assert not mapped(lane.take("block", (4, 2)))
-        assert mapped(lane.take("lane thread", (4, 2)))
+            def work(i, lane_ws):
+                runs.append((i, lane_ws, threading.current_thread()))
+                lane_ws.take("block", (4, 2))
+                time.sleep(0.01)  # so that the lane threads take blocks
 
+            lanes.run_blocks(9, work, None, ws)
+            runs.sort(key=lambda run: run[0])
+            return [[t for _, lane_ws, t in runs if lane_ws is ws.lane(k)] for k in range(3)]
 
-def mapped(a):
-    """Whether the memory of ``a`` is an anonymous mapping."""
-    while isinstance(a, np.ndarray):
-        a = a.base
-    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+        first = threads_by_lane()
+        assert all(t is caller for t in first[0])
+        for k in (1, 2):
+            assert first[k][0] is caller
+            assert all(t is not caller for t in first[k][1:])
+        again = threads_by_lane()
+        assert again[1] + again[2] and all(t is not caller for t in again[1] + again[2])
 
 
 # Recorded with the serial block loop that lanes replaced: sha256 of the

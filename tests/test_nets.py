@@ -60,6 +60,17 @@ class TestForward:
     def test_param_layout_matches_count(self):
         assert param_count(3, (50, 50), 1) == 3 * 50 + 50 + 50 * 50 + 50 + 50 + 1
 
+    def test_layers_of_any_vector_are_views_of_it(self, rng):
+        # a gradient has the parameters' layout: its layers are views of it,
+        # in the shapes of the parameters' own, covering it in order
+        net = make_net(3, (5, 4), 2, Activation.TANH, rng)
+        g = np.arange(net.params.size, dtype=np.float64)
+        views = net.layers(g)
+        assert [(gw.shape, gb.shape) for gw, gb in views] == [
+            (w.shape, b.shape) for w, b in net.layers()]
+        assert all(gw.base is g and gb.base is g for gw, gb in views)
+        assert np.array_equal(np.concatenate([np.r_[gw.ravel(), gb] for gw, gb in views]), g)
+
 
 class TestActivations:
     def test_relu_squared_continuous_at_zero(self):

@@ -381,10 +381,10 @@ class TestWorkspace:
         model, x, y, dt, reps, cfg = loss_case(64, 40, "tanh")
 
         def results(x):
-            f, tape = drift_with_tape(model, x)
+            tape = drift_with_tape(model, x)
             grads = total_loss_and_grad(model, x, y, dt, reps, cfg)[3]
             return [forward(model.rotational_net, x), input_gradient(model.potential_net, x),
-                    f, tape.grad_v, tape.g, *tape.pot_tape.hid, grads.potential]
+                    tape.grad_v, tape.g, *tape.pot_tape.hid, grads.potential]
 
         first = results(x)
         kept = [a.copy() for a in first]
@@ -392,20 +392,32 @@ class TestWorkspace:
         assert not any(np.array_equal(a, b) for a, b in zip(second, kept))
         assert all(np.array_equal(a, b) for a, b in zip(first, kept))
 
+    @pytest.mark.parametrize("act", ["tanh", "relu2"])
+    def test_stage_buffers_hold_the_drifts_of_the_step(self, act):
+        # the taped drift writes each Heun stage's f into the step's buffer,
+        # with the bits of the plain drift at that stage's input
+        model, x, y, dt, reps, cfg = loss_case(64, 40, act)
+        ws = Workspace()
+        total_loss_and_grad(model, x, y, dt, reps, cfg, workspace=ws)
+        k1, k2, s2 = (ws.take(name, x.shape) for name in ("rk2.k1", "rk2.k2", "rk2.s2"))
+        assert k1.tobytes() == model.drift(x).tobytes()
+        assert s2.tobytes() == (x + dt * k1).tobytes()
+        assert k2.tobytes() == model.drift(s2).tobytes()
+
     def test_tanh_step_keeps_one_array_per_hidden_layer(self):
         # the names after one step on tanh nets of width 16 at d = 3: every
         # tape holds hid0 and hid1 and no pre-activation, only the rotational
         # net has a value, no sweep keeps a tangent adjoint at the input, and
         # the tangent adjoints of the reverse sweep are written over the
         # tangents, which the nets' equal widths let them share; the Heun
-        # step takes its three buffers, of which the taped drift, returning
-        # its part's "f", leaves k1 and k2 unwritten
+        # step takes its three buffers, and the taped drift writes k1 and k2
+        # into the first two, keeping no f of its own
         ws = Workspace()
         total_loss_and_grad(*loss_case(64, 40, "tanh"), workspace=ws)
         tapes = {(part, net, f"hid{l}", 16) for part in "AB" for net in ("pot", "rot")
                  for l in (0, 1)}
         tapes |= {(part, "rot", "value", 3) for part in "AB"}
-        tapes |= {(part, name, 3) for part in "AB" for name in ("xt", "grad_v", "f")}
+        tapes |= {(part, name, 3) for part in "AB" for name in ("xt", "grad_v")}
         sweeps = {(name, 16) for name in ("abar", "hbar", "d1_0", "d1_1",
                                           "adot0", "adot1", "hdot0", "hdot1")}
         sweeps |= {("hbar", 3)}
@@ -413,7 +425,7 @@ class TestWorkspace:
                                          "drift_vjp.neg_c", "potential_gradient_vjp.x_adj",
                                          "orth.along", "orth.cu", "orth.cg")}
         assert set(ws._arrays) == tapes | sweeps | losses
-        assert len(ws._arrays) == 36
+        assert len(ws._arrays) == 34
 
 
 def loss_results_equal(got, want):
