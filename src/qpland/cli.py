@@ -110,10 +110,16 @@ def _build_parser():
     return parser
 
 
-def _resolve_model(spec):
+def _resolve_model(spec, dim=None):
+    """The model a checkpoint path or an exact fixture names; given the
+    system's ``dim``, a model of another dimension is a ConfigError."""
     if spec in EXACT_FIXTURES:
-        return AnalyticDecomposition.from_system(systems.make_system(EXACT_FIXTURES[spec]))
-    return load_checkpoint(spec)[0]
+        model = AnalyticDecomposition.from_system(systems.make_system(EXACT_FIXTURES[spec]))
+    else:
+        model = load_checkpoint(spec)[0]
+    if dim is not None and model.dim != dim:
+        raise ConfigError([f"model dim {model.dim} != system dim {dim}"])
+    return model
 
 
 def cmd_generate(args):
@@ -177,9 +183,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = load_config(args.config)
     system = cfg.system()
-    model = _resolve_model(args.model)
-    if model.dim != system.dim:
-        raise ConfigError([f"model dim {model.dim} != system dim {system.dim}"])
+    model = _resolve_model(args.model, system.dim)
     dataset = datasets.load_dataset(args.data)
     grid_points, grid_echo = None, {}
     if system.exact_u is not None and cfg.get("eval.grid") is not None:
@@ -200,7 +204,7 @@ def cmd_eval(args):
 
 def cmd_landscape(args):
     cfg = load_config(args.config)
-    model = _resolve_model(args.model)
+    model = _resolve_model(args.model, cfg.system().dim)
     slices = cfg.slices()
     if not slices:
         raise ConfigError(["eval.slices is empty; nothing to export"])
@@ -227,6 +231,7 @@ def cmd_mep(args):
     if system.energy is None:
         raise ConfigError([f"system '{system.name}' has no energy; the mep command "
                            "needs a gradient system"])
+    model = _resolve_model(args.model, system.dim) if args.model else None
     u_minus, u_plus = systems.gl_stable_states(
         system, *cfg.get("eval.mep.relax_dt", "eval.mep.relax_tol"))
     result = evaluation.string_mep(system.energy_gradient, u_minus, u_plus, *cfg.get(
@@ -234,10 +239,7 @@ def cmd_mep(args):
     path = result.images
     profile_cols = {"U_exact": evaluation.landscape_values(
         AnalyticDecomposition.from_system(system), path)}
-    if args.model:
-        model = _resolve_model(args.model)
-        if model.dim != system.dim:
-            raise ConfigError([f"model dim {model.dim} != system dim {system.dim}"])
+    if model is not None:
         profile_cols["U_theta"] = evaluation.landscape_values(model, path)
     s = evaluation.arc_length(path)
     alpha = s / s[-1] if s[-1] > 0 else s

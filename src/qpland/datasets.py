@@ -412,6 +412,22 @@ def _record_block(d):
     return np.empty(max(1, _BLOCK_BYTES // dtype.itemsize), dtype=dtype)
 
 
+def _read_header(fh, header, magic, path):
+    """The fields of the ``header`` struct that open file ``fh`` starts
+    with, after its magic and version, and the size of the body behind it
+    on disk. A short header, another magic or another version raises
+    ``FormatError``."""
+    head = fh.read(header.size)
+    if len(head) < header.size:
+        raise FormatError(f"{path}: truncated header")
+    found, version, *fields = header.unpack(head)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    if version != FILE_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    return fields, os.fstat(fh.fileno()).st_size - header.size
+
+
 def save_dataset(dataset, path):
     """Write the dataset to a QPTD file and its provenance to the JSON
     sidecar. The records are written in blocks of about ``_BLOCK_BYTES``,
@@ -442,19 +458,10 @@ def load_dataset(path):
     each scattered into the three arrays, so loading holds little more than
     the dataset itself."""
     with open(path, "rb") as fh:
-        head = fh.read(_QPTD_HEADER.size)
-        if len(head) < _QPTD_HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, version, d, n_pairs, n_traj, dt = _QPTD_HEADER.unpack(head)
-        if magic != QPTD_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {QPTD_MAGIC!r}")
-        if version != FILE_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        (d, n_pairs, n_traj, dt), body = _read_header(fh, _QPTD_HEADER, QPTD_MAGIC, path)
         # the body's size is checked before the arrays are allocated, and
         # again by what was read into them
-        dtype = _pair_dtype(d)
-        expect = n_pairs * dtype.itemsize
-        body = os.fstat(fh.fileno()).st_size - _QPTD_HEADER.size
+        expect = n_pairs * _pair_dtype(d).itemsize
         if body == expect:
             x = np.empty((n_pairs, d))
             x_next = np.empty((n_pairs, d))
@@ -514,18 +521,10 @@ def load_representatives(path):
     """The representative set in a QPRS file; the body is read straight
     into the points array."""
     with open(path, "rb") as fh:
-        head = fh.read(_QPRS_HEADER.size)
-        if len(head) < _QPRS_HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, version, d, radius, count = _QPRS_HEADER.unpack(head)
-        if magic != QPRS_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {QPRS_MAGIC!r}")
-        if version != FILE_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        (d, radius, count), body = _read_header(fh, _QPRS_HEADER, QPRS_MAGIC, path)
         # as in load_dataset: the size is checked before the array is
         # allocated, and again by what was read into it
         expect = count * d * 8
-        body = os.fstat(fh.fileno()).st_size - _QPRS_HEADER.size
         if body == expect:
             pts = np.empty((count, d), dtype="<f8")
             body = fh.readinto(pts.view(np.uint8))

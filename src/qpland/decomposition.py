@@ -273,32 +273,34 @@ def drift_with_tape(model, x, *, out=None, workspace=None):
     return run
 
 
-def drift_vjp(model, tape, cotangent, grads, *, workspace=None):
-    """Accumulate d(sum_b c_b . f(x_b))/dtheta into ``grads``; return the
-    input adjoint (needed when the evaluation point depends on theta)."""
+def drift_vjp(model, tape, cotangent, *, workspace=None):
+    """``(g_pot, g_rot, x_adj)``: the gradients of sum_b c_b . f(x_b) in
+    the potential and the rotational net's parameters, and its input
+    adjoint (needed when the evaluation point depends on theta)."""
     ws = workspace or nets.Workspace()
     c = np.asarray(cotangent, dtype=np.float64)
     neg_c = np.negative(c, out=ws.take("drift_vjp.neg_c", c.shape))
-    x_adj = potential_gradient_vjp(model, tape.pot_tape, neg_c, grads, workspace=ws)
-    x_adj += rotation_vjp(model, tape, c, grads, workspace=ws)
-    return x_adj
+    g_pot, x_adj = potential_gradient_vjp(model, tape.pot_tape, neg_c, workspace=ws)
+    g_rot, rot_adj = rotation_vjp(model, tape, c, workspace=ws)
+    x_adj += rot_adj
+    return g_pot, g_rot, x_adj
 
 
-def potential_gradient_vjp(model, tape, cotangent, grads, *, workspace=None):
+def potential_gradient_vjp(model, tape, cotangent, *, workspace=None):
+    """``(g_pot, x_adj)`` of sum_b c_b . grad V(x_b), from the potential
+    net's ``tape``."""
     ws = workspace or nets.Workspace()
     c = np.asarray(cotangent, dtype=np.float64)
-    gp, x_adj = nets.grad_backprop(model.potential_net, tape, c, workspace=ws)
-    grads.potential += gp
-    out = np.multiply(2.0, c, out=ws.take("potential_gradient_vjp.x_adj", c.shape))
-    out += x_adj
-    return out
+    g_pot, net_adj = nets.grad_backprop(model.potential_net, tape, c, workspace=ws)
+    x_adj = np.multiply(2.0, c, out=ws.take("potential_gradient_vjp.x_adj", c.shape))
+    x_adj += net_adj
+    return g_pot, x_adj
 
 
-def rotation_vjp(model, tape, cotangent, grads, *, workspace=None):
-    gr, x_adj = nets.value_backprop(model.rotational_net, tape.rot_tape, cotangent,
-                                    workspace=workspace)
-    grads.rotational += gr
-    return x_adj
+def rotation_vjp(model, tape, cotangent, *, workspace=None):
+    """``(g_rot, x_adj)`` of sum_b c_b . g(x_b), from the drift ``tape``."""
+    return nets.value_backprop(model.rotational_net, tape.rot_tape, cotangent,
+                               workspace=workspace)
 
 
 # -- checkpoint persistence -------------------------------------------------
@@ -342,7 +344,13 @@ def load_checkpoint(path):
     def vector(value):
         return np.array(value, dtype=np.float64)
 
-    d, w = field("dim", int), field("hidden_width", int)
+    def positive_int(value):
+        # bool is a subclass of int, so a JSON true would pass the int test
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"expected a positive integer, got {json.dumps(value)}")
+        return value
+
+    d, w = field("dim", positive_int), field("hidden_width", positive_int)
     model = DecompositionModel(
         Mlp(d, (w, w), 1, Activation.TANH, field("potential_params", vector)),
         Mlp(d, (w, w), d, field("rot_activation", Activation), field("rotational_params", vector)),

@@ -24,6 +24,12 @@ layout, ``Mlp.layers`` being the one place that layout is written down:
 each layer's gradient is written straight into its ``(W, b)`` views
 ``net.layers(grad)``.
 
+One contract holds for every derivative: every backprop and VJP returns
+its parameter gradient(s) and its input adjoint, and adds into none of its
+arguments. The two backprops here return ``(grad, x_adj)``; the VJPs of
+``decomposition`` that chain them return ``(g_pot, x_adj)``,
+``(g_rot, x_adj)`` and, for the drift, ``(g_pot, g_rot, x_adj)``.
+
 Derivative contract: every activation supplies ``d1(pre, hid)`` and
 ``d2(pre, hid)``, its first and second derivatives at the pre-activation
 ``pre``, given also ``hid``, the activation value the forward pass stored

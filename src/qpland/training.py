@@ -11,19 +11,21 @@ validation total loss.
 
 The losses and their gradients walk their rows in blocks of ``_BLOCK``
 rows: each block's arrays stay small enough for the caches, and no array
-of a loss has more rows than a block. A block adds its loss sum and its
-parameter gradient to the running totals; the mean divides by the whole
-batch, so each block's cotangent is the one the whole batch would give its
-rows. Up to ``_BLOCK`` rows the results are bit-identical to one pass over
-the batch; above it they equal the sum of the block results in block
-order, which differs from one pass by rounding only.
+of a loss has more rows than a block. A block returns its loss sum and
+the terms of its parameter gradient, which are added to the running
+totals; the mean divides by the whole batch, so each block's cotangent is
+the one the whole batch would give its rows. Up to ``_BLOCK`` rows the
+results are bit-identical to one pass over the batch; above it they equal
+the sum of the block results in block order, which differs from one pass
+by rounding only.
 
 The blocks of a loss are independent, so they run on lanes, one per CPU
-the process may use (see ``lanes``). A block keeps the gradient terms it
-would add, and the calling thread adds them to the totals in the serial
-order: every block's terms, in the order the block made them, block after
-block. Summing a block's terms first would move the rounding. So losses
-and gradients are bit-identical for any number of lanes.
+the process may use (see ``lanes``). Gradients are return values, as in
+``nets``: each VJP returns its parameter gradients, a block returns them
+as it got them, and the calling thread adds them to the totals in the
+serial order: every block's terms, in the order the block made them,
+block after block. Summing a block's terms first would move the rounding.
+So losses and gradients are bit-identical for any number of lanes.
 
 One ``nets.Workspace``, a local of ``train``, holds the batch gathers and
 every block-sized array of a step from one step to the next, with one
@@ -129,40 +131,26 @@ def huber_grad(e, delta, out=None):
 _BLOCK = 512
 
 
-class _Terms(list):
-    """The terms a block adds to one net's gradient, in the order it adds
-    them: ``terms += g`` keeps ``g`` where ``grads.potential += g`` would
-    add it."""
-
-    def __iadd__(self, g):
-        self.append(g)
-        return self
-
-
 def _block_sums(rows, block, workspace, grads=None):
-    """The sum of ``block(start, block_grads, ws)`` over the blocks of
+    """The sum of the loss sums of ``block(start, ws)`` over the blocks of
     ``_BLOCK`` of ``rows`` rows, run on lanes (see ``lanes``) and added in
-    block order. With ``grads``, each block adds its gradient terms to
-    ``block_grads`` and they are added to ``grads`` in the order made,
+    block order. A block returns ``(loss_sum, pot_terms, rot_terms)``, its
+    terms of each net's gradient in the order it made them, none for a
+    loss without a gradient; they are added to ``grads`` in that order,
     block after block, as a serial loop would add them."""
-    starts = range(0, rows, _BLOCK)
     total = 0.0
-
-    def work(i, ws):
-        block_grads = ModelGrads(_Terms(), _Terms()) if grads is not None else None
-        return block(starts[i], block_grads, ws), block_grads
 
     def reduce(result):
         nonlocal total
-        block_sum, block_grads = result
+        block_sum, pot_terms, rot_terms = result
         total += block_sum
-        if grads is not None:
-            for g in block_grads.potential:
-                grads.potential += g
-            for g in block_grads.rotational:
-                grads.rotational += g
+        for g in pot_terms:
+            grads.potential += g
+        for g in rot_terms:
+            grads.rotational += g
 
-    lanes.run_blocks(len(starts), work, reduce, workspace)
+    starts = range(0, rows, _BLOCK)
+    lanes.run_blocks(len(starts), lambda i, ws: block(starts[i], ws), reduce, workspace)
     return total
 
 
@@ -174,10 +162,10 @@ def dyn_loss(model, x, x_next, dt, huber_delta):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
 
-    def block(start, _, ws):
+    def block(start, ws):
         rows = slice(start, start + _BLOCK)
         e = _residual(partial(model.drift, workspace=ws), x[rows], x_next[rows], dt, start, ws)
-        return huber(e, huber_delta, out=ws.take("huber", e.shape)).sum()
+        return huber(e, huber_delta, out=ws.take("huber", e.shape)).sum(), (), ()
 
     return float(_block_sums(len(x), block, Workspace()) / x.size)
 
@@ -203,9 +191,9 @@ def orth_loss(model, points, neg_cos_weight):
     its workspace."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
 
-    def block(start, _, ws):
+    def block(start, ws):
         cos = orthogonality_cosine(model, points[start : start + _BLOCK], workspace=ws)
-        return cosine_penalty(cos, neg_cos_weight).sum()
+        return cosine_penalty(cos, neg_cos_weight).sum(), (), ()
 
     return float(_block_sums(len(points), block, Workspace()) / len(points))
 
@@ -215,8 +203,9 @@ def total_loss(model, x, x_next, dt, rep_points, cfg):
             + cfg.orth_weight * orth_loss(model, rep_points, cfg.neg_cos_weight))
 
 
-def dyn_loss_and_grad(model, x, x_next, dt, huber_delta, grads, *, workspace=None):
-    """dyn_loss plus its parameter gradient, accumulated into ``grads``.
+def dyn_loss_and_grad(model, x, x_next, dt, huber_delta, *, workspace=None):
+    """``(loss, grads)``: dyn_loss and its parameter gradient, a
+    ``ModelGrads``.
 
     The rows go through ``_dyn_block`` in blocks of ``_BLOCK``, on lanes,
     whose loss sums add up to the batch's; the workspace of each lane
@@ -226,18 +215,19 @@ def dyn_loss_and_grad(model, x, x_next, dt, huber_delta, grads, *, workspace=Non
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
 
-    def block(start, block_grads, ws):
+    def block(start, ws):
         rows = slice(start, start + _BLOCK)
-        return _dyn_block(model, x[rows], x_next[rows], dt, huber_delta, x.size, start,
-                          block_grads, ws)
+        return _dyn_block(model, x[rows], x_next[rows], dt, huber_delta, x.size, start, ws)
 
-    return float(_block_sums(len(x), block, workspace or Workspace(), grads) / x.size)
+    grads = ModelGrads.zeros_like(model)
+    return float(_block_sums(len(x), block, workspace or Workspace(), grads) / x.size), grads
 
 
-def _dyn_block(model, x, x_next, dt, huber_delta, size, start, grads, ws):
-    """The Huber sum of one block of pairs, whose gradient (with the mean
-    over ``size`` residual entries) it adds to ``grads``; ``start`` is the
-    block's first row in the batch.
+def _dyn_block(model, x, x_next, dt, huber_delta, size, start, ws):
+    """``(loss_sum, (gp2, gp1), (gr2, gr1))``: the Huber sum of one block
+    of pairs and the terms of its gradient (with the mean over ``size``
+    residual entries) in each net, stage 2's then stage 1's, as the sweeps
+    make them; ``start`` is the block's first row in the batch.
 
     The forward pass is the Heun step of ``dyn_loss``, through a field that
     keeps each stage's drift tape: stage 1 in the workspace's part "A",
@@ -260,16 +250,17 @@ def _dyn_block(model, x, x_next, dt, huber_delta, size, start, grads, ws):
     cot = huber_grad(e, huber_delta, out=ws.take("cot", e.shape))
     cot /= size * dt
     cot *= 0.5 * dt
-    x2bar = drift_vjp(model, tape2, cot, grads, workspace=ws)
+    gp2, gr2, x2bar = drift_vjp(model, tape2, cot, workspace=ws)
     # cotangent of f1: 0.5 dt ibar + dt x2bar
     x2bar *= dt
     cot += x2bar
-    drift_vjp(model, tape1, cot, grads, workspace=ws)
-    return loss_sum
+    gp1, gr1, _ = drift_vjp(model, tape1, cot, workspace=ws)
+    return loss_sum, (gp2, gp1), (gr2, gr1)
 
 
-def orth_loss_and_grad(model, points, neg_cos_weight, grads, *, workspace=None):
-    """orth_loss plus its parameter gradient, accumulated into ``grads``.
+def orth_loss_and_grad(model, points, neg_cos_weight, *, workspace=None):
+    """``(loss, grads)``: orth_loss and its parameter gradient, a
+    ``ModelGrads``.
 
     The points go through ``_orth_block`` in blocks of ``_BLOCK``, on
     lanes, with the same rounding contract as ``dyn_loss_and_grad``; the
@@ -277,18 +268,20 @@ def orth_loss_and_grad(model, points, neg_cos_weight, grads, *, workspace=None):
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
 
-    def block(start, block_grads, ws):
+    def block(start, ws):
         return _orth_block(model, points[start : start + _BLOCK], neg_cos_weight,
-                           len(points), block_grads, ws)
+                           len(points), ws)
 
+    grads = ModelGrads.zeros_like(model)
     return float(_block_sums(len(points), block, workspace or Workspace(), grads)
-                 / len(points))
+                 / len(points)), grads
 
 
-def _orth_block(model, points, neg_cos_weight, count, grads, ws):
-    """The cosine penalty sum of one block of points, whose gradient (with
-    the mean over ``count`` points) it adds to ``grads``. The drift tape is
-    the workspace's part "A"; no f is computed."""
+def _orth_block(model, points, neg_cos_weight, count, ws):
+    """``(loss_sum, (gp,), (gr,))``: the cosine penalty sum of one block of
+    points and the term of its gradient (with the mean over ``count``
+    points) in each net. The drift tape is the workspace's part "A"; no f
+    is computed."""
     tape = drift_with_tape(model, points, workspace=ws.part("A"))
     u, g = tape.grad_v, tape.g
     cos, ok, nu, ng = floored_cosine(u, g)
@@ -304,16 +297,14 @@ def _orth_block(model, points, neg_cos_weight, count, grads, ws):
     cg = np.multiply(u, inv, out=ws.take("orth.cg", u.shape))
     cg -= np.multiply((cos / (ng * ng))[:, None], g, out=along)
     cg *= wprime
-    potential_gradient_vjp(model, tape.pot_tape, cu, grads, workspace=ws)
-    rotation_vjp(model, tape, cg, grads, workspace=ws)
-    return loss_sum
+    gp, _ = potential_gradient_vjp(model, tape.pot_tape, cu, workspace=ws)
+    gr, _ = rotation_vjp(model, tape, cg, workspace=ws)
+    return loss_sum, (gp,), (gr,)
 
 
 def total_loss_and_grad(model, x, x_next, dt, rep_points, cfg, *, workspace=None):
-    grads = ModelGrads.zeros_like(model)
-    ld = dyn_loss_and_grad(model, x, x_next, dt, cfg.huber_delta, grads, workspace=workspace)
-    ogr = ModelGrads.zeros_like(model)
-    lo = orth_loss_and_grad(model, rep_points, cfg.neg_cos_weight, ogr, workspace=workspace)
+    ld, grads = dyn_loss_and_grad(model, x, x_next, dt, cfg.huber_delta, workspace=workspace)
+    lo, ogr = orth_loss_and_grad(model, rep_points, cfg.neg_cos_weight, workspace=workspace)
     grads.add_scaled(ogr, cfg.orth_weight)
     return ld + cfg.orth_weight * lo, ld, lo, grads
 

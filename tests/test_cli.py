@@ -448,6 +448,31 @@ class TestErrors:
             "detail": f"{named}: expected dimension 3, got 2"}
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("doc, command, dims", [
+        ({**E2E_CONFIG, "system": {"name": "limitcycle2d"}},
+         ["eval", "--model", "exact:bistable3d", "--data", "DATA2"], (3, 2)),
+        (GL_CONFIG, ["mep", "--model", "exact:bistable3d"], (3, 5)),
+        (BISTABLE_CONFIG, ["landscape", "--model", "exact:limitcycle2d"], (2, 3)),
+    ], ids=["eval", "mep", "landscape"])
+    def test_model_of_another_dimension_prints_one_json_line(self, doc, command, dims,
+                                                             inputs, tmp_path, capsys,
+                                                             monkeypatch):
+        # mep checks the model before it relaxes the stable states; landscape
+        # used to write the 2-d fixture's values at 3-d slice states
+        monkeypatch.setattr(cli.systems, "gl_stable_states",
+                            lambda *a: pytest.fail("relaxed before the model was checked"))
+        cfg = _write_json(tmp_path / "run.json", doc)
+        capsys.readouterr()
+        code = cli.main([command[0], "--config", cfg, *(inputs.get(a, a) for a in command[1:]),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        problem = "model dim {} != system dim {}".format(*dims)
+        assert json.loads(lines[0]) == {"error": "ConfigError", "detail": problem,
+                                        "problems": [problem]}
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("command, named", [
         (["train", "--data", "DATA", "--reps", "EMPTY"], "train representatives"),
         (["train", "--data", "DATA", "--reps", "REPS", "--val-reps", "EMPTY"],
@@ -495,7 +520,8 @@ class TestErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
     @pytest.mark.parametrize("field, value", [
-        ("rot_activation", "bogus"), ("dim", "two"), ("potential_params", "x")])
+        ("rot_activation", "bogus"), ("dim", "two"), ("potential_params", "x"),
+        ("dim", 3.9), ("hidden_width", 6.7), ("dim", True), ("hidden_width", 0)])
     def test_malformed_checkpoint_field_prints_one_json_line(self, field, value, tmp_path,
                                                              capsys):
         # each used to end in a bare ValueError traceback

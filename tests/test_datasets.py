@@ -1,4 +1,5 @@
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -521,6 +522,20 @@ class TestBlockedNet:
         assert peak < 3 * pts.nbytes
 
 
+def _save_small(kind, path):
+    """Save a small QPTD dataset or QPRS set at ``path``; returns the
+    function that loads it and the format's header struct."""
+    rng = np.random.default_rng(0)
+    if kind == "qptd":
+        save_dataset(TrajectoryDataset(dt=0.1, x=rng.normal(0, 1, (4, 2)),
+                                       x_next=rng.normal(0, 1, (4, 2)),
+                                       traj_id=np.zeros(4, dtype=np.uint32), n_trajectories=1),
+                     path)
+        return load_dataset, datasets._QPTD_HEADER
+    save_representatives(RepresentativeSet(rng.normal(0, 1, (3, 2)), 0.5), path)
+    return load_representatives, datasets._QPRS_HEADER
+
+
 class TestPersistence:
     def test_dataset_round_trip(self, small_bistable, tmp_path):
         path = tmp_path / "d.qptd"
@@ -666,6 +681,25 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_representatives(path)
+
+    @pytest.mark.parametrize("size", ["empty", "one_byte_short"])
+    @pytest.mark.parametrize("kind", ["qptd", "qprs"])
+    def test_file_shorter_than_its_header(self, kind, size, tmp_path):
+        path = tmp_path / f"f.{kind}"
+        load, header = _save_small(kind, path)
+        path.write_bytes(path.read_bytes()[: 0 if size == "empty" else header.size - 1])
+        with pytest.raises(FormatError, match="truncated header"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["qptd", "qprs"])
+    def test_unsupported_version(self, kind, tmp_path):
+        path = tmp_path / f"f.{kind}"
+        load, _ = _save_small(kind, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 4, 2)  # the version follows the 4-byte magic
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="unsupported version 2"):
+            load(path)
 
     def test_generation_files_bit_deterministic(self, tmp_path):
         system = make_system("limitcycle2d")
