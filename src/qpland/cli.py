@@ -19,12 +19,15 @@ from . import datasets, evaluation, systems, training
 from .config import load_config
 from .decomposition import (AnalyticDecomposition, floored_cosine, init_model,
                             load_checkpoint, save_checkpoint)
-from .errors import ConfigError, QplandError, TrainingDivergedError, check_finite
+from .errors import (NON_NEGATIVE_INT, ConfigError, QplandError, TrainingDivergedError,
+                     check_finite)
 from .fileio import atomic_write
 
 log = logging.getLogger("qpland.cli")
 
 EXACT_FIXTURES = {"exact:bistable3d": "bistable3d", "exact:limitcycle2d": "limitcycle2d"}
+# split -> what ``representatives`` adds to sampling.seed for it; None is "all"
+_SEED_OFFSET = {"train": 0, "val": 1, "test": 2, None: 3}
 
 
 def main(argv=None):
@@ -32,8 +35,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError([f"'--seed' must be a non-negative integer, got {args.seed}"])
+        seed = getattr(args, "seed", None)
+        if seed is not None and not NON_NEGATIVE_INT.test(seed):
+            raise ConfigError([NON_NEGATIVE_INT.problem.format("--seed", seed)])
         return args.fn(args) or 0
     except TrainingDivergedError as err:
         _emit_error(err, extra={"step": err.step})
@@ -141,7 +145,7 @@ def cmd_representatives(args):
     split = None if args.split == "all" else args.split
     states = dataset.states(split)
     base_seed = args.seed if args.seed is not None else cfg.get("sampling.seed")
-    seed = base_seed + {"train": 0, "val": 1, "test": 2, None: 3}[split]
+    seed = base_seed + _SEED_OFFSET[split]
     reps = datasets.representative_sample(states, radius, seed)
     datasets.save_representatives(reps, args.out)
     log.info("wrote %s: %d representatives (r=%g) from %d states", args.out,
@@ -156,7 +160,7 @@ def cmd_train(args):
         reps_val = datasets.load_representatives(args.val_reps)
     else:
         reps_val = datasets.representative_sample(dataset.states("val"), reps_train.radius,
-                                                  cfg.get("sampling.seed") + 1)
+                                                  cfg.get("sampling.seed") + _SEED_OFFSET["val"])
     model = init_model(dataset.dim, *cfg.get("model.hidden_width", "model.rot_activation",
                                              "model.init_seed"))
     if args.seed is not None:
@@ -257,7 +261,10 @@ def _load_points(path):
     if path.endswith(".qprs"):
         points = datasets.load_representatives(path).points
     else:
-        points = _read_points_csv(path)
+        try:
+            points = _read_points_csv(path)
+        except UnicodeDecodeError as err:
+            raise QplandError(f"{path}: not UTF-8 text ({err})") from None
     check_finite(f"{path} points", points)
     return points
 

@@ -1,75 +1,64 @@
 """Run configuration: one strict JSON document drives the whole pipeline.
 
 ``_TABLE`` is the one reference for every key of the document: the check
-its value must pass, and its default or that it is required. A default that
-a Python API shares (a ``LossConfig``/``TrainConfig`` field, a keyword of
-``build_report``, ``string_mep`` or ``gl_stable_states``) is read from that
-signature, so each is written once. Commands read values through
-``RunConfig.get``. ``load_config`` reports every problem in the file at
-once, so a config diff review catches typos before a long run burns time.
+its value must pass, and its default or that it is required. A key that
+sets a ``LossConfig``/``TrainConfig`` field reads both its check and its
+default from that field's declaration; a default that another Python API
+shares (a keyword of ``build_report``, ``string_mep`` or
+``gl_stable_states``) is read from that signature. So each check and each
+default is written once. Commands read values through ``RunConfig.get``.
+``load_config`` reports every problem in the file at once, so a config diff
+review catches typos before a long run burns time.
 """
 
 import inspect
 import json
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import systems
-from .errors import ConfigError, QplandError
-from .evaluation import SliceSpec, build_report, planar_slice, string_mep
+from .errors import (NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, Check, ConfigError,
+                     QplandError, is_int, is_number, must_be)
+from .evaluation import (MIN_STRING_IMAGES, SliceSpec, build_report, planar_slice,
+                         string_mep)
 from .nets import Activation
-from .systems import SYSTEM_NAMES, _is_number, gl_stable_states, make_system
+from .systems import SYSTEM_NAMES, gl_stable_states, make_system
 from .training import LossConfig, TrainConfig
 
 _REQUIRED = object()  # the default of a key that a command reading it cannot do without
 
 
-class _Check(NamedTuple):
-    test: Callable  # value -> bool
-    problem: str  # format string of (key, value)
-
-
 class _Key(NamedTuple):
-    check: _Check
+    check: Check
     default: object  # a value, _REQUIRED, or a function of the RunConfig
     field: Optional[str] = None  # the LossConfig or TrainConfig field the key sets
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_box(box):
     """A non-empty list of [lo, hi] number pairs."""
     return (isinstance(box, list) and len(box) > 0
-            and all(isinstance(r, list) and len(r) == 2 and all(map(_is_number, r))
+            and all(isinstance(r, list) and len(r) == 2 and all(map(is_number, r))
                     for r in box))
 
 
 def _is_resolution(res):
     """A positive integer, or a non-empty list of them."""
     values = res if isinstance(res, list) else [res]
-    return len(values) > 0 and all(_is_int(r) and r >= 1 for r in values)
+    return len(values) > 0 and all(is_int(r) and r >= 1 for r in values)
 
 
 def _one_of(*choices):
-    return _Check(lambda v: v in choices, f"'{{}}' must be one of {choices}, got {{!r}}")
+    return must_be(f"one of {choices}", lambda v: v in choices)
 
 
-_OBJECT = _Check(lambda v: isinstance(v, dict), "'{}' must be an object, got {!r}")
-_LIST = _Check(lambda v: isinstance(v, list), "'{}' must be a list, got {!r}")
-_NUMBER = _Check(_is_number, "'{}' must be a number, got {!r}")
-_NUMBER_OR_NULL = _Check(lambda v: v is None or _is_number(v),
-                         "'{}' must be a number or null, got {!r}")
-_POSITIVE = _Check(lambda v: _is_number(v) and v > 0, "'{}' must be a positive number, got {!r}")
-_POSITIVE_OR_NULL = _Check(lambda v: v is None or _is_number(v) and v > 0,
-                           "'{}' must be a positive number or null, got {!r}")
-_INT = _Check(_is_int, "'{}' must be an integer, got {!r}")
-_POSITIVE_INT = _Check(lambda v: _is_int(v) and v > 0, "'{}' must be a positive integer, got {!r}")
-_SEED = _Check(lambda v: _is_int(v) and v >= 0, "'{}' must be a non-negative integer, got {!r}")
-_BOX = _Check(_is_box, "{} must be a list of [lo, hi] number pairs, got {!r}")
-_RESOLUTION = _Check(_is_resolution, "{} must be a positive integer or a list of them, got {!r}")
+_OBJECT = must_be("an object", lambda v: isinstance(v, dict))
+_LIST = must_be("a list", lambda v: isinstance(v, list))
+_POSITIVE_OR_NULL = must_be("a positive number or null", lambda v: v is None or POSITIVE.test(v))
+_STRING_IMAGES = must_be(f"an integer >= {MIN_STRING_IMAGES}",
+                         lambda v: is_int(v) and v >= MIN_STRING_IMAGES)
+_BOX = Check(_is_box, "{} must be a list of [lo, hi] number pairs, got {!r}")
+_RESOLUTION = Check(_is_resolution, "{} must be a positive integer or a list of them, got {!r}")
 
 
 def _default_of(fn, name):
@@ -77,9 +66,10 @@ def _default_of(fn, name):
     return inspect.signature(fn).parameters[name].default
 
 
-def _field(cls, name, check):
-    """A key that sets field ``name`` of ``cls``, with that field's default."""
-    return _Key(check, _default_of(cls, name), name)
+def _field(cls, name):
+    """A key that sets field ``name`` of ``cls``, with that field's check and default."""
+    field = cls.__dataclass_fields__[name]
+    return _Key(field.metadata["check"], field.default, name)
 
 
 # Every key of the document. The objects are the blocks, eval.grid and
@@ -88,41 +78,40 @@ def _field(cls, name, check):
 _TABLE = {
     "system.name": _Key(_one_of(*SYSTEM_NAMES), _REQUIRED),
     "system.params": _Key(_OBJECT, {}),
-    "system.domain": _Key(_BOX, lambda cfg: cfg.system().domain),
-    "data.N": _Key(_POSITIVE_INT, _REQUIRED),
-    "data.dt": _Key(_POSITIVE, _REQUIRED),
-    "data.T": _Key(_POSITIVE, _REQUIRED),
-    "data.m": _Key(_POSITIVE_INT, _REQUIRED),
-    "data.seed": _Key(_SEED, 0),
-    "data.split_seed": _Key(_SEED, lambda cfg: cfg.get("data.seed") + 1),
-    "sampling.r": _Key(_POSITIVE, _REQUIRED),
-    "sampling.seed": _Key(_SEED, 0),
-    "model.hidden_width": _Key(_POSITIVE_INT, 50),
+    "data.N": _Key(POSITIVE_INT, _REQUIRED),
+    "data.dt": _Key(POSITIVE, _REQUIRED),
+    "data.T": _Key(POSITIVE, _REQUIRED),
+    "data.m": _Key(POSITIVE_INT, _REQUIRED),
+    "data.seed": _Key(NON_NEGATIVE_INT, 0),
+    "data.split_seed": _Key(NON_NEGATIVE_INT, lambda cfg: cfg.get("data.seed") + 1),
+    "sampling.r": _Key(POSITIVE, _REQUIRED),
+    "sampling.seed": _Key(NON_NEGATIVE_INT, 0),
+    "model.hidden_width": _Key(POSITIVE_INT, 50),
     "model.rot_activation": _Key(_one_of(*(a.value for a in Activation)), "tanh"),
-    "model.init_seed": _Key(_SEED, 0),
-    "loss.huber_delta": _field(LossConfig, "huber_delta", _NUMBER),
-    "loss.orth_weight": _field(LossConfig, "orth_weight", _NUMBER),
-    "loss.neg_cos_weight": _field(LossConfig, "neg_cos_weight", _NUMBER),
-    "train.batch": _field(TrainConfig, "batch_size", _POSITIVE_INT),
-    "train.lr0": _field(TrainConfig, "lr0", _NUMBER),
-    "train.decay": _field(TrainConfig, "decay_rate", _NUMBER_OR_NULL),
-    "train.steps": _field(TrainConfig, "max_steps", _POSITIVE_INT),
-    "train.eval_every": _field(TrainConfig, "eval_every", _POSITIVE_INT),
-    "train.seed": _field(TrainConfig, "seed", _SEED),
-    "train.val_rollout_trajectories": _field(TrainConfig, "val_rollout_trajectories", _INT),
+    "model.init_seed": _Key(NON_NEGATIVE_INT, 0),
+    "loss.huber_delta": _field(LossConfig, "huber_delta"),
+    "loss.orth_weight": _field(LossConfig, "orth_weight"),
+    "loss.neg_cos_weight": _field(LossConfig, "neg_cos_weight"),
+    "train.batch": _field(TrainConfig, "batch_size"),
+    "train.lr0": _field(TrainConfig, "lr0"),
+    "train.decay": _field(TrainConfig, "decay_rate"),
+    "train.steps": _field(TrainConfig, "max_steps"),
+    "train.eval_every": _field(TrainConfig, "eval_every"),
+    "train.seed": _field(TrainConfig, "seed"),
+    "train.val_rollout_trajectories": _field(TrainConfig, "val_rollout_trajectories"),
     "eval.rollout_dt": _Key(_POSITIVE_OR_NULL, _default_of(build_report, "dt_eval")),
     "eval.rollout_split": _Key(_one_of("train", "val", "test", None),
                                _default_of(build_report, "split")),
     "eval.grid": _Key(_OBJECT, None),  # absent: no grid metrics
-    "eval.grid.box": _Key(_BOX, lambda cfg: cfg.get("system.domain")),
+    "eval.grid.box": _Key(_BOX, lambda cfg: cfg.system().domain),
     "eval.grid.resolution": _Key(_RESOLUTION, 101),
     "eval.slices": _Key(_LIST, []),  # each entry is checked by _slice_problems
-    "eval.mep.n_images": _Key(_POSITIVE_INT, _default_of(string_mep, "n_images")),
-    "eval.mep.n_iters": _Key(_POSITIVE_INT, _default_of(string_mep, "n_iters")),
-    "eval.mep.step": _Key(_POSITIVE, _default_of(string_mep, "step")),
-    "eval.mep.tol": _Key(_POSITIVE, _default_of(string_mep, "tol")),
-    "eval.mep.relax_dt": _Key(_POSITIVE, _default_of(gl_stable_states, "dt")),
-    "eval.mep.relax_tol": _Key(_POSITIVE, _default_of(gl_stable_states, "tol")),
+    "eval.mep.n_images": _Key(_STRING_IMAGES, _default_of(string_mep, "n_images")),
+    "eval.mep.n_iters": _Key(POSITIVE_INT, _default_of(string_mep, "n_iters")),
+    "eval.mep.step": _Key(POSITIVE, _default_of(string_mep, "step")),
+    "eval.mep.tol": _Key(POSITIVE, _default_of(string_mep, "tol")),
+    "eval.mep.relax_dt": _Key(POSITIVE, _default_of(gl_stable_states, "dt")),
+    "eval.mep.relax_tol": _Key(POSITIVE, _default_of(gl_stable_states, "tol")),
 }
 
 # every path of the document, each object before the keys in it
@@ -135,16 +124,16 @@ _EMBEDDINGS = {"brusselator_mean": systems.brusselator_mean_embedding,
                "brusselator_mode1": systems.brusselator_mode1_embedding}
 # the keys of one entry of eval.slices; _build_slice holds their defaults
 _SLICE = {
-    "box": _Check(lambda v: _is_box(v) and len(v) == 2,
-                  "{} must be 2 x 2 numbers [[lo, hi], [lo, hi]], got {!r}"),
+    "box": Check(lambda v: _is_box(v) and len(v) == 2,
+                 "{} must be 2 x 2 numbers [[lo, hi], [lo, hi]], got {!r}"),
     "resolution": _RESOLUTION,
-    "axes": _Check(lambda v: isinstance(v, list) and all(map(_is_int, v)),
-                   "{} must be a list of integers, got {!r}"),
-    "fixed": _Check(lambda v: isinstance(v, dict) and all(map(_is_number, v.values()))
-                    and all(str(k).removeprefix("-").isdecimal() for k in v),
-                    "{} must map integer keys to numbers, got {!r}"),
+    "axes": Check(lambda v: isinstance(v, list) and all(map(is_int, v)),
+                  "{} must be a list of integers, got {!r}"),
+    "fixed": Check(lambda v: isinstance(v, dict) and all(map(is_number, v.values()))
+                   and all(str(k).removeprefix("-").isdecimal() for k in v),
+                   "{} must map integer keys to numbers, got {!r}"),
     "embedding": _one_of(*_EMBEDDINGS),
-    "name": _Check(lambda v: isinstance(v, str), "'{}' must be a string, got {!r}"),
+    "name": must_be("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -184,8 +173,8 @@ class RunConfig:
 
 def parse_config(doc):
     """The RunConfig of a JSON document. Raises one ConfigError listing every
-    unknown key and failed check, then what building the system, the slices
-    and the loss and train configs from the values that passed raises."""
+    unknown key and failed check, then what building the system and the
+    slices from the values that passed raises."""
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be a JSON object"])
     problems = [f"unknown top-level key '{k}'" for k in sorted(set(doc) - _CHILDREN[""])]
@@ -209,10 +198,10 @@ def parse_config(doc):
         except ConfigError as err:
             problems += err.problems
     system = cfg.built_system
-    for key in ("system.domain", "eval.grid.box"):
-        if system is not None and key in given and len(given[key]) != system.dim:
-            problems.append(f"{key} has {len(given[key])} rows, system '{system.name}' "
-                            f"has dimension {system.dim}")
+    box = given.get("eval.grid.box")
+    if system is not None and box is not None and len(box) != system.dim:
+        problems.append(f"eval.grid.box has {len(box)} rows, system '{system.name}' "
+                        f"has dimension {system.dim}")
     for i, sl in enumerate(cfg.get("eval.slices")):
         found = _slice_problems(f"eval.slices[{i}]", sl)
         problems += found
@@ -221,21 +210,17 @@ def parse_config(doc):
                 cfg.built_slices.append(_build_slice(i, sl, system))
             except QplandError as err:
                 problems.append(str(err))
-    cfg.loss_config = _build(LossConfig, "loss.", given, problems)
-    cfg.train_config = _build(TrainConfig, "train.", given, problems)
     if problems:
         raise ConfigError(problems)
+    cfg.loss_config = _build(LossConfig, "loss.", given)
+    cfg.train_config = _build(TrainConfig, "train.", given)
     return cfg
 
 
-def _build(cls, prefix, given, problems):
-    """``cls`` from the keys under ``prefix`` that passed their checks; every
-    other field keeps its default. Appends the problems ``cls`` raises."""
-    try:
-        return cls(**{_TABLE[k].field: v for k, v in given.items() if k.startswith(prefix)})
-    except ConfigError as err:
-        problems += err.problems
-        return None
+def _build(cls, prefix, given):
+    """``cls`` from the keys under ``prefix``, which passed the checks of the
+    fields they set; every other field keeps its default."""
+    return cls(**{_TABLE[k].field: v for k, v in given.items() if k.startswith(prefix)})
 
 
 def _slice_problems(where, sl):
@@ -257,7 +242,7 @@ def _build_slice(i, sl, system):
     ``_slice_problems``."""
     name = sl.get("name", f"slice{i}")
     resolution = sl.get("resolution", 101)
-    resolution = (resolution, resolution) if _is_int(resolution) else tuple(resolution)
+    resolution = (resolution, resolution) if is_int(resolution) else tuple(resolution)
     if "axes" in sl:
         return planar_slice(system.dim, sl["axes"], sl.get("fixed", {}), sl["box"], resolution,
                             name=name)
@@ -275,6 +260,6 @@ def load_config(path):
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"]) from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not JSON, or not UTF-8 text
         raise ConfigError([f"config {path}: invalid JSON ({err})"]) from None
     return parse_config(doc)

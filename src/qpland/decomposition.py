@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import nets
-from .errors import ConfigError, DimensionMismatchError, FormatError
+from .errors import POSITIVE_INT, ConfigError, DimensionMismatchError, FormatError
 from .fileio import atomic_write
 from .nets import Activation, Mlp
 
@@ -345,8 +345,7 @@ def load_checkpoint(path):
         return np.array(value, dtype=np.float64)
 
     def positive_int(value):
-        # bool is a subclass of int, so a JSON true would pass the int test
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not POSITIVE_INT.test(value):
             raise ValueError(f"expected a positive integer, got {json.dumps(value)}")
         return value
 

@@ -1,5 +1,11 @@
-"""Exception types shared across the package, and ``check_finite``, the one
-place a located NonFiniteError is raised."""
+"""Exception types shared across the package; ``check_finite``, the one
+place a located NonFiniteError is raised; and the value checks that config
+fields declare beside their defaults, which ``check_fields`` runs."""
+
+import dataclasses
+import math
+import numbers
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +56,49 @@ class ConfigError(QplandError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def is_int(v):
+    """An integer, NumPy's included; ``True`` and ``False`` are not integers."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_number(v):
+    """An integer, or a finite real; ``True`` and ``False`` are not numbers."""
+    return is_int(v) or (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                         and math.isfinite(v))
+
+
+class Check(NamedTuple):
+    test: Callable  # value -> bool
+    problem: str  # format string of (name, value)
+
+
+def must_be(what, test):
+    """The Check that a value passes ``test``: "'<name>' must be <what>, got <value>"."""
+    return Check(test, f"'{{}}' must be {what}, got {{!r}}")
+
+
+POSITIVE = must_be("a positive number", lambda v: is_number(v) and v > 0)
+NON_NEGATIVE = must_be("a non-negative number", lambda v: is_number(v) and v >= 0)
+FRACTION = must_be("a number in (0, 1]", lambda v: is_number(v) and 0 < v <= 1)
+FRACTION_OR_NULL = must_be("a number in (0, 1] or null", lambda v: v is None or FRACTION.test(v))
+POSITIVE_INT = must_be("a positive integer", lambda v: is_int(v) and v > 0)
+NON_NEGATIVE_INT = must_be("a non-negative integer", lambda v: is_int(v) and v >= 0)
+
+
+def checked(default, check):
+    """A dataclass field with ``default`` whose value must pass ``check``."""
+    return dataclasses.field(default=default, metadata={"check": check})
+
+
+def check_fields(obj):
+    """Raise one ConfigError naming every field of the dataclass ``obj`` whose
+    value fails the check that its ``checked`` declaration carries."""
+    checks = [(f.name, getattr(obj, f.name), f.metadata["check"]) for f in dataclasses.fields(obj)]
+    problems = [check.problem.format(name, v) for name, v, check in checks if not check.test(v)]
+    if problems:
+        raise ConfigError(problems)
 
 
 class FormatError(QplandError):

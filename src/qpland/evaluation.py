@@ -275,6 +275,9 @@ def write_landscape_csv(grid, path):
 
 # -- simplified string method ------------------------------------------------------
 
+MIN_STRING_IMAGES = 3  # two end points and at least one interior image to move
+
+
 @dataclass
 class StringResult:
     images: np.ndarray  # (n_images, d)
@@ -288,8 +291,8 @@ def string_mep(energy_gradient, a, b, n_images=50, n_iters=2000, step=1e-3,
     method: one explicit Euler descent step on the interior images, then
     reparameterization to equal arc length, repeated until the images stop
     moving."""
-    if n_images < 3:
-        raise QplandError(f"need at least 3 images, got {n_images}")
+    if n_images < MIN_STRING_IMAGES:
+        raise QplandError(f"need at least {MIN_STRING_IMAGES} images, got {n_images}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     frac = np.linspace(0.0, 1.0, n_images)[:, None]

@@ -16,13 +16,12 @@ do the bits. A field must take ``out``: ``integrators.rk4_step`` passes
 each stage its buffer.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError, check_finite
+from .errors import ConfigError, SamplingError, check_finite, is_int, is_number
 from .integrators import rk4_step
 from .nets import Workspace
 
@@ -493,12 +492,6 @@ def make_system(name, params=None):
     return _MAKERS[name](dict(params or {}))
 
 
-def _is_number(v):
-    """An int, or a finite float; ``True`` and ``False`` are not numbers."""
-    return not isinstance(v, bool) and (isinstance(v, int)
-                                        or isinstance(v, float) and math.isfinite(v))
-
-
 def _params(name, params, defaults, integers=()):
     """``defaults`` updated by ``params``. Raises one ConfigError naming every
     parameter that ``defaults`` lacks, that is not a number, that is named in
@@ -508,9 +501,9 @@ def _params(name, params, defaults, integers=()):
                 if v is None and k not in params]
     problems += [f"{name}: unknown parameter '{k}'" for k in sorted(set(params) - set(defaults))]
     for k, v in params.items():
-        if k in defaults and not _is_number(v):
+        if k in defaults and not is_number(v):
             problems.append(f"{name}: parameter '{k}' must be a number, got {v!r}")
-        elif k in integers and not isinstance(v, int):
+        elif k in integers and not is_int(v):
             problems.append(f"{name}: parameter '{k}' must be an integer, got {v!r}")
     if problems:
         raise ConfigError(problems)

@@ -46,7 +46,9 @@ from . import evaluation, lanes
 from .decomposition import (ModelGrads, drift_vjp, drift_with_tape, fit_center,
                             floored_cosine, orthogonality_cosine, potential_gradient_vjp,
                             rotation_vjp)
-from .errors import ConfigError, NonFiniteError, TrainingDivergedError, check_finite
+from .errors import (FRACTION, FRACTION_OR_NULL, NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE,
+                     POSITIVE_INT, NonFiniteError, TrainingDivergedError, check_fields,
+                     check_finite, checked)
 from .integrators import rk2_step
 from .nets import Workspace
 
@@ -58,49 +60,27 @@ HISTORY_COLUMNS = ("step", "lr", "train_loss", "train_dyn", "train_orth",
 
 @dataclass
 class LossConfig:
-    huber_delta: float = 1.0  # residual threshold between quadratic and linear regime
-    orth_weight: float = 1.0  # multiplier on the orthogonality penalty
-    neg_cos_weight: float = 0.1  # down-weight for cosines on the favourable side
+    huber_delta: float = checked(1.0, POSITIVE)  # Huber threshold: quadratic below, linear above
+    orth_weight: float = checked(1.0, NON_NEGATIVE)  # multiplier on the orthogonality penalty
+    neg_cos_weight: float = checked(0.1, FRACTION)  # down-weight of cosines on the favourable side
 
     def __post_init__(self):
-        problems = []
-        if not self.huber_delta > 0:
-            problems.append(f"huber_delta must be > 0, got {self.huber_delta}")
-        if not 0 < self.neg_cos_weight <= 1:
-            problems.append(f"neg_cos_weight must be in (0, 1], got {self.neg_cos_weight}")
-        if self.orth_weight < 0:
-            problems.append(f"orth_weight must be >= 0, got {self.orth_weight}")
-        if problems:
-            raise ConfigError(problems)
+        check_fields(self)
 
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 5000
-    lr0: float = 1e-3
-    decay_rate: Optional[float] = None  # per step; None = drop 10x over max_steps
-    max_steps: int = 100_000
-    eval_every: int = 1000
-    seed: int = 0
-    val_rollout_trajectories: int = 4
+    batch_size: int = checked(5000, POSITIVE_INT)
+    lr0: float = checked(1e-3, POSITIVE)
+    # per step; None = drop 10x over max_steps
+    decay_rate: Optional[float] = checked(None, FRACTION_OR_NULL)
+    max_steps: int = checked(100_000, POSITIVE_INT)
+    eval_every: int = checked(1000, POSITIVE_INT)
+    seed: int = checked(0, NON_NEGATIVE_INT)
+    val_rollout_trajectories: int = checked(4, NON_NEGATIVE_INT)
 
     def __post_init__(self):
-        problems = []
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr0 > 0:
-            problems.append(f"lr0 must be > 0, got {self.lr0}")
-        if self.decay_rate is not None and not 0 < self.decay_rate <= 1:
-            problems.append(f"decay_rate must be in (0, 1], got {self.decay_rate}")
-        if self.max_steps < 1:
-            problems.append(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.eval_every < 1:
-            problems.append(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.val_rollout_trajectories < 0:
-            problems.append("val_rollout_trajectories must be >= 0, "
-                            f"got {self.val_rollout_trajectories}")
-        if problems:
-            raise ConfigError(problems)
+        check_fields(self)
 
     def resolved_decay(self):
         if self.decay_rate is not None:

@@ -192,9 +192,22 @@ class TestTrainingPipeline:
         assert code == 1
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ConfigError"
-        assert payload["problems"] == ["lr0 must be > 0, got 0.0",
-                                       "decay_rate must be in (0, 1], got 2.0"]
+        assert payload["problems"] == ["'train.lr0' must be a positive number, got 0.0",
+                                       "'train.decay' must be a number in (0, 1] or null, "
+                                       "got 2.0"]
         assert not (tmp_path / "a" / "bad_model.json").exists()
+
+    def test_default_val_representatives_are_those_of_the_val_split(self, inputs, tmp_path):
+        # train samples the val representatives itself with the seed that
+        # ``representatives --split val`` uses, so either way the model is the same
+        cfg = _write_json(tmp_path / "run.json", E2E_CONFIG)
+        data, reps, val_reps = inputs["DATA"], inputs["REPS"], str(tmp_path / "val.qprs")
+        assert cli.main(["representatives", "--config", cfg, "--data", data, "--split", "val",
+                         "--out", val_reps]) == 0
+        for name, extra in (("own.json", []), ("given.json", ["--val-reps", val_reps])):
+            assert cli.main(["train", "--config", cfg, "--data", data, "--reps", reps, *extra,
+                             "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "own.json").read_bytes() == (tmp_path / "given.json").read_bytes()
 
 
 class TestFlags:
@@ -276,9 +289,37 @@ class TestErrors:
         assert code == 1
         payload = json.loads(capsys.readouterr().err)
         assert payload["problems"] == ["'data.dt' must be a positive number, got -0.01",
+                                       "'loss.orth_weight' must be a non-negative number, "
+                                       "got -1",
                                        "'train.batch' must be a positive integer, got 0",
-                                       "orth_weight must be >= 0, got -1",
-                                       "lr0 must be > 0, got -1"]
+                                       "'train.lr0' must be a positive number, got -1"]
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_config_that_is_not_utf8_prints_one_json_line(self, tmp_path, capsys):
+        # this used to end in a UnicodeDecodeError traceback
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe" + json.dumps(E2E_CONFIG).encode("utf-16-le"))
+        code = cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data.qptd")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert len(payload["problems"]) == 1
+        assert payload["problems"][0].startswith(f"config {cfg}: invalid JSON (")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_too_few_string_images_are_reported_with_every_other_problem(self, tmp_path,
+                                                                         capsys):
+        # too few images used to pass the config and fail in the string
+        # method, after the relaxation to the two minima had run
+        mep = {**GL_CONFIG["eval"]["mep"], "n_images": 2, "n_iters": 0}
+        cfg = _write_json(tmp_path / "bad.json", {**GL_CONFIG, "eval": {"mep": mep}})
+        code = cli.main(["mep", "--config", cfg, "--out", str(tmp_path / "mep.csv")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["problems"] == ["'eval.mep.n_images' must be an integer >= 3, got 2",
+                                       "'eval.mep.n_iters' must be a positive integer, got 0"]
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     def test_bad_config_prints_one_json_line(self, tmp_path, capsys):
@@ -402,7 +443,7 @@ class TestErrors:
         """The one JSON line ``decompose`` prints for a points file holding
         ``points``; asserts that it exits 1 and writes nothing."""
         path = tmp_path / "points.csv"
-        path.write_text(points, encoding="utf-8")
+        path.write_bytes(points if isinstance(points, bytes) else points.encode("utf-8"))
         capsys.readouterr()
         assert cli.main(["decompose", "--model", "exact:bistable3d", "--points", str(path),
                          "--out", str(tmp_path / "out.csv")]) == 1
@@ -416,6 +457,13 @@ class TestErrors:
                                               "x0,x1,x2\n1.0,0.0,0.0\n\n0.5,0.25\n")
         assert payload == {"error": "QplandError",
                            "detail": f"{path}: line 4 has 2 values, the rows before it 3"}
+
+    def test_points_that_are_not_utf8_print_one_json_line(self, tmp_path, capsys):
+        # this used to end in a UnicodeDecodeError traceback
+        payload, path = self._decompose_error(tmp_path, capsys,
+                                              "x0,x1,x2\n1.0,0.0,0.0\n".encode("utf-16"))
+        assert payload["error"] == "QplandError"
+        assert payload["detail"].startswith(f"{path}: not UTF-8 text (")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
     def test_non_finite_point_prints_one_json_line(self, value, tmp_path, capsys):
@@ -564,20 +612,20 @@ class TestErrors:
         assert payload["detail"].startswith(f"{data}.json: {problem}")
         assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
-    @pytest.mark.parametrize("domain, problem", [
-        ([[-1.0, 1.0], [0.0]], "system.domain must be a list of [lo, hi] number pairs, "
+    @pytest.mark.parametrize("box, problem", [
+        ([[-1.0, 1.0], [0.0]], "eval.grid.box must be a list of [lo, hi] number pairs, "
                                "got [[-1.0, 1.0], [0.0]]"),
-        ([[-1.0, 1.0], ["a", 1.0], [0.0, 1.0]], "system.domain must be a list of [lo, hi] "
+        ([[-1.0, 1.0], ["a", 1.0], [0.0, 1.0]], "eval.grid.box must be a list of [lo, hi] "
                                                 "number pairs, got [[-1.0, 1.0], ['a', 1.0], "
                                                 "[0.0, 1.0]]"),
-        ([[-1.0, 1.0], [-1.0, 1.0]], "system.domain has 2 rows, system 'bistable3d' has "
+        ([[-1.0, 1.0], [-1.0, 1.0]], "eval.grid.box has 2 rows, system 'bistable3d' has "
                                      "dimension 3"),
     ], ids=["ragged", "non_numeric", "not_d_rows"])
-    def test_bad_domain_is_reported_with_every_other_problem(self, domain, problem, tmp_path,
-                                                             capsys):
+    def test_bad_grid_box_is_reported_with_every_other_problem(self, box, problem, tmp_path,
+                                                               capsys):
         cfg = _write_json(tmp_path / "bad.json",
-                          {**E2E_CONFIG, "system": {"name": "bistable3d", "domain": domain},
-                           "eval": {"grid": {"resolution": 3}}, "extra": {}})
+                          {**E2E_CONFIG, "eval": {"grid": {"box": box, "resolution": 3}},
+                           "extra": {}})
         code = cli.main(["eval", "--config", cfg, "--model", "exact:bistable3d",
                          "--data", str(tmp_path / "data.qptd"),
                          "--out", str(tmp_path / "report.json")])

@@ -3,12 +3,14 @@
 read every value through ``RunConfig.get``."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from qpland.config import parse_config
+from qpland.config import _TABLE, parse_config
 from qpland.errors import ConfigError
+from qpland.training import LossConfig, TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qpland"
 
@@ -68,3 +70,29 @@ def test_get_names_every_absent_required_key_at_once():
     with pytest.raises(ConfigError) as exc:
         cfg.get("data.N", "data.dt", "data.T")
     assert exc.value.problems == ["'data.N' is required", "'data.T' is required"]
+
+
+def test_field_keys_take_the_field_check_and_default():
+    # the check and the default of a key that sets a dataclass field are the
+    # field's own objects, so no second copy of either can drift from it
+    classes = {"loss": LossConfig, "train": TrainConfig}
+    for block, cls in classes.items():
+        keys = {k: key for k, key in _TABLE.items() if k.startswith(f"{block}.")}
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        assert sorted(key.field for key in keys.values()) == sorted(fields)
+        for k, key in keys.items():
+            assert key.check is fields[key.field].metadata["check"], k
+            assert key.default == fields[key.field].default, k
+    assert all(key.field is None for k, key in _TABLE.items()
+               if k.partition(".")[0] not in classes)
+
+
+def test_system_domain_is_not_a_key():
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"system": {"name": "bistable3d", "domain": [[-9.0, 9.0]] * 3}})
+    assert exc.value.problems == ["unknown key 'system.domain'"]
+
+
+def test_grid_box_defaults_to_the_sampling_box():
+    cfg = parse_config({"system": {"name": "bistable3d"}, "eval": {"grid": {}}})
+    assert cfg.get("eval.grid.box") is cfg.system().domain

@@ -737,6 +737,23 @@ class TestConfigValidation:
         with pytest.raises(QplandError):
             TrainConfig(val_rollout_trajectories=-1)
 
+    def test_every_bad_field_is_named_at_once(self):
+        with pytest.raises(ConfigError) as exc:
+            TrainConfig(lr0=float("inf"), max_steps=10.0, seed=-1)
+        assert exc.value.problems == ["'lr0' must be a positive number, got inf",
+                                      "'max_steps' must be a positive integer, got 10.0",
+                                      "'seed' must be a non-negative integer, got -1"]
+        with pytest.raises(ConfigError) as exc:
+            LossConfig(huber_delta=True, orth_weight=float("nan"))
+        assert exc.value.problems == ["'huber_delta' must be a positive number, got True",
+                                      "'orth_weight' must be a non-negative number, got nan"]
+
+    def test_numpy_scalars_are_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(512), lr0=np.float64(1e-2), max_steps=np.int32(10),
+                          eval_every=np.int64(5), seed=np.uint32(3))
+        assert cfg.batch_size == 512 and cfg.max_steps == 10
+        assert LossConfig(huber_delta=np.float64(0.5), neg_cos_weight=np.float32(0.5))
+
     def test_run_config_rejects_zero_eval_every(self):
         with pytest.raises(ConfigError) as exc:
             parse_config({"train": {"eval_every": 0}})
@@ -760,18 +777,19 @@ LOSS_FIELDS = {
 }
 TRAIN_FIELDS = {
     "batch_size": (st.integers(1, 10**6), st.integers(-5, 0)),
-    "lr0": (st.floats(1e-8, 1.0), st.floats(-1.0, 0.0)),
+    "lr0": (st.floats(1e-8, 1.0), st.floats(-1.0, 0.0) | st.sampled_from([float("inf"), None])),
     "decay_rate": (st.none() | st.floats(1e-3, 1.0),
                    st.floats(-1.0, 0.0) | st.floats(1.0, 10.0, exclude_min=True)),
     "max_steps": (st.integers(1, 10**6), st.integers(-5, 0)),
     "eval_every": (st.integers(1, 10**6), st.integers(-5, 0)),
+    "seed": (st.integers(0, 2**32 - 1), st.integers(-5, -1) | st.floats(0.0, 5.0)),
     "val_rollout_trajectories": (st.integers(0, 10), st.integers(-5, -1)),
 }
 
 
 def assert_every_bad_field_named(cls, fields, data):
     """Draw each field valid or invalid; the ConfigError must name exactly
-    the invalid ones, each as the first word of one problem."""
+    the invalid ones, each quoted as the first word of one problem."""
     values, bad = {}, set()
     for name, (good, wrong) in fields.items():
         if data.draw(st.booleans(), label=f"{name} invalid"):
@@ -784,4 +802,4 @@ def assert_every_bad_field_named(cls, fields, data):
         return
     with pytest.raises(ConfigError) as exc:
         cls(**values)
-    assert sorted(p.split(" ")[0] for p in exc.value.problems) == sorted(bad)
+    assert sorted(p.split(" ")[0].strip("'") for p in exc.value.problems) == sorted(bad)
