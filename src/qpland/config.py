@@ -57,8 +57,8 @@ _LIST = must_be("a list", lambda v: isinstance(v, list))
 _POSITIVE_OR_NULL = must_be("a positive number or null", lambda v: v is None or POSITIVE.test(v))
 _STRING_IMAGES = must_be(f"an integer >= {MIN_STRING_IMAGES}",
                          lambda v: is_int(v) and v >= MIN_STRING_IMAGES)
-_BOX = Check(_is_box, "{} must be a list of [lo, hi] number pairs, got {!r}")
-_RESOLUTION = Check(_is_resolution, "{} must be a positive integer or a list of them, got {!r}")
+_BOX = must_be("a list of [lo, hi] number pairs", _is_box)
+_RESOLUTION = must_be("a positive integer or a list of them", _is_resolution)
 
 
 def _default_of(fn, name):
@@ -124,14 +124,12 @@ _EMBEDDINGS = {"brusselator_mean": systems.brusselator_mean_embedding,
                "brusselator_mode1": systems.brusselator_mode1_embedding}
 # the keys of one entry of eval.slices; _build_slice holds their defaults
 _SLICE = {
-    "box": Check(lambda v: _is_box(v) and len(v) == 2,
-                 "{} must be 2 x 2 numbers [[lo, hi], [lo, hi]], got {!r}"),
+    "box": must_be("2 x 2 numbers [[lo, hi], [lo, hi]]", lambda v: _is_box(v) and len(v) == 2),
     "resolution": _RESOLUTION,
-    "axes": Check(lambda v: isinstance(v, list) and all(map(is_int, v)),
-                  "{} must be a list of integers, got {!r}"),
-    "fixed": Check(lambda v: isinstance(v, dict) and all(map(is_number, v.values()))
-                   and all(str(k).removeprefix("-").isdecimal() for k in v),
-                   "{} must map integer keys to numbers, got {!r}"),
+    "axes": must_be("a list of integers", lambda v: isinstance(v, list) and all(map(is_int, v))),
+    "fixed": must_be("an object of integer keys and number values",
+                     lambda v: isinstance(v, dict) and all(map(is_number, v.values()))
+                     and all(str(k).removeprefix("-").isdecimal() for k in v)),
     "embedding": _one_of(*_EMBEDDINGS),
     "name": must_be("a string", lambda v: isinstance(v, str)),
 }

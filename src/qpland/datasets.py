@@ -488,6 +488,10 @@ def load_dataset(path):
         i = int(np.searchsorted(traj_id, n_traj))
         raise FormatError(f"{path}: traj_id {traj_id[i]} at pair {i} is out of range "
                           f"for {n_traj} trajectories")
+    missing = _first_missing_trajectory(traj_id, n_traj)
+    if missing is not None:
+        raise FormatError(f"{path}: trajectory {missing} of {n_traj} has no pairs; "
+                          f"every trajectory must have at least one")
     meta, sidecar = {}, str(path) + ".json"
     try:
         with open(sidecar, "r", encoding="utf-8") as fh:
@@ -507,6 +511,18 @@ def load_dataset(path):
         split_seed=meta.get("split_seed"),
         metadata=meta,
     )
+
+
+def _first_missing_trajectory(traj_id, n_traj):
+    """The smallest trajectory id below ``n_traj`` that has no pair, or None.
+    ``traj_id`` is nondecreasing and below ``n_traj``."""
+    if not len(traj_id) or traj_id[0] > 0:
+        return 0 if n_traj else None
+    gaps = np.flatnonzero(traj_id[1:] - traj_id[:-1] > 1)
+    if gaps.size:
+        return int(traj_id[gaps[0]]) + 1
+    last = int(traj_id[-1])
+    return last + 1 if last + 1 < n_traj else None
 
 
 def save_representatives(reps, path):

@@ -10,10 +10,11 @@ is twice the energy up to a constant).
 Each ``rhs_*`` function, ``gl_energy_gradient`` and each
 ``SystemSpec.field`` takes ``out=None``, NumPy-style: given an array of the
 state's shape, it writes f(x) there and returns it; otherwise it returns a
-new array. ``out`` must not be the state itself, which is read while
-``out`` is written. The arithmetic does not depend on ``out``, so neither
-do the bits. A field must take ``out``: ``integrators.rk4_step`` passes
-each stage its buffer.
+new array. A field may use ``out``'s columns as scratch before it writes
+f(x) there, so ``out`` must not be the state itself or share memory with
+it. The arithmetic does not depend on ``out``, so neither do the bits.
+A field must take ``out``: ``integrators.rk4_step`` passes each stage its
+buffer.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -62,14 +63,22 @@ def rhs_bistable3d(x, out=None):
     x = np.asarray(x, dtype=np.float64)
     if out is None:
         out = np.empty_like(x)
-    x0 = x[..., 0]
-    # x0 * x0 * x0, not x0**3: NumPy's SIMD power is many times slower, most
-    # of all on negative bases, and how it rounds depends on the host's vector
-    # unit; a product of floats rounds the same on every host
-    c = x0 * x0 * x0 - x0
-    out[..., 0] = -2.0 * c - (x[..., 1] + x[..., 2])
-    out[..., 1] = -x[..., 1] + 2.0 * c
-    out[..., 2] = -x[..., 2] + 2.0 * c
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    # 9 passes over out's columns and no temporary, with the roundings of
+    # f = (-2c - (x1 + x2), -x1 + 2c, -x2 + 2c), c = x0^3 - x0. x0 * x0 * x0,
+    # not x0**3: NumPy's SIMD power is many times slower, most of all on
+    # negative bases, and how it rounds depends on the host's vector unit; a
+    # product of floats rounds the same on every host
+    t = np.multiply(x0, x0, out=out[..., 1])
+    t *= x0
+    t -= x0
+    t *= 2.0  # t = 2c, exactly
+    np.subtract(t, x2, out=out[..., 2])
+    # (-s) - t is (-t) - s, +0 included where t + s = 0; -(t + s) would be -0
+    s = np.add(x1, x2, out=out[..., 0])
+    np.negative(s, out=s)
+    s -= t
+    t -= x1
     return out
 
 

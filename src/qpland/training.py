@@ -47,8 +47,8 @@ from .decomposition import (ModelGrads, drift_vjp, drift_with_tape, fit_center,
                             floored_cosine, orthogonality_cosine, potential_gradient_vjp,
                             rotation_vjp)
 from .errors import (FRACTION, FRACTION_OR_NULL, NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE,
-                     POSITIVE_INT, NonFiniteError, TrainingDivergedError, check_fields,
-                     check_finite, checked)
+                     POSITIVE_INT, NonFiniteError, QplandError, TrainingDivergedError,
+                     check_fields, check_finite, checked)
 from .integrators import rk2_step
 from .nets import Workspace
 
@@ -333,10 +333,10 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     """Mini-batch Adam over the train split with periodic validation.
 
     ``representatives`` maps split name -> RepresentativeSet (train and val
-    needed, neither empty). Returns the best-validation snapshot. The
-    blocks of each loss run on lanes, threads that end with the call that
-    starts them; the result is bit-reproducible for a fixed seed, for any
-    number of CPUs.
+    needed, neither empty); the dataset's train and val splits must have
+    pairs. Returns the best-validation snapshot. The blocks of each loss
+    run on lanes, threads that end with the call that starts them; the
+    result is bit-reproducible for a fixed seed, for any number of CPUs.
     """
     reps_tr = representatives["train"].points
     reps_va = representatives["val"].points
@@ -345,6 +345,9 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
         evaluation.check_width(what, points, model.dim)
     for what, points in (("train representatives", reps_tr), ("val representatives", reps_va)):
         evaluation.check_nonempty(what, points)
+    for split in ("train", "val"):
+        if not dataset.pair_mask(split).any():
+            raise QplandError(f"dataset: the {split} split has no pairs")
     fit_center(model, dataset, "train")
     # int32 row numbers gather the same rows at half the memory
     tr_rows = np.flatnonzero(dataset.pair_mask("train")).astype(

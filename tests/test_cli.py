@@ -373,12 +373,14 @@ class TestErrors:
         assert code == 1
         payload = json.loads(capsys.readouterr().err)
         assert payload["problems"] == [
-            "eval.grid.box must be a list of [lo, hi] number pairs, got [[-1.0]]",
-            "eval.grid.resolution must be a positive integer or a list of them, got [0]",
-            "eval.slices[0].box must be 2 x 2 numbers [[lo, hi], [lo, hi]], got [[-1.0, 1.0]]",
-            "eval.slices[0].axes must be a list of integers, got ['a', 1]",
-            "eval.slices[1].resolution must be a positive integer or a list of them, got '9'",
-            "eval.slices[1].fixed must map integer keys to numbers, got {'z': 0.0}",
+            "'eval.grid.box' must be a list of [lo, hi] number pairs, got [[-1.0]]",
+            "'eval.grid.resolution' must be a positive integer or a list of them, got [0]",
+            "'eval.slices[0].box' must be 2 x 2 numbers [[lo, hi], [lo, hi]], "
+            "got [[-1.0, 1.0]]",
+            "'eval.slices[0].axes' must be a list of integers, got ['a', 1]",
+            "'eval.slices[1].resolution' must be a positive integer or a list of them, got '9'",
+            "'eval.slices[1].fixed' must be an object of integer keys and number values, "
+            "got {'z': 0.0}",
         ]
 
     def test_grid_resolution_short_of_the_dimension_prints_one_json_line(
@@ -549,6 +551,35 @@ class TestErrors:
                                         "detail": f"{named}: the set has no points"}
         assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
+    @pytest.mark.parametrize("command", [["train", "--reps", "REPS"],
+                                         ["eval", "--model", "exact:bistable3d"]],
+                             ids=["train", "eval"])
+    def test_trajectory_without_pairs_prints_one_json_line(self, command, inputs, tmp_path,
+                                                          capsys):
+        # the pairs of the even trajectories alone: such a file used to end
+        # train and eval in an IndexError traceback from the rollout reference
+        work = tmp_path / "in"
+        work.mkdir()
+        full = datasets.load_dataset(inputs["DATA"])
+        keep = full.traj_id % 2 == 0
+        data = str(work / "even.qptd")
+        datasets.save_dataset(datasets.TrajectoryDataset(
+            dt=full.dt, x=full.x[keep], x_next=full.x_next[keep], traj_id=full.traj_id[keep],
+            n_trajectories=full.n_trajectories, split_seed=full.split_seed,
+            metadata=full.metadata), data)
+        cfg = _write_json(work / "run.json", E2E_CONFIG)
+        capsys.readouterr()
+        code = cli.main([command[0], "--config", cfg, "--data", data,
+                         *(inputs.get(a, a) for a in command[1:]), "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "FormatError",
+            "detail": f"{data}: trajectory 1 of 10 has no pairs; every trajectory must have "
+                      f"at least one"}
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
     def test_dataset_without_its_sidecar_prints_one_json_line(self, inputs, tmp_path, capsys):
         # the stride m lives in the sidecar; rollouts used to assume 1 without it
         work = tmp_path / "in"
@@ -613,9 +644,9 @@ class TestErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
     @pytest.mark.parametrize("box, problem", [
-        ([[-1.0, 1.0], [0.0]], "eval.grid.box must be a list of [lo, hi] number pairs, "
+        ([[-1.0, 1.0], [0.0]], "'eval.grid.box' must be a list of [lo, hi] number pairs, "
                                "got [[-1.0, 1.0], [0.0]]"),
-        ([[-1.0, 1.0], ["a", 1.0], [0.0, 1.0]], "eval.grid.box must be a list of [lo, hi] "
+        ([[-1.0, 1.0], ["a", 1.0], [0.0, 1.0]], "'eval.grid.box' must be a list of [lo, hi] "
                                                 "number pairs, got [[-1.0, 1.0], ['a', 1.0], "
                                                 "[0.0, 1.0]]"),
         ([[-1.0, 1.0], [-1.0, 1.0]], "eval.grid.box has 2 rows, system 'bistable3d' has "

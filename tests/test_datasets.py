@@ -591,6 +591,20 @@ class TestPersistence:
         with pytest.raises(FormatError, match="traj_id 12 at pair 11 is out of range"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("kept, missing", [([1, 1, 2, 3], 0), ([0, 1, 1, 3], 2),
+                                               ([0, 0, 1, 2], 3), ([], 0)],
+                             ids=["first", "middle", "last", "no_pairs"])
+    def test_trajectory_without_pairs_rejected(self, kept, missing, tmp_path):
+        # rollouts take each trajectory's first state, so such a file used
+        # to end train and eval in an IndexError
+        tid = np.array(kept, dtype=np.uint32)
+        bad = TrajectoryDataset(dt=1e-2, x=np.zeros((len(tid), 2)), x_next=np.ones((len(tid), 2)),
+                                traj_id=tid, n_trajectories=4)
+        path = tmp_path / "d.qptd"
+        save_dataset(bad, path)
+        with pytest.raises(FormatError, match=f"trajectory {missing} of 4 has no pairs"):
+            load_dataset(path)
+
     def test_load_holds_little_more_than_the_dataset(self, tmp_path, rng):
         n = 60_000
         dataset = TrajectoryDataset(dt=0.1, x=rng.normal(0, 1, (n, 3)),

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,8 @@ class TestBistable3d:
     def test_exact_decomposition_reconstructs_rhs(self, rng):
         pts = rng.uniform(-2, 2, (200, 3))
         grad_v, g = exact_decomposition_bistable3d(pts)
-        assert np.array_equal(g - grad_v, rhs_bistable3d(pts))
+        # bytes, since array_equal cannot tell -0.0 from +0.0
+        assert (g - grad_v).tobytes() == rhs_bistable3d(pts).tobytes()
 
     def test_decomposition_vanishes_at_attractor(self):
         grad_v, g = exact_decomposition_bistable3d(np.array([1.0, 0.0, 0.0]))
@@ -49,6 +51,59 @@ class TestBistable3d:
         pts = system.sample(np.random.default_rng(3), 500)
         assert (pts[:, 0] >= -2).all() and (pts[:, 0] <= 2).all()
         assert (np.abs(pts[:, 1:]) <= 1.5).all()
+
+
+def reference_bistable3d(x):
+    """The bistable field as three whole-array expressions, the form that
+    ``rhs_bistable3d`` computes in place with the same roundings."""
+    x0 = x[..., 0]
+    c = x0 * x0 * x0 - x0
+    return np.stack([-2.0 * c - (x[..., 1] + x[..., 2]),
+                     -x[..., 1] + 2.0 * c,
+                     -x[..., 2] + 2.0 * c], axis=-1)
+
+
+# x1 + x2 = -2c, where -(2c + (x1 + x2)) would be -0.0; signed zeros; the
+# equilibria
+CRAFTED_BISTABLE_STATES = np.array([
+    [2.0, -5.0, -7.0], [-2.0, 5.0, 7.0], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0],
+    [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0], [1.0, 0.0, 0.0],
+    [-1.0, 0.0, 0.0], [1.0, -0.0, -0.0], [-1.0, -0.0, -0.0],
+])
+
+
+class TestBistable3dBytes:
+    @pytest.mark.parametrize("shape", [(1000, 3), (7, 5, 3), (3,)])
+    @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+    def test_random_states_match_the_reference_bytes(self, shape, given_out, rng):
+        x = rng.uniform(-2, 2, shape)
+        buf = np.full(shape, np.nan) if given_out else None
+        got = rhs_bistable3d(x, out=buf)
+        if given_out:
+            assert got is buf
+        assert got.shape == shape
+        assert got.tobytes() == reference_bistable3d(x).tobytes()
+
+    @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+    def test_crafted_states_match_the_reference_bytes(self, given_out):
+        x = CRAFTED_BISTABLE_STATES
+        got = rhs_bistable3d(x, out=np.empty_like(x) if given_out else None)
+        assert got.tobytes() == reference_bistable3d(x).tobytes()
+        assert not np.signbit(got[0, 0])  # (-12) - (-12)
+        for row in x:
+            assert rhs_bistable3d(row).tobytes() == reference_bistable3d(row).tobytes()
+
+    def test_writes_into_out_without_a_batch_sized_array(self, rng):
+        x = rng.uniform(-2, 2, (10_000, 3))
+        buf = np.empty_like(x)
+        rhs_bistable3d(x, out=buf)
+        tracemalloc.start()
+        try:
+            rhs_bistable3d(x, out=buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x[:, 0].nbytes
 
 
 class TestLimitCycle2d:
@@ -392,6 +447,13 @@ def _sha256(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
+# sha256 of x and x_next of generate(bistable3d, 1000, 1e-2, 5.0, 10, seed=11),
+# the bistable3d benchmark workload's dataset, recorded with NumPy 2.4.6 like
+# PINNED_GENERATE_SHA256
+PINNED_WORKLOAD_SHA256 = ("e8308c1abba34bc5113125d5f43652e75f2618d17c7e8c29899840c76be803a9",
+                          "508654ab16998c4530d774af7d14ecbde1934712f6b80a9629b7b21051fdb8d0")
+
+
 class TestGeneratedBytes:
     # the Ginzburg-Landau run is large enough that, with NumPy 2.4.6 on an
     # AVX-512 x86_64 CPU, u**3 in place of the product cube changes its digests
@@ -404,6 +466,11 @@ class TestGeneratedBytes:
         dataset = generate(make_system(name, params), n, dt, 2 * pairs * dt, 2, seed=11)
         assert dataset.n_pairs == n * pairs
         assert (_sha256(dataset.x), _sha256(dataset.x_next)) == PINNED_GENERATE_SHA256[name]
+
+    def test_bistable3d_workload_matches_pinned_bytes(self):
+        dataset = generate(make_system("bistable3d"), 1000, 1e-2, 5.0, 10, seed=11)
+        assert dataset.n_pairs == 50_000
+        assert (_sha256(dataset.x), _sha256(dataset.x_next)) == PINNED_WORKLOAD_SHA256
 
 
 def non_square_powers(source):

@@ -716,6 +716,25 @@ class TestTrainMemory:
         assert seen["peak"] - seen["base"] < 3 * gather_bytes + gather_bytes / 2
 
 
+class TestEmptySplits:
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_split_without_pairs_is_named(self, empty, rng):
+        # an empty train split used to give a NaN center, with NumPy's
+        # warning; an empty val split ended in an IndexError in the rollout
+        # reference
+        dataset = random_pairs(rng, 20, 4, 3)
+        keep = ~dataset.pair_mask(empty)
+        bare = TrajectoryDataset(dt=dataset.dt, x=dataset.x[keep], x_next=dataset.x_next[keep],
+                                 traj_id=dataset.traj_id[keep], n_trajectories=20,
+                                 split_seed=dataset.split_seed)
+        reps = {"train": random_reps(rng, 30, 3), "val": random_reps(rng, 10, 3)}
+        model = init_model(3, 4, "tanh", seed=0)
+        center = model.center.copy()
+        with pytest.raises(QplandError, match=f"^dataset: the {empty} split has no pairs$"):
+            train(bare, reps, model, LossConfig(), TrainConfig(max_steps=2, eval_every=1))
+        assert np.array_equal(model.center, center)  # raised before the center was fit
+
+
 class TestConfigValidation:
     def test_loss_config_rejects_bad_values(self):
         with pytest.raises(QplandError):
