@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import systems
+from .datasets import MIN_SPLIT_TRAJECTORIES
 from .errors import (NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, Check, ConfigError,
                      QplandError, is_int, is_number, must_be)
 from .evaluation import (MIN_STRING_IMAGES, SliceSpec, build_report, planar_slice,
@@ -55,6 +56,8 @@ def _one_of(*choices):
 _OBJECT = must_be("an object", lambda v: isinstance(v, dict))
 _LIST = must_be("a list", lambda v: isinstance(v, list))
 _POSITIVE_OR_NULL = must_be("a positive number or null", lambda v: v is None or POSITIVE.test(v))
+_TRAJECTORIES = must_be(f"an integer >= {MIN_SPLIT_TRAJECTORIES}",
+                        lambda v: is_int(v) and v >= MIN_SPLIT_TRAJECTORIES)
 _STRING_IMAGES = must_be(f"an integer >= {MIN_STRING_IMAGES}",
                          lambda v: is_int(v) and v >= MIN_STRING_IMAGES)
 _BOX = must_be("a list of [lo, hi] number pairs", _is_box)
@@ -78,7 +81,7 @@ def _field(cls, name):
 _TABLE = {
     "system.name": _Key(_one_of(*SYSTEM_NAMES), _REQUIRED),
     "system.params": _Key(_OBJECT, {}),
-    "data.N": _Key(POSITIVE_INT, _REQUIRED),
+    "data.N": _Key(_TRAJECTORIES, _REQUIRED),
     "data.dt": _Key(POSITIVE, _REQUIRED),
     "data.T": _Key(POSITIVE, _REQUIRED),
     "data.m": _Key(POSITIVE_INT, _REQUIRED),

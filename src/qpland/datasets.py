@@ -28,6 +28,9 @@ FILE_VERSION = 1
 
 SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
 
+# the fewest trajectories ``split`` accepts; config's data.N is checked against it
+MIN_SPLIT_TRAJECTORIES = 10
+
 # states per gather of ``TrajectoryDataset.state_mean``: 400 KB at d = 50
 _MEAN_ROWS = 1024
 
@@ -142,6 +145,12 @@ def generate(system, n_trajectories, dt, horizon, stride, seed):
     ``dt`` and record the pair (x(t_j), x(t_j+dt)) at t_j = j*stride*dt for
     j = 0..M, M = floor(horizon/(stride dt)) - 1.
 
+    The batch is stepped component-major: a C-ordered (d, N) array, one
+    contiguous row per coordinate, so that the RK4 stage block is (8, d, N).
+    The field keeps its (N, d) contract: it is called on the transposed
+    views, whose columns ``x[:, k]`` and ``out[:, k]`` are contiguous. The
+    bits do not depend on the layout.
+
     Each call owns one workspace for the RK4 stages and two state arrays
     that the steps write in turn, so no step allocates; all are freed when
     the call returns. A state that turns NaN or inf raises NonFiniteError
@@ -151,25 +160,30 @@ def generate(system, n_trajectories, dt, horizon, stride, seed):
     if n_sparse < 1:
         raise QplandError(f"horizon {horizon} too short for stride {stride} at dt {dt}")
     m_last = n_sparse - 1
-    x = system.sample(np.random.default_rng(np.random.SeedSequence(seed)), n_trajectories)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x = np.ascontiguousarray(system.sample(rng, n_trajectories).T)
     lefts = np.empty((n_trajectories, m_last + 1, system.dim))
     rights = np.empty_like(lefts)
     workspace = Workspace()
     states = (np.empty_like(x), np.empty_like(x))
     cause = rk4_dt_cause(system, dt)
 
+    def field(s, out):
+        return system.field(s.T, out=out.T).T
+
     def step(x):
         # into whichever state array x is not
-        return rk4_step(system.field, x, dt, out=states[x is states[0]], workspace=workspace)
+        return rk4_step(field, x, dt, out=states[x is states[0]], workspace=workspace)
 
     # a blown-up step overflows; the located error below is its one report
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m_last + 1):
             r = step(x)
-            # the step adds x last, so r is non-finite in every row where x is
-            check_finite("trajectory generation", r, step=j, cause=cause)
-            lefts[:, j] = x
-            rights[:, j] = r
+            # the step adds x last, so r is non-finite in every trajectory
+            # where x is; r.T, so that the index names the trajectory
+            check_finite("trajectory generation", r.T, step=j, cause=cause)
+            lefts[:, j] = x.T
+            rights[:, j] = r.T
             if j < m_last:
                 x = r
                 for _ in range(stride - 1):
@@ -195,8 +209,9 @@ def generate(system, n_trajectories, dt, horizon, stride, seed):
 
 def split(dataset, seed):
     """Assign 70/20/10 train/val/test labels by shuffled trajectory id."""
-    if dataset.n_trajectories < 10:
-        raise QplandError(f"need at least 10 trajectories to split, got {dataset.n_trajectories}")
+    if dataset.n_trajectories < MIN_SPLIT_TRAJECTORIES:
+        raise QplandError(f"need at least {MIN_SPLIT_TRAJECTORIES} trajectories to split, "
+                          f"got {dataset.n_trajectories}")
     dataset.split_seed = int(seed)
     dataset.metadata["split_seed"] = int(seed)
     return dataset

@@ -1,7 +1,8 @@
 """Fixed-step explicit Runge-Kutta integrators.
 
-Fields are plain callables mapping states to derivatives, vectorized over
-a leading batch axis. Data generation uses the classical fourth-order
+Fields are plain callables mapping states to derivatives of the same
+shape. A step combines its stages entry by entry, so a state may be one
+point or a batch of any shape and layout. Data generation uses the classical fourth-order
 scheme, the training loss and rollouts the second-order Heun scheme.
 Neither step checks its stages for finiteness; each caller checks what it
 keeps with ``errors.check_finite`` (``datasets.generate`` the states,
@@ -10,8 +11,9 @@ keeps with ``errors.check_finite`` (``datasets.generate`` the states,
 Buffers: each step writes its stages into its keyword-only ``workspace``,
 a ``nets.Workspace`` kept from call to call, or a fresh one that dies with
 the call. ``rk4_step`` takes one "rk4" block of eight buffers (k1..k4, the
-stage inputs and the ``2 k3`` term), whose row 0 holds k1 = f(x) after the
-step. ``rk2_step`` takes three arrays, "rk2.k1", "rk2.k2" and "rk2.s2" (the
+stage inputs and the ``2 k3`` term), of shape (8, *x.shape) for whatever
+shape ``x`` has (``datasets.generate`` steps (d, N) batches, so its block is
+(8, d, N)); row 0 holds k1 = f(x) after the step. ``rk2_step`` takes three arrays, "rk2.k1", "rk2.k2" and "rk2.s2" (the
 stage input), each kept under its name and the state's width, so that the
 short last block of a batch reuses them. The field is called as
 ``field(s, out=buf)``; it must accept ``out`` and may return ``buf``, its

@@ -1,7 +1,7 @@
 """Benchmark dynamical systems: right-hand sides, initial-state samplers,
 and exact reference quantities where they are known.
 
-All right-hand sides are vectorized over a leading batch axis. Exact
+All right-hand sides are vectorized over leading batch axes. Exact
 decompositions (grad V, g) are provided for the two low-dimensional systems
 whose quasipotential is known in closed form; the discretized
 Ginzburg-Landau chain carries its energy instead (the quasipotential there
@@ -15,6 +15,12 @@ f(x) there, so ``out`` must not be the state itself or share memory with
 it. The arithmetic does not depend on ``out``, so neither do the bits.
 A field must take ``out``: ``integrators.rk4_step`` passes each stage its
 buffer.
+
+A field works on columns ``x[..., k]`` and last-axis slices such as
+``x[..., 1:]``, never on the flattened batch, so it is correct on a state
+and an ``out`` of any memory layout, and its bits do not depend on the
+layout. ``datasets.generate`` hands it component-major batches: (N, d)
+views of C-ordered (d, N) arrays, whose columns are contiguous.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -240,34 +246,33 @@ def gl_energy(u, n_cells, delta):
     return 0.5 * delta * (diff**2).sum(axis=-1) + (v / delta).sum(axis=-1)
 
 
+def _second_difference(w, out=None):
+    """(-2 w_i + w_{i-1}) + w_{i+1} along the last axis of ``w``, the
+    roundings of w_{i-1} - 2 w_i + w_{i+1}, into ``out`` when given. An end
+    node has no term for its missing neighbour."""
+    diff = np.multiply(w, -2.0, out=out)
+    diff[..., 1:] += w[..., :-1]
+    diff[..., :-1] += w[..., 1:]
+    return diff
+
+
 def gl_energy_gradient(u, n_cells, delta, out=None):
-    # u and grad in C order, so that the flat views taken below are views
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    if out is not None and not out.flags.c_contiguous:
-        out[...] = gl_energy_gradient(u, n_cells, delta)
-        return out
+    """dE_h/du of ``gl_energy``, into ``out`` when given.
+
+    -delta * (up[:-2] - 2 up[1:-1] + up[2:]) / h2 + (u * u * u - u) / delta
+    on the padded chain up, with the same roundings, built in place on
+    last-axis slices. It is fastest where each node's column is contiguous,
+    as in the component-major batches of ``datasets.generate``. On a
+    row-major batch every slice pass is strided, and 300 rows of 50 take
+    about 1.7 times as long (one core, NumPy 2.4.6); only untimed callers
+    pass such batches: the exact decomposition (``SystemSpec.energy_gradient``)
+    and ``evaluation.string_mep``."""
+    u = np.asarray(u, dtype=np.float64)
     h2 = (1.0 / n_cells) ** 2
-    # -delta * (up[:-2] - 2 up[1:-1] + up[2:]) / h2 + (u * u * u - u) / delta
-    # on the padded chain up, with the same roundings, built in place: each
-    # temporary a batch frees can hand its pages back to the OS, to be
-    # faulted in again next call. The pinned ends are not padded in: adding
-    # their 0.0 changes a sum at most from -0.0 to 0.0, and adding the cube
-    # term, never -0.0, evens that out. u * u * u, not u**3, for the reasons
-    # given in rhs_bistable3d.
-    grad = np.multiply(u, -2.0, out=out)
-    # each neighbour is added over the whole flattened batch in one
-    # contiguous pass, several times faster than over (n, d - 1) slices;
-    # that pass hands each end node a node of the next or previous chain, so
-    # the end columns are then built again
-    d = u.shape[-1]
-    flat_grad, flat_u = grad.reshape(-1), u.reshape(-1)
-    rows_grad, rows_u = grad.reshape(-1, d), u.reshape(-1, d)
-    flat_grad[1:] += flat_u[:-1]
-    np.multiply(rows_u[:, 0], -2.0, out=rows_grad[:, 0])
-    flat_grad[:-1] += flat_u[1:]
-    np.multiply(rows_u[:, -1], -2.0, out=rows_grad[:, -1])
-    if d > 1:
-        rows_grad[:, -1] += rows_u[:, -2]
+    # The pinned ends are not padded in: adding their 0.0 changes a sum at
+    # most from -0.0 to 0.0, and adding the cube term, never -0.0, evens
+    # that out. u * u * u, not u**3, for the reasons given in rhs_bistable3d.
+    grad = _second_difference(u, out)
     grad /= h2
     grad *= -delta
     cube = u * u
@@ -366,57 +371,48 @@ def gl_stable_states(system, dt=5e-4, tol=1e-8, max_steps=2_000_000):
 # --------------------------------------------------------------------------
 # Example 5: discretized Brusselator (non-gradient), state (u_0..u_I, v_0..v_I)
 
-def _neumann_lap(x, m, out):
-    """h^2 times the Neumann Laplacian of both m-node fields in the rows of
-    the C-ordered ``x``, written into ``out``.
+def _neumann_lap(x, out):
+    """h^2 times the Neumann Laplacian of the fields along the last axis of
+    ``x``, written into ``out`` of the same shape.
 
     Ghost nodes mirror the first interior neighbor: w_{-1} = w_1,
-    w_{I+1} = w_{I-1}. Inside a field the sum is (-2 w_i + w_{i-1}) +
-    w_{i+1}, the roundings of w_{i-1} - 2 w_i + w_{i+1}, with each
-    neighbour added over the whole flattened batch in one contiguous pass,
-    as in gl_energy_gradient; that pass hands each end node a node of the
-    other field or the next row, so the end columns are built again."""
-    flat_out, flat_x = out.reshape(-1), x.reshape(-1)
-    np.multiply(x, -2.0, out=out)
-    flat_out[1:] += flat_x[:-1]
-    flat_out[:-1] += flat_x[1:]
-    # (rows, field, node) views: 2 (w_1 - w_0) and 2 (w_{I-1} - w_I)
-    fields_out, fields_x = out.reshape(-1, 2, m), x.reshape(-1, 2, m)
+    w_{I+1} = w_{I-1}. Inside a field it is ``_second_difference``; the
+    end nodes are then 2 (w_1 - w_0) and 2 (w_{I-1} - w_I)."""
+    _second_difference(x, out)
     for end, inner in ((0, 1), (-1, -2)):
-        ends = np.subtract(fields_x[..., inner], fields_x[..., end], out=fields_out[..., end])
+        ends = np.subtract(x[..., inner], x[..., end], out=out[..., end])
         ends *= 2.0
     return out
 
 
 def rhs_brusselator(x, n_cells, alpha, a_param, out=None):
-    # x and out in C order, so that the flat views taken below are views
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if out is not None and not out.flags.c_contiguous:
-        out[...] = rhs_brusselator(x, n_cells, alpha, a_param)
-        return out
+    """The Brusselator chain's right-hand side, into ``out`` when given:
+    (lap u + 1 + u u v - (1 + A) u) / alpha and lap v + A u - u u v, each
+    with these roundings, built on last-axis slices: the Laplacian of both
+    fields at once on a (..., 2, m) view, then the u and v halves. It is
+    fastest where each node's column is contiguous, as in the
+    component-major batches of ``datasets.generate``. On a row-major batch
+    every slice pass is strided, and 300 rows of 40 take about 3 times as
+    long (one core, NumPy 2.4.6)."""
+    x = np.asarray(x, dtype=np.float64)
     if out is None:
         out = np.empty_like(x)
     m = n_cells + 1
-    _neumann_lap(x, m, out)
+    # splitting the last axis in two is a view for any strides
+    fields = (*x.shape[:-1], 2, m)
+    _neumann_lap(x.reshape(fields), out.reshape(fields))
     out /= (1.0 / n_cells) ** 2
-    # (lap u + 1 + u u v - (1 + A) u) / alpha and lap v + A u - u u v, each
-    # with these roundings, in contiguous passes over the flattened batch:
-    # node i of v lies m entries after node i of u, so a pass over entries
-    # [:-m] against [m:] pairs them up. Each pass also fills the entries of
-    # the other field, which are not kept (and are finite wherever the
-    # state's products are): the u half is built in ``du`` and copied into
-    # ``out``, the v half in ``out`` itself.
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    uu_v = flat_x[:-m] * flat_x[:-m]
-    uu_v *= flat_x[m:]
-    du = flat_out + 1.0
-    du[:-m] += uu_v
-    scaled_u = flat_x * (1.0 + a_param)
+    u, v = x[..., :m], x[..., m:]
+    du, dv = out[..., :m], out[..., m:]
+    uu_v = u * u
+    uu_v *= v
+    du += 1.0
+    du += uu_v
+    scaled_u = u * (1.0 + a_param)
     du -= scaled_u
     du /= alpha
-    flat_out[m:] += np.multiply(flat_x[:-m], a_param, out=scaled_u[:-m])
-    flat_out[m:] -= uu_v
-    out.reshape(-1, 2 * m)[:, :m] = du.reshape(-1, 2 * m)[:, :m]
+    dv += np.multiply(u, a_param, out=scaled_u)
+    dv -= uu_v
     return out
 
 

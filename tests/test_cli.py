@@ -322,6 +322,20 @@ class TestErrors:
                                        "'eval.mep.n_iters' must be a positive integer, got 0"]
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
+    def test_too_few_trajectories_are_reported_with_every_other_problem(self, tmp_path,
+                                                                         capsys):
+        # too few trajectories used to pass the config and fail in split,
+        # after every trajectory had been integrated
+        data = {**E2E_CONFIG["data"], "N": 5, "m": 0}
+        cfg = _write_json(tmp_path / "bad.json", {**E2E_CONFIG, "data": data})
+        code = cli.main(["generate", "--config", cfg, "--out", str(tmp_path / "data.qptd")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["problems"] == [
+            "'data.N' must be an integer >= 10, got 5",
+            "'data.m' must be a positive integer, got 0"]
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
     def test_bad_config_prints_one_json_line(self, tmp_path, capsys):
         bad = _write_json(tmp_path / "bad.json",
                           {"system": {"name": "bistable3d", "colour": 1}, "extra": {}})

@@ -34,6 +34,35 @@ class BlowUp:
         return np.full((n, 1), 50.0)
 
 
+class BlowUp3d(BlowUp):
+    """x' = x^2 in 3-d, from 0 on every trajectory but number 7, which starts
+    at (50, 50, 50) and overflows at the third step of dt = 0.5."""
+
+    dim = 3
+
+    @staticmethod
+    def sample(rng, n):
+        x = np.zeros((n, 3))
+        x[7] = 50.0
+        return x
+
+
+class LayoutSpy:
+    """bistable3d, recording the shape of every state and ``out`` that its
+    field receives and whether their columns are contiguous."""
+
+    def __init__(self):
+        self.system = make_system("bistable3d")
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.system, name)
+
+    def field(self, s, out=None):
+        self.calls += [(a.shape, a[:, 0].flags.c_contiguous) for a in (s, out)]
+        return self.system.field(s, out=out)
+
+
 @pytest.fixture(scope="module")
 def small_bistable():
     dataset = generate(make_system("bistable3d"), 20, 1e-2, 5.0, 10, seed=7)
@@ -80,6 +109,20 @@ class TestGenerate:
             generate(BlowUp(), 3, 0.5, 50.0, 1, seed=0)
         assert exc.value.index is not None
         assert "exceeds" not in str(exc.value)
+
+    def test_divergence_names_the_trajectory_not_the_coordinate(self):
+        with pytest.raises(NonFiniteError) as exc:
+            generate(BlowUp3d(), 10, 0.5, 50.0, 1, seed=0)
+        assert str(exc.value) == "non-finite value in trajectory generation, step 2, index 7"
+
+    def test_every_field_call_gets_contiguous_columns(self):
+        # generate steps component-major batches: a field that read strided
+        # columns would be slower, with the same bits
+        spy = LayoutSpy()
+        generate(spy, 10, 1e-2, 0.1, 2, seed=0)
+        # 5 records, stride 2: 9 steps of 4 field calls, 2 arrays each
+        assert len(spy.calls) == 9 * 4 * 2
+        assert set(spy.calls) == {((10, 3), True)}
 
     def test_divergence_within_the_step_limit_names_no_limit(self):
         with pytest.raises(NonFiniteError) as exc:

@@ -72,6 +72,18 @@ CRAFTED_BISTABLE_STATES = np.array([
 ])
 
 
+def traced_peak(fn):
+    """The peak of the memory that ``fn()`` allocates, traced by tracemalloc
+    after a first, untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBistable3dBytes:
     @pytest.mark.parametrize("shape", [(1000, 3), (7, 5, 3), (3,)])
     @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
@@ -96,14 +108,7 @@ class TestBistable3dBytes:
     def test_writes_into_out_without_a_batch_sized_array(self, rng):
         x = rng.uniform(-2, 2, (10_000, 3))
         buf = np.empty_like(x)
-        rhs_bistable3d(x, out=buf)
-        tracemalloc.start()
-        try:
-            rhs_bistable3d(x, out=buf)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < x[:, 0].nbytes
+        assert traced_peak(lambda: rhs_bistable3d(x, out=buf)) < x[:, 0].nbytes
 
 
 class TestLimitCycle2d:
@@ -363,6 +368,36 @@ class TestOutArgument:
         assert system.field(x, out=buf) is buf
         assert buf.tobytes() == system.field(x).tobytes()
         assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("name, params", [
+        ("bistable3d", {}), ("limitcycle2d", {}), ("yeast3d", YEAST_TEST_PARAMS),
+        ("ginzburg_landau", {"I": 11}), ("brusselator", {"I": 9}),
+    ])
+    def test_component_major_batch_gives_the_row_major_bytes(self, name, params):
+        # the layout datasets.generate hands a field: contiguous columns
+        system = make_system(name, params)
+        x = system.sample(np.random.default_rng(5), 37)
+        fortran = np.asfortranarray(x)
+        buf = np.asfortranarray(np.full_like(x, np.nan))
+        assert system.field(fortran, out=buf) is buf
+        assert buf.flags.f_contiguous
+        assert np.ascontiguousarray(buf).tobytes() == system.field(x).tobytes()
+
+
+class TestSliceFieldMemory:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_brusselator_traces_under_one_and_a_half_states(self, order, rng):
+        x = np.asarray(rng.uniform(0.0, 1.5, (1000, 40)), order=order)
+        buf = np.empty_like(x)
+        peak = traced_peak(lambda: systems.rhs_brusselator(x, 19, 0.1, 0.5, out=buf))
+        assert peak < 1.5 * x.nbytes
+
+    def test_ginzburg_landau_traces_only_its_cube(self, rng):
+        x = np.asfortranarray(rng.uniform(-1.5, 1.5, (1000, 50)))
+        buf = np.empty_like(x)
+        peak = traced_peak(lambda: systems.rhs_ginzburg_landau(x, 51, 0.1, out=buf))
+        # one state, and the headers of a few array objects
+        assert peak < x.nbytes + 4096
 
 
 def rhs_out_params(source):
