@@ -93,11 +93,17 @@ def write_csv(path, columns, rows):
 def rollout_reference(dataset, split, max_trajectories=None):
     """``(x0 (K, d), refs (M, K, d), stride)`` from the stored pair-left
     states of a split's first ``max_trajectories`` trajectories (all when
-    None), or None when there are none. The stride is the metadata's
-    ``m``, which a QPTD file loaded without its sidecar lacks."""
+    None), or None when there are none; they must be of one length. The
+    stride is the metadata's ``m``, which a file without its sidecar lacks."""
     trajs = dataset.trajectories(split)[:max_trajectories]
     if not trajs:
         return None
+    (tid0, lefts0, _), *rest = trajs
+    for tid, lefts, _ in rest:
+        if len(lefts) != len(lefts0):
+            raise QplandError(f"dataset: trajectory {tid} of the {split} split holds {len(lefts)} "
+                              f"pairs, trajectory {tid0} holds {len(lefts0)}; rollouts compare "
+                              f"trajectories of one length")
     if "m" not in dataset.metadata:
         raise QplandError("dataset metadata has no stride 'm', the steps between stored "
                           "states that rollouts compare at (is its .json sidecar missing?)")

@@ -11,7 +11,7 @@ backprop entry points exist:
 
 * ``value_backprop``   -- d/dtheta of sum_b c_b . y(x_b)
 * ``grad_backprop``    -- d/dtheta of sum_b v_b . grad_x y(x_b)
-                          (scalar-output nets only)
+                          (scalar-output tanh nets only)
 
 The second one is the workhorse: the training loss contains grad_x of the
 potential network, so its parameter gradient needs the mixed second
@@ -30,16 +30,16 @@ arguments. The two backprops here return ``(grad, x_adj)``; the VJPs of
 ``decomposition`` that chain them return ``(g_pot, x_adj)``,
 ``(g_rot, x_adj)`` and, for the drift, ``(g_pot, g_rot, x_adj)``.
 
-Derivative contract: every activation supplies ``d1(pre, hid)`` and
-``d2(pre, hid)``, its first and second derivatives at the pre-activation
-``pre``, given also ``hid``, the activation value the forward pass stored
-for it. Backprop reads both off the tape, the ``NetPass`` of that forward
-evaluation, and computes each derivative where it is used. Nothing is
-cached on the tape, where it would hold memory for as long as the tape
-lives.
+Derivative contract: every activation supplies ``d1(pre, hid)``, its
+first derivative at the pre-activation ``pre``, given also ``hid``, the
+activation value the forward pass stored for it. Backprop reads it off the
+tape, the ``NetPass`` of that forward evaluation, where it is used; nothing
+is cached on the tape, where it would hold memory as long as the tape
+lives. The one second derivative is tanh's, ``-2 h d1``, which
+``grad_backprop`` forms over the ``d1`` it holds: it takes tanh nets only.
 
-What a tape holds follows from what the derivatives read, which an
-activation declares in ``ActivationFns.reads_pre``:
+What a tape holds follows from what ``d1`` reads, which an activation
+declares in ``ActivationFns.reads_pre``:
 
 * Tanh reads ``hid``. ``1 - h^2`` and ``-2 h (1 - h^2)`` are bit-identical
   to the same formulas on a recomputed ``np.tanh(pre)``, because ``hid`` is
@@ -52,7 +52,7 @@ activation declares in ``ActivationFns.reads_pre``:
   keeps the default ``reads_pre=True``, and its tape holds two arrays per
   hidden layer, ``pre`` and ``hid``.
 
-The value and both derivatives take ``out=``, the array to write into.
+The value and the derivative take ``out=``, the array to write into.
 
 Workspace: ``forward``, ``forward_tape``, ``input_gradient``,
 ``value_backprop`` and ``grad_backprop`` take a keyword-only ``workspace``
@@ -92,7 +92,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, QplandError
 
 
 class Activation(str, Enum):
@@ -105,15 +105,6 @@ def _tanh_d(pre, hid, out=None):
     return np.subtract(1.0, out, out=out)
 
 
-def _tanh_dd(pre, hid, out=None):
-    # (1 - h^2) h (-2) in one array: multiplying by -2 is exact above the
-    # subnormal range, so this is -2 h (1 - h^2) to the bit
-    out = _tanh_d(pre, hid, out=out)
-    out *= hid
-    out *= -2.0
-    return out
-
-
 def _relu2(z, out=None):
     out = np.maximum(z, 0.0, out=out)
     return np.square(out, out=out)
@@ -124,25 +115,19 @@ def _relu2_d(pre, hid, out=None):
     return np.multiply(2.0, out, out=out)
 
 
-def _relu2_dd(pre, hid, out=None):
-    # second derivative jumps at z=0; the value there is pinned to 0
-    return np.multiply(np.greater(pre, 0.0, out=out), 2.0, out=out)
-
-
 class ActivationFns(NamedTuple):
-    """The value and the ``(pre, hid)`` derivatives of one activation.
-    ``reads_pre`` False declares that ``d1`` and ``d2`` never read ``pre``,
-    so a tape need not keep it."""
+    """The value and the ``(pre, hid)`` first derivative of one activation.
+    ``reads_pre`` False declares that ``d1`` never reads ``pre``, so a tape
+    need not keep it."""
 
     value: Callable  # (z, out=None)
     d1: Callable  # (pre, hid, out=None)
-    d2: Callable  # (pre, hid, out=None)
     reads_pre: bool = True
 
 
 _ACT = {
-    Activation.TANH: ActivationFns(np.tanh, _tanh_d, _tanh_dd, reads_pre=False),
-    Activation.RELU_SQUARED: ActivationFns(_relu2, _relu2_d, _relu2_dd),
+    Activation.TANH: ActivationFns(np.tanh, _tanh_d, reads_pre=False),
+    Activation.RELU_SQUARED: ActivationFns(_relu2, _relu2_d),
 }
 
 
@@ -382,8 +367,8 @@ def input_gradient(net, x, *, workspace=None):
 # Scratch arrays of the sweeps, in the shared view of a workspace: "abar"
 # and "hbar" (NetPass.gradient, value_backprop and grad_backprop), and
 # "d1_<l>", "adot<l>" and "hdot<l>" (grad_backprop, whose reverse sweep
-# writes its tangent adjoints over the dead tangents). A sweep returns its
-# input gradient or adjoint in "hbar".
+# writes its curvature terms and tangent adjoints over the dead d1 and
+# tangents). A sweep returns its input gradient or adjoint in "hbar".
 
 def value_backprop(net, tape, cotangent, *, workspace=None):
     """Gradient of sum_b cotangent_b . y_b w.r.t. params, plus input adjoint.
@@ -415,21 +400,25 @@ def value_backprop(net, tape, cotangent, *, workspace=None):
 
 def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
     """Parameter gradient of  sum_b v_b . grad_x y(x_b)  for a scalar-output
-    net, plus the input adjoint H(x_b) v_b.
+    tanh net, plus the input adjoint H(x_b) v_b.
 
     A dual (tangent) forward pass in direction v turns the directional
     derivative v . grad y into the tangent output, and one reverse sweep over
-    the primal/tangent pair yields exact mixed second derivatives.
+    the primal/tangent pair yields exact mixed second derivatives. Its
+    curvature term builds tanh's d2 = -2 h d1 from d1, so the net must be
+    tanh, as ``DecompositionModel`` makes the potential net.
     """
     if net.output_dim != 1:
         raise DimensionMismatchError("grad_backprop output_dim", 1, net.output_dim)
+    if net.activation is not Activation.TANH:
+        raise QplandError(f"grad_backprop activation: expected tanh, got {net.activation.value}")
     ws = workspace or Workspace()
     v = np.atleast_2d(np.asarray(grad_cotangent, dtype=np.float64))
-    act = _ACT[net.activation]
+    d1 = _ACT[net.activation].d1
     layers = net.layers()
     nh = len(layers) - 1
     rows = v.shape[0]
-    d1s = [act.d1(a, h, out=ws.take(f"d1_{l}", h.shape))
+    d1s = [d1(a, h, out=ws.take(f"d1_{l}", h.shape))
            for l, (a, h) in enumerate(zip(tape.pre, tape.hid))]
 
     # tangent pass: adot_l = hdot_{l-1} W_l^T, hdot_l = d1 * adot_l
@@ -453,22 +442,24 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
     gw, gb = grads[-1]
     hdots_in[-1].sum(axis=0, out=gw[0])
     gb.fill(0.0)
-    hbar = ws.take("hbar", (rows, w_out.shape[1]))
-    hbar.fill(0.0)
+    hbar = None  # zero
     hdotbar = w_out[0]
 
     for l in range(nh - 1, -1, -1):
         w, _ = layers[l]
         # hdot_l = d1(a_l) * adot_l couples the primal adjoint to curvature:
-        # abar = d1 * hbar + (d2 * adot) * hdotbar, with d2 written over d1
-        # hdot_l was last read by the layer above, so adotbar is written
-        # over it
-        abar = np.multiply(d1s[l], hbar, out=ws.take("abar", hbar.shape))
+        # abar = d1 * hbar + (d2 * adot) * hdotbar. hdot_l was last read by
+        # the layer above, so adotbar is written over it; d2 = -2 h d1 is
+        # written over d1 after d1's last read.
         adotbar = np.multiply(d1s[l], hdotbar, out=hdots[l])
-        curv = act.d2(tape.pre[l], tape.hid[l], out=d1s[l])
+        abar = 0.0 if hbar is None else np.multiply(d1s[l], hbar, out=ws.take("abar", hbar.shape))
+        curv = d1s[l]
+        curv *= tape.hid[l]
+        curv *= -2.0
         curv *= adots[l]
         curv *= hdotbar
-        abar += curv
+        # at the top layer (+0) + curv: d1 * 0 + curv to the bit, -0 included
+        abar = np.add(abar, curv, out=curv)
         gw, gb = grads[l]
         np.matmul(abar.T, hs[l], out=gw)
         gw += adotbar.T @ hdots_in[l]
@@ -478,4 +469,5 @@ def grad_backprop(net, tape, grad_cotangent, *, workspace=None):
             # adot_l has no reader left: the tangent adjoint takes its
             # array, which is adot_l's own when the two layers are as wide
             hdotbar = np.matmul(adotbar, w, out=ws.take(f"adot{l}", (rows, w.shape[1])))
-    return grad, hbar
+    # without hidden layers the gradient does not depend on x
+    return grad, (np.zeros_like(v) if hbar is None else hbar)

@@ -8,6 +8,8 @@ import pytest
 from qpland import cli, datasets
 from qpland.decomposition import init_model, save_checkpoint
 
+from conftest import ragged_bistable3d
+
 # sha256 of each command's output file, recorded with NumPy 2.4.6 and
 # scipy-openblas 0.3.31; a BLAS that rounds differently would need them
 # recorded again. The Ginzburg-Landau field cubes by products, so the mep
@@ -592,6 +594,32 @@ class TestErrors:
             "error": "FormatError",
             "detail": f"{data}: trajectory 1 of 10 has no pairs; every trajectory must have "
                       f"at least one"}
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+    @pytest.mark.parametrize("command, detail", [
+        (["train", "--reps", "REPS"], "trajectory 4 of the val split holds 10 pairs, "
+                                      "trajectory 3 holds 9"),
+        (["eval", "--model", "exact:bistable3d"], "trajectory 8 of the test split holds 10 "
+                                                  "pairs, trajectory 1 holds 9"),
+    ], ids=["train", "eval"])
+    def test_trajectories_of_unequal_length_print_one_json_line(self, command, detail, inputs,
+                                                                tmp_path, capsys):
+        # 10 and 9 pairs: train and eval used to end in a traceback from
+        # NumPy's "all input arrays must have the same shape"
+        work = tmp_path / "in"
+        work.mkdir()
+        data = str(work / "ragged.qptd")
+        datasets.save_dataset(ragged_bistable3d(), data)
+        cfg = _write_json(work / "run.json", E2E_CONFIG)
+        capsys.readouterr()
+        code = cli.main([command[0], "--config", cfg, "--data", data,
+                         *(inputs.get(a, a) for a in command[1:]), "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "QplandError",
+            "detail": f"dataset: {detail}; rollouts compare trajectories of one length"}
         assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
     def test_dataset_without_its_sidecar_prints_one_json_line(self, inputs, tmp_path, capsys):

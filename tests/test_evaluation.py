@@ -13,6 +13,8 @@ from qpland.evaluation import (_CHUNK, _equal_arclength, arc_length, build_repor
                                rollout_reference, write_csv)
 from qpland.systems import make_system, rhs_bistable3d
 
+from conftest import ragged_bistable3d
+
 
 @pytest.fixture
 def exact_bistable():
@@ -174,6 +176,20 @@ class TestRolloutReference:
     def test_none_without_trajectories(self):
         dataset = split(generate(make_system("bistable3d"), 10, 1e-2, 0.5, 5, seed=0), seed=1)
         assert rollout_reference(dataset, "val", max_trajectories=0) is None
+
+    def test_trajectories_of_unequal_length_are_named(self, exact_bistable):
+        # 10 and 9 pairs: the references used to end in NumPy's "all input
+        # arrays must have the same shape"
+        dataset = ragged_bistable3d()
+        assert [len(lefts) for _, lefts, _ in dataset.trajectories("val")] == [9, 10, 9, 10]
+        with pytest.raises(QplandError, match="^dataset: trajectory 4 of the val split holds 10 "
+                                              "pairs, trajectory 3 holds 9; rollouts compare "
+                                              "trajectories of one length$"):
+            rollout_reference(dataset, "val")
+        with pytest.raises(QplandError, match="^dataset: trajectory 8 of the test split holds 10 "
+                                              "pairs, trajectory 1 holds 9; "):
+            build_report(exact_bistable, dataset=dataset)
+        assert rollout_reference(dataset, "val", max_trajectories=1) is not None
 
     def test_dataset_without_its_sidecar_is_rejected(self, exact_bistable, tmp_path):
         # without the sidecar's m the stored states, m steps apart, would be

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qpland import nets
-from qpland.errors import DimensionMismatchError
+from qpland.errors import DimensionMismatchError, QplandError
 from qpland.nets import (Activation, ActivationFns, Mlp, Workspace, forward, forward_tape,
                          grad_backprop, init_mlp, input_gradient, param_count, value_backprop)
 
@@ -95,11 +97,6 @@ def _recomputed_tanh_d(pre, hid, out=None):
     return np.subtract(1.0, t * t, out=out)
 
 
-def _recomputed_tanh_dd(pre, hid, out=None):
-    t = np.tanh(pre)
-    return np.multiply(-2.0 * t, 1.0 - t * t, out=out)
-
-
 def _tanh_consumer_outputs(scalar, vector, xs, v):
     """Every tape consumer on tanh nets: name -> its output arrays."""
     _, pot_tape = forward_tape(scalar, xs)
@@ -112,8 +109,9 @@ def _tanh_consumer_outputs(scalar, vector, xs, v):
 
 
 class TestDerivativeContract:
-    """Tanh derivatives read the stored activation; they must equal the
-    same formulas on a recomputed ``np.tanh(pre)`` bit for bit."""
+    """Tanh's derivative reads the stored activation; every consumer must
+    equal the same formula on a recomputed ``np.tanh(pre)`` bit for bit,
+    ``grad_backprop``'s second derivative, built from the first, included."""
 
     def test_tanh_consumers_bit_identical_to_recomputed_tanh(self, rng, monkeypatch):
         # large weights drive many units into saturation, where 1 - h^2 is
@@ -124,7 +122,7 @@ class TestDerivativeContract:
         got = _tanh_consumer_outputs(*args)
         with monkeypatch.context() as m:
             m.setitem(nets._ACT, Activation.TANH,
-                      ActivationFns(np.tanh, _recomputed_tanh_d, _recomputed_tanh_dd))
+                      ActivationFns(np.tanh, _recomputed_tanh_d))
             want = _tanh_consumer_outputs(*args)
         for name, arrays in want.items():
             for a, b in zip(got[name], arrays, strict=True):
@@ -242,6 +240,84 @@ class TestGradBackprop:
         _, tape = forward_tape(net, np.zeros((1, 2)))
         with pytest.raises(DimensionMismatchError):
             grad_backprop(net, tape, np.zeros((1, 2)))
+
+    def test_rejects_relu2(self, rng):
+        # the curvature term takes tanh's second derivative from its first
+        net = make_net(2, (3,), 1, Activation.RELU_SQUARED, rng)
+        _, tape = forward_tape(net, np.zeros((1, 2)))
+        with pytest.raises(QplandError,
+                           match="^grad_backprop activation: expected tanh, got relu2$"):
+            grad_backprop(net, tape, np.zeros((1, 2)))
+
+
+def _digest(a):
+    return hashlib.sha256(np.asarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def _pin_case(d, depth, scale=1.0):
+    """A tanh scalar net with ``depth`` hidden layers of width 7 on d inputs,
+    its weights and biases times ``scale``, its tape at 11 rows and a
+    cotangent there."""
+    rng = np.random.default_rng(1000 * d + depth)
+    net = make_net(d, (7,) * depth, 1, Activation.TANH, rng)
+    net.params *= scale
+    _, tape = forward_tape(net, rng.normal(0, 1, (11, d)))
+    return net, tape, rng.normal(0, 1, (11, d))
+
+
+# Recorded before grad_backprop built d2 from d1, with NumPy 2.4.6 and
+# scipy-openblas 0.3.31: sha256 of the little-endian float64 bytes of the
+# gradient and of the input adjoint
+PINNED_GRAD_BACKPROP = {
+    (1, 0): ("9a4f9e29269e5891f17087c209b88af318807a969f232c6bc6bf5ad334f7d5c4",
+             "10eef285deef7a4b7c82b22aa53589b7833df29de3814649c772bbd5c832f365"),
+    (1, 1): ("7240c8982a72d0c99625d7494add052e2e747c176a90981041bd0d4c4ad1261a",
+             "f169fba4c3f631045c375671b8336f8b8942c064fc244686ef8f5aed61913e5b"),
+    (1, 2): ("789c84c3ebbe4ec388ad1bd75a0cbfd8af3e8bc822ae77dc39f2e9d78abb7e1f",
+             "e3e21cdea9645fd3d28e833998c0522f95915874e8fa295222f2cef88487f64d"),
+    (1, 3): ("eb7696966fa91b97345541848a02e5b3ecd3230539fd9033ad03ae6da8b23a63",
+             "ff55bc977b77de016cb95c02f838eea794d76ec198fb5ca7d0260eb84cfb8c2a"),
+    (3, 0): ("6f72c6275d18cdc1d9529ab920249e4b8e4420aa3d4f1fe64fa9568dc5de4109",
+             "44b8aa4d28701168922acf61435ea4bb442f97b0b14ad7a2510ed68874ee2a72"),
+    (3, 1): ("ce10487716a0d0aa393d76a2d7d16e2225cf32d3deb1bb8bfb68fbf71d070cd1",
+             "ffd8d2ccef304a121c1f1fa9022d79a213c875f362c2fb6fe70e700ccdc23748"),
+    (3, 2): ("c7d512fe885b9011b363e1c29bb43debd7a7bf6c290fcaf7418e032c6fd6a356",
+             "461cb23a24fbcdac5c337c767f73b9544e70899682b0beed44d94b6f050c4abe"),
+    (3, 3): ("60c8641d25794445c7811d1fb78147fabd5bb34017790326c13290d58009f6e9",
+             "56682287dff72c11f492a2784ae71f3f090462dbdf6440364bf17f3c7ae7461d"),
+    (50, 0): ("1eefbec06e0c0c09aeb42a73824323892d85c743cc65a4459803fa64b586584c",
+             "34fa1826a0a171d2579b65040894c503d1bfc945f90690b95a979dd136dd0dfd"),
+    (50, 1): ("7346b8ff397576846880812fb80efb0e8ea217567f462ae81b0c7c972971c079",
+             "4d79165679fbe69f0c1a00c82d70eb9f023a1ed71c8858b57ceec794fb8dbc92"),
+    (50, 2): ("f3484035d2e324c4022898b4d101072f22584eb5f068af5832540b63f0c3a9d0",
+             "d62a832542089d5f30f29e44f1b62cec351b8bc0b2832bccae45368dbf348be5"),
+    (50, 3): ("bcb8389970de3cc368d2e2bd8f7b55f7a7a07d312e6ecde04edd6131fca3dacd",
+             "5f38b0ec7987d3949166d70d2359ef69ea3679b900f75396b94e6190525ec777"),
+}
+PINNED_SATURATED = ("0e923dc83eb3c27de59ce44fc275e8c1bbefd6c90fe2c55a20e266db85fd5b12",
+                    "fa167898c626db901e40ff160ab353113da7198730aeb346bb8a657dffd18593")
+
+
+class TestGradBackpropBytes:
+    @pytest.mark.parametrize("d, depth", sorted(PINNED_GRAD_BACKPROP))
+    def test_pinned(self, d, depth):
+        grad, x_adj = grad_backprop(*_pin_case(d, depth))
+        assert x_adj.shape == (11, d)
+        assert (_digest(grad), _digest(x_adj)) == PINNED_GRAD_BACKPROP[d, depth]
+
+    def test_pinned_with_saturated_units(self):
+        # weights x20: in every hidden layer whole units sit at 1 - h^2 = 0
+        # on every row, where the curvature term is a signed zero
+        net, tape, v = _pin_case(3, 2, scale=20.0)
+        assert all((h * h == 1.0).all(axis=0).any() for h in tape.hid)
+        grad, x_adj = grad_backprop(net, tape, v)
+        assert (_digest(grad), _digest(x_adj)) == PINNED_SATURATED
+
+    def test_zero_input_adjoint_without_hidden_layers(self):
+        net, tape, v = _pin_case(3, 0)
+        grad, x_adj = grad_backprop(net, tape, v)
+        assert np.array_equal(x_adj, np.zeros((11, 3)))
+        assert np.array_equal(grad, np.r_[v.sum(axis=0), 0.0])
 
 
 class TestInit:

@@ -11,7 +11,7 @@ from qpland.config import parse_config
 from qpland.datasets import (RepresentativeSet, TrajectoryDataset, generate,
                              representative_sample, split)
 from qpland.decomposition import (AnalyticDecomposition, ModelGrads, drift_with_tape,
-                                  init_model)
+                                  fit_center, init_model)
 from qpland.errors import ConfigError, NonFiniteError, QplandError, TrainingDivergedError
 from qpland.nets import Workspace, forward, input_gradient
 from qpland.systems import make_system
@@ -19,7 +19,7 @@ from qpland.training import (AdamState, LossConfig, TrainConfig, adam_step,
                              cosine_penalty, dyn_loss, huber, orth_loss, orth_loss_and_grad,
                              total_loss, total_loss_and_grad, train, write_history_csv)
 
-from conftest import make_net
+from conftest import make_net, ragged_bistable3d
 
 
 class Linear1d:
@@ -223,6 +223,51 @@ class TestGradients:
         y = x + 0.01 * rng.normal(0, 1, x.shape)
         cfg = LossConfig(huber_delta=0.6, orth_weight=0.0, neg_cos_weight=0.1)
         assert_gradient_matches_fd(model, x, y, rng.normal(0, 1, (6, 3)), cfg)
+
+
+class TestRelu2GradientAtD50:
+    """ginzburg_landau with I = 51 (d = 50) and a ReLU^2 rotational net: on
+    these states whole units are inactive, and the smallest |g| at the
+    representatives is about 1e-6. The cosine turns on the scale of |g|,
+    so a parameter step of 1e-5, as in perfbench's gradient check, moves
+    the loss far from linear: central differences of the total loss miss
+    the analytic slope by 1% to over 100% there, while the dyn term alone
+    (orth_weight 0) and tanh nets agree to 3e-7. perfbench's step suits
+    tanh nets only; here the step is 1/100 of the smallest |g|."""
+
+    @pytest.fixture(scope="class")
+    def gl50(self):
+        data = split(generate(make_system("ginzburg_landau", {"I": 51}), 40, 1e-3, 0.1, 10,
+                              seed=1), seed=2)
+        x, y = (side[:64] for side in data.pairs("train"))
+        reps = representative_sample(data.states("train"), 0.5, seed=3).points[:64]
+        assert reps.shape == (64, 50)
+        return data, x, y, reps
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_total_loss_matches_central_differences(self, gl50, seed):
+        data, x, y, reps = gl50
+        model = init_model(50, 50, "relu2", seed)
+        fit_center(model, data, "train")
+        smallest_g = np.linalg.norm(model.rotation(reps), axis=1).min()
+        assert smallest_g < 1e-5
+        cfg = LossConfig()
+        _, _, _, grads = total_loss_and_grad(model, x, y, data.dt, reps, cfg)
+        rng = np.random.default_rng(seed)
+        dp = rng.standard_normal(grads.potential.shape)
+        dr = rng.standard_normal(grads.rotational.shape)
+        norm = np.sqrt(dp @ dp + dr @ dr)
+        dp, dr = dp / norm, dr / norm
+
+        def loss_at(s):
+            m = model.copy()
+            m.potential_net.params += s * dp
+            m.rotational_net.params += s * dr
+            return total_loss(m, x, y, data.dt, reps, cfg)
+
+        eps = smallest_g / 100
+        fd = (loss_at(eps) - loss_at(-eps)) / (2 * eps)
+        assert grads.potential @ dp + grads.rotational @ dr == pytest.approx(fd, rel=1e-5)
 
 
 class TestOrthGradient:
@@ -733,6 +778,20 @@ class TestEmptySplits:
         with pytest.raises(QplandError, match=f"^dataset: the {empty} split has no pairs$"):
             train(bare, reps, model, LossConfig(), TrainConfig(max_steps=2, eval_every=1))
         assert np.array_equal(model.center, center)  # raised before the center was fit
+
+    def test_val_trajectories_of_unequal_length_are_named(self):
+        # 10 and 9 pairs: the rollout reference used to end in NumPy's "all
+        # input arrays must have the same shape"
+        dataset = ragged_bistable3d()
+        reps = {s: representative_sample(dataset.states(s), 0.3, seed=0) for s in ("train", "val")}
+        model = init_model(3, 4, "tanh", seed=0)
+        pot, rot = model.potential_net.params.copy(), model.rotational_net.params.copy()
+        with pytest.raises(QplandError, match="^dataset: trajectory 4 of the val split holds 10 "
+                                              "pairs, trajectory 3 holds 9; "):
+            train(dataset, reps, model, LossConfig(), TrainConfig(max_steps=2, eval_every=1))
+        # raised before the first step
+        assert np.array_equal(model.potential_net.params, pot)
+        assert np.array_equal(model.rotational_net.params, rot)
 
 
 class TestConfigValidation:
