@@ -4,14 +4,17 @@ grids, landscape slices, and the simplified string method for minimum
 energy paths.
 
 Grid evaluation is chunked; reductions stay in index order so results do
-not depend on the chunking. The chunks of ``potential_values`` and of the
-report's cosines run on lanes, one per CPU the process may use (see
-``lanes``), each writing its own rows of the output, so their values do
-not depend on the number of lanes either. Rollouts run on the calling
-thread.
+not depend on the chunking. A uniform grid is never held whole:
+``make_grid`` returns a ``GridPoints``, which builds the rows of a chunk
+from the axes when the chunk is read. The chunks of ``potential_values``
+and of the report's cosines run on lanes, one per CPU the process may use
+(see ``lanes``), each writing its own rows of the output, so their values
+do not depend on the number of lanes either. Every value they give is
+checked to be finite. Rollouts run on the calling thread.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -26,25 +29,34 @@ from .integrators import rk2_step
 from .nets import Workspace
 
 # Rows per model call on a grid or a point set. Small on purpose: it sets
-# the tape memory an evaluation holds, per lane. A tanh tape holds one
-# array per hidden layer, rows x width x 2 layers x 8 B per net: 1.6 MB at
-# 2048 rows of width 50, against 8 MB at 10k rows and 160 MB at 200k; each
-# lane of ``_row_values`` holds one.
+# the memory an evaluation holds per lane, a chunk's points and its tape.
+# A tanh tape holds one array per hidden layer, rows x width x 2 layers x
+# 8 B per net: 1.6 MB at 2048 rows of width 50, against 8 MB at 10k rows
+# and 160 MB at 200k; each lane of ``_row_values`` holds one. A chunk of a
+# grid is built when it is read (``GridPoints``): 48 KB at 2048 rows, d = 3.
 _CHUNK = 2048
 
 
-def _row_values(points, fn):
-    """``fn(points[rows], ws)``, one value per row, over the chunks of
+def _chunk(points, rows):
+    """The rows ``rows`` of an array, a point list or a ``GridPoints``, as a
+    float64 array."""
+    return np.asarray(points[rows], dtype=np.float64)
+
+
+def _row_values(what, points, fn):
+    """``fn(points[rows], ws)``, one finite value per row, over the chunks of
     ``_CHUNK`` rows, run on lanes, each writing its rows of one output. The
     chunks of a lane share its workspace ``ws``, so a chunk after the first
-    reuses the tape arrays of the one before instead of paging in new ones."""
-    points = np.asarray(points, dtype=np.float64)
+    reuses the tape arrays of the one before instead of paging in new ones.
+    A NaN or an inf raises NonFiniteError naming ``what`` and the first row
+    that holds one."""
     out = np.empty(len(points))
     starts = range(0, len(points), _CHUNK)
 
     def chunk(i, ws):
         rows = slice(starts[i], starts[i] + _CHUNK)
-        out[rows] = fn(points[rows], ws)
+        out[rows] = fn(_chunk(points, rows), ws)
+        check_finite(what, out[rows], start=starts[i])
 
     lanes.run_blocks(len(starts), chunk, None, Workspace())
     return out
@@ -52,7 +64,8 @@ def _row_values(points, fn):
 
 def potential_values(model, points):
     """V at the rows of ``points``, chunk by chunk on lanes."""
-    return _row_values(points, lambda x, ws: model.potential(x, workspace=ws))
+    return _row_values("learned potential", points,
+                       lambda x, ws: model.potential(x, workspace=ws))
 
 
 def landscape_values(model, points):
@@ -156,8 +169,91 @@ def rollout_errors_against_reference(model, x0, refs, dt, stride, dt_eval=None):
 
 # -- quasipotential errors ------------------------------------------------------
 
+# Entries (rows x d) at most in the period of trailing axes that a grid
+# keeps (see ``GridPoints``). Extended by a chunk's rows, the kept block
+# holds at most _PATTERN + d * _CHUNK entries, 0.6 MB at d = 3.
+_PATTERN = 1 << 16
+
+
+class GridPoints:
+    """The (L, d) points of a uniform grid, read a row range at a time.
+
+    Row r is the point whose axis indices are ``np.unravel_index(r,
+    resolution)``: the rows of the ``np.meshgrid(*axes, indexing="ij")``
+    stack. ``points[a:b]`` builds the rows of a range as a fresh C-contiguous
+    float64 array, every entry a copy of an axis value; ``np.asarray(points)``
+    builds them all. Beside the axes, it holds nothing of O(L) rows.
+
+    In the columns of trailing axes ``axes[f:]``, the rows repeat with a
+    period of ``prod(len(axes[f:]))`` rows. The longest such period of at
+    most ``_PATTERN`` entries is kept as a block of whole rows, repeated to
+    ``_CHUNK`` rows more than one period, so the rows of a chunk start as
+    one copy of a slice of it. Each axis before those holds each of its
+    values for ``run`` rows in turn; its column is filled with three
+    assignments at most: the part of the run the range starts in, the whole
+    runs inside it (one broadcast), and the part of the run it ends in.
+    """
+
+    ndim = 2
+
+    def __init__(self, axes):
+        self.axes = [np.array(a, dtype=np.float64) for a in axes]
+        for axis in self.axes:
+            axis.flags.writeable = False
+        d = len(self.axes)
+        self.shape = (math.prod(len(a) for a in self.axes), d)
+        fast, period = d, 1  # the trailing axes axes[fast:] repeat every ``period`` rows
+        while fast and period * len(self.axes[fast - 1]) * d <= _PATTERN:
+            fast -= 1
+            period *= len(self.axes[fast])
+        block = np.zeros((*(len(a) for a in self.axes[fast:]), d))
+        for k, column in enumerate(np.meshgrid(*self.axes[fast:], indexing="ij", sparse=True),
+                                   start=fast):
+            block[..., k] = column
+        self._period = period
+        self._block = block.reshape(period, d)[np.arange(period + _CHUNK) % period]
+        self._runs = []  # (axis, run) for each axis before axes[fast:]
+        run = self.shape[0]
+        for axis in self.axes[:fast]:
+            run //= len(axis)
+            self._runs.append((axis, run))
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, rows):
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError(f"grid points are read by row range, points[a:b]; got {rows!r}")
+        start, stop, _ = rows.indices(len(self))
+        stop = max(start, stop)
+        out = np.empty((stop - start, self.shape[1]))
+        at, offset = 0, start % self._period
+        while at < len(out):
+            take = min(len(self._block) - offset, len(out) - at)
+            out[at : at + take] = self._block[offset : offset + take]
+            at, offset = at + take, (offset + take) % self._period
+        for column, (axis, run) in zip(out.T, self._runs):
+            first, last = -(-start // run), stop // run  # the whole runs in range
+            if first > last:  # the range lies inside one run
+                column[:] = axis[start // run % len(axis)]
+                continue
+            head, body = first * run - start, (last - first) * run
+            column[:head] = axis[(first - 1) % len(axis)]
+            if body:
+                column[head : head + body].reshape(-1, run)[:] = (
+                    axis.take(np.arange(first, last), mode="wrap")[:, None])
+            column[head + body :] = axis[last % len(axis)]
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        whole = self[:]
+        return whole if dtype is None else whole.astype(dtype, copy=False)
+
+
 def make_grid(box, resolution):
-    """Uniform inclusive mesh over an axis-aligned box: (points (L, d), axes)."""
+    """Uniform inclusive mesh over an axis-aligned box: (points, axes), the
+    points a ``GridPoints`` of shape (L, d) built from ``axes``. An axis
+    whose values overflow float64 raises NonFiniteError naming it."""
     box = np.asarray(box, dtype=np.float64)
     resolution = [int(r) for r in np.atleast_1d(resolution)]
     if box.ndim != 2 or box.shape[1] != 2:
@@ -169,46 +265,55 @@ def make_grid(box, resolution):
                           f"one per axis of the box")
     if any(r < 1 for r in resolution):
         raise QplandError(f"grid resolution must be positive, got {resolution}")
-    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
-    points = np.empty((*resolution, len(axes)))
-    for k, column in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
-        points[..., k] = column
-    return points.reshape(-1, len(axes)), axes
+    with np.errstate(all="ignore"):
+        axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
+    for k, axis in enumerate(axes):
+        check_finite(f"grid axis {k}", axis,
+                     cause=f"{box[k].tolist()} at {len(axis)} points overflows float64")
+    points = GridPoints(axes)
+    return points, points.axes
 
 
 def quasipotential_errors(model, exact_u, points):
-    """(rRMSE, rMAE) between the learned and exact landscapes on a point set.
+    """(rRMSE, rMAE) between the learned and exact landscapes on a point set:
+    an array, or the ``GridPoints`` of ``make_grid``.
 
     Both landscapes have C pinned to their minimum over ``points``, so each
     reads 0 at its lowest point there; this makes the metrics invariant to
     the additive constants both are only defined up to. An exact landscape
     that is constant on ``points`` leaves nothing to compare against and is
-    rejected before the model runs.
+    rejected before the model runs; a NaN or an inf in either landscape
+    raises NonFiniteError naming its first row, and so does a sum over them
+    that overflows.
 
-    Holds one landscape-sized array. The exact landscape is evaluated per
-    ``_CHUNK`` rows three times: for its minimum and maximum, for the
-    differences, which replace the learned landscape in place, and once the
-    sums of those are taken, for its own sums in the same array. Each sum
-    is over the whole array, the one a plain expression such as
-    ``(diff * diff).sum()`` would take, since |d| |d| = d d exactly and
-    u_exact is nonnegative once shifted."""
-    points = np.asarray(points, dtype=np.float64)
+    Holds one landscape-sized array, and per lane one chunk of points and
+    its tape. The points are read per ``_CHUNK`` rows four times: once for
+    the learned landscape, on lanes, and three times for the exact one:
+    for its minimum and maximum, for the differences, which replace the
+    learned landscape in place, and once the sums of those are taken, for
+    its own sums in the same array. Each sum is over the whole array, the
+    one a plain expression such as ``(diff * diff).sum()`` would take,
+    since |d| |d| = d d exactly and u_exact is nonnegative once shifted."""
     low, high = np.inf, -np.inf
-    for _, u_exact in _exact_chunks(exact_u, points):
+    for rows, u_exact in _exact_chunks(exact_u, points):
+        check_finite("exact landscape", u_exact, start=rows.start)
         low, high = np.minimum(low, u_exact.min()), np.maximum(high, u_exact.max())
     if high - low == 0.0:
         raise QplandError(f"the exact landscape has zero norm on the {len(points)} grid "
                           f"points (constant there); rRMSE and rMAE are undefined")
     u = landscape_values(model, points)
-    for rows, u_exact in _exact_chunks(exact_u, points):
-        u[rows] -= u_exact - low
-    diff_abs = np.abs(u, out=u).sum()
-    diff_sq = np.multiply(u, u, out=u).sum()
-    for rows, u_exact in _exact_chunks(exact_u, points):
-        u[rows] = u_exact
-    u -= low
-    exact_abs = u.sum()
-    exact_sq = np.multiply(u, u, out=u).sum()
+    with np.errstate(over="ignore"):  # an overflowing sum is named below
+        for rows, u_exact in _exact_chunks(exact_u, points):
+            u[rows] -= u_exact - low
+        diff_abs = np.abs(u, out=u).sum()
+        diff_sq = np.multiply(u, u, out=u).sum()
+        for rows, u_exact in _exact_chunks(exact_u, points):
+            u[rows] = u_exact
+        u -= low
+        exact_abs = u.sum()
+        exact_sq = np.multiply(u, u, out=u).sum()
+    check_finite("rRMSE and rMAE", np.max([diff_abs, diff_sq, exact_abs, exact_sq]),
+                 cause="a sum over the landscapes overflows float64")
     return float(np.sqrt(diff_sq) / np.sqrt(exact_sq)), float(diff_abs / exact_abs)
 
 
@@ -216,7 +321,7 @@ def _exact_chunks(exact_u, points):
     """(rows, exact_u(points[rows])) for each chunk of ``_CHUNK`` rows."""
     for i in range(0, len(points), _CHUNK):
         rows = slice(i, i + _CHUNK)
-        yield rows, exact_u(points[rows])
+        yield rows, exact_u(_chunk(points, rows))
 
 
 # -- landscape export ------------------------------------------------------------
@@ -388,7 +493,7 @@ def build_report(model, dataset=None, exact_u=None, grid_points=None, grid_echo=
     if exact_u is not None and grid_points is not None:
         report.rrmse, report.rmae = quasipotential_errors(model, exact_u, grid_points)
     if representatives is not None:
-        cos = _row_values(representatives.points,
+        cos = _row_values("orthogonality cosine", representatives.points,
                           lambda x, ws: orthogonality_cosine(model, x, workspace=ws))
         np.abs(cos, out=cos)
         report.cos_mean_abs = float(cos.mean())

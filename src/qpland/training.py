@@ -348,6 +348,8 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     for split in ("train", "val"):
         if not dataset.pair_mask(split).any():
             raise QplandError(f"dataset: the {split} split has no pairs")
+    # rejects ragged val trajectories before the caller's model is moved
+    val_ref = evaluation.rollout_reference(dataset, "val", train_cfg.val_rollout_trajectories)
     fit_center(model, dataset, "train")
     # int32 row numbers gather the same rows at half the memory
     tr_rows = np.flatnonzero(dataset.pair_mask("train")).astype(
@@ -359,7 +361,6 @@ def train(dataset, representatives, model, loss_cfg, train_cfg):
     adam_pot = AdamState.like(model.potential_net.params)
     adam_rot = AdamState.like(model.rotational_net.params)
 
-    val_ref = evaluation.rollout_reference(dataset, "val", train_cfg.val_rollout_trajectories)
     ws = Workspace()
     history = []
     best = {"loss": np.inf, "model": None, "step": -1}

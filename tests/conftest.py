@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from qpland import lanes
 from qpland.datasets import TrajectoryDataset, generate, split
 from qpland.nets import Activation, Mlp, param_count
 from qpland.systems import make_system
@@ -17,6 +18,12 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs the lanes see: ``cpus(n)``."""
+    return lambda n: monkeypatch.setattr(lanes, "cpu_count", lambda: n)
 
 
 def make_net(input_dim, hidden, output_dim, activation, rng, scale=0.6):

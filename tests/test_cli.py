@@ -417,6 +417,24 @@ class TestErrors:
         assert payload["error"] == "QplandError" and "resolution" in payload["detail"]
         assert not (tmp_path / "report.json").exists()
 
+    def test_overflowing_grid_box_prints_one_json_line(self, inputs, tmp_path, capsys):
+        # every number of the box is finite, so the config check passes; the
+        # grid axis overflowed, and the report read "rMAE": NaN, not JSON
+        box = [[-1e308, 1e308], [-1.0, 1.0], [-1.0, 1.0]]
+        cfg = _write_json(tmp_path / "run.json",
+                          {**E2E_CONFIG, "eval": {"grid": {"box": box, "resolution": 5}}})
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", cfg, "--model", "exact:bistable3d",
+                         "--data", inputs["DATA"], "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "NonFiniteError",
+            "detail": "non-finite value in grid axis 0, index 0: [-1e+308, 1e+308] at 5 points "
+                      "overflows float64"}
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("flag", ["--data", "--reps", "--model"])
     def test_missing_input_file_prints_one_json_line(self, flag, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -7,9 +7,9 @@ import pytest
 
 from qpland.datasets import RepresentativeSet, generate, load_dataset, save_dataset, split
 from qpland.decomposition import AnalyticDecomposition, init_model, orthogonality_cosine
-from qpland.errors import QplandError
-from qpland.evaluation import (_CHUNK, _equal_arclength, arc_length, build_report, make_grid,
-                               quasipotential_errors, rollout_errors_against_reference,
+from qpland.errors import NonFiniteError, QplandError
+from qpland.evaluation import (_CHUNK, _PATTERN, _equal_arclength, arc_length, build_report,
+                               make_grid, quasipotential_errors, rollout_errors_against_reference,
                                rollout_reference, write_csv)
 from qpland.systems import make_system, rhs_bistable3d
 
@@ -49,6 +49,38 @@ class TestQuasipotentialErrors:
         assert str(exc.value) == ("the exact landscape has zero norm on the 64 grid points "
                                   "(constant there); rRMSE and rMAE are undefined")
 
+    @pytest.mark.parametrize("which", ["exact", "learned"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_landscape_is_named_by_its_row(self, which, value, exact_bistable):
+        # a row of the third chunk; the metrics used to read NaN
+        points, _ = make_grid([[-2.0, 2.0], [-1.5, 1.5], [-1.5, 1.5]], 25)
+        row = 2 * _CHUNK + 100
+        bad = np.asarray(points)[row]
+
+        def poisoned(fn):
+            return lambda x, **_: np.where((x == bad).all(axis=1), value, fn(x))
+
+        exact_u = make_system("bistable3d").exact_u
+        model = init_model(3, 4, "tanh", seed=0)
+        if which == "exact":
+            exact_u = poisoned(exact_u)
+        else:
+            model.potential = poisoned(model.potential)
+        with pytest.raises(NonFiniteError) as exc:
+            quasipotential_errors(model, exact_u, points)
+        where = {"exact": "exact landscape", "learned": "learned potential"}[which]
+        assert str(exc.value) == f"non-finite value in {where}, index {row}"
+
+    def test_overflowing_sum_is_named(self):
+        # both landscapes are finite on this grid, their squares are not;
+        # the metrics used to read NaN
+        points, _ = make_grid([[-1e77, 1e77], [-1.0, 1.0], [-1.0, 1.0]], 5)
+        with pytest.raises(NonFiniteError) as exc:
+            quasipotential_errors(init_model(3, 4, "tanh", seed=0),
+                                  make_system("bistable3d").exact_u, points)
+        assert str(exc.value) == ("non-finite value in rRMSE and rMAE: a sum over the "
+                                  "landscapes overflows float64")
+
     def test_exact_landscape_is_evaluated_a_chunk_at_a_time(self, exact_bistable):
         rows = []
 
@@ -60,21 +92,31 @@ class TestQuasipotentialErrors:
         assert quasipotential_errors(exact_bistable, exact_u, points) == (0.0, 0.0)
         assert max(rows) == _CHUNK
 
-    def test_peak_is_one_landscape(self):
-        # the grid spans more than four chunks; the learned landscape is the
-        # one array of its size, and the exact one is held a chunk at a time
-        model = init_model(3, 8, "tanh", seed=4)
+    def test_peak_is_one_landscape(self, cpus):
+        # the grid spans more than four chunks and is built a chunk at a
+        # time; the learned landscape is the one array of its size, and each
+        # lane holds one chunk's points and tape
+        width = 8
+        model = init_model(3, width, "tanh", seed=4)
         exact_u = make_system("bistable3d").exact_u
-        points, _ = make_grid([[-2.0, 2.0], [-1.5, 1.5], [-1.0, 1.0]], 60)
-        assert len(points) > 4 * _CHUNK
-        landscape = 8 * len(points)
-        tracemalloc.start()
-        try:
-            quasipotential_errors(model, exact_u, points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * landscape
+        tape = 8 * _CHUNK * width * 2  # one rows x width array per hidden layer
+        chunk = 8 * _CHUNK * 3  # a chunk's points; the model adds centered and squared copies
+        rows = 8 * _CHUNK  # a row vector: net output, squared norms, V, exact landscape
+        lane = tape + 3 * chunk + 4 * rows
+        for n in (1, 2, 4):
+            cpus(n)
+            tracemalloc.start()
+            try:
+                points, _ = make_grid([[-2.0, 2.0], [-1.5, 1.5], [-1.0, 1.0]], 60)
+                quasipotential_errors(model, exact_u, points)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(points) > 4 * _CHUNK
+            landscape = 8 * len(points)
+            # one more lane's worth for the calling thread's exact chunks and
+            # the grid's kept block
+            assert peak < landscape + (n + 1) * lane, n
 
     def test_same_bits_as_whole_array_expressions(self):
         # the reference takes every step as a plain expression on full-size
@@ -97,6 +139,11 @@ class TestQuasipotentialErrors:
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def meshgrid_stack(box, resolution):
+    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1), axes
+
+
 class TestMakeGrid:
     @pytest.mark.parametrize("box,resolution", [
         ([[-1.0, 2.0]], [7]),
@@ -104,12 +151,74 @@ class TestMakeGrid:
         ([[-1.0, 1.0], [0.0, 3.0], [-0.5, 0.5]], [3, 5, 2]),
     ], ids=["1d", "2d", "3d"])
     def test_equals_meshgrid_stack(self, box, resolution):
-        axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
-        want = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        want, axes = meshgrid_stack(box, resolution)
         points, got_axes = make_grid(box, resolution)
-        assert np.array_equal(points, want)
-        assert points.flags.c_contiguous
+        whole = np.asarray(points)
+        assert whole.dtype == np.float64 and np.array_equal(whole, want)
+        assert points.shape == want.shape and len(points) == len(want) and points.ndim == 2
         assert all(np.array_equal(a, b) for a, b in zip(got_axes, axes, strict=True))
+        # the chunks are what evaluation reads
+        assert all(points[i : i + 5].flags.c_contiguous for i in range(0, len(points), 5))
+
+    @pytest.mark.parametrize("resolution", [
+        [_PATTERN + 17],  # no kept block: the one axis in runs of 1 row
+        [2, _PATTERN // 2 + 1],  # no kept block: both axes in runs
+        [3, _PATTERN // 2],  # the last axis kept, axis 0 in runs of its length
+        [_PATTERN // 3 + 1, 3],  # axis 0 in runs of 3 rows
+        [11, 13, 17],  # every axis kept
+        [5, 300, 300],  # two axes in runs, of 90000 and 300 rows
+        [3, 4, 5, 6],
+        [31, 2, 40, 29],  # axis 0 in runs of 2320 rows
+    ], ids=lambda r: "x".join(map(str, r)))
+    def test_row_ranges_equal_meshgrid_stack(self, resolution):
+        box = [[-1.0 - k, 2.0 + 0.5 * k] for k in range(len(resolution))]
+        want, _ = meshgrid_stack(box, resolution)
+        points, _ = make_grid(box, resolution)
+        n = len(want)
+        runs = [int(np.prod(resolution[k + 1 :])) for k in range(len(resolution))]
+        # every chunk (the last one partial), ranges across each axis's run
+        # boundaries, empty ranges, and ranges that end or start past the end
+        ranges = [(i, i + _CHUNK) for i in range(0, n, _CHUNK)]
+        ranges += [(r - 1, r + 1) for r in runs if r < n]
+        ranges += [(r - 2, 3 * r + 2) for r in runs if 3 * r < n]
+        ranges += [(0, n), (5, 5), (9, 3), (n - 3, n + 10), (n + 5, n + 10), (-7, None)]
+        for a, b in ranges:
+            chunk = points[a:b]
+            assert chunk.dtype == np.float64 and chunk.flags.c_contiguous
+            assert chunk.shape == want[a:b].shape and np.array_equal(chunk, want[a:b]), (a, b)
+
+    def test_a_chunk_is_a_fresh_array(self):
+        points, axes = make_grid([[-1.0, 1.0]] * 2, 5)
+        chunk = points[0:7]
+        chunk[:] = 9.0
+        assert np.array_equal(points[0:7], meshgrid_stack([[-1.0, 1.0]] * 2, [5, 5])[0][:7])
+        with pytest.raises(ValueError):
+            axes[0][0] = 9.0
+
+    @pytest.mark.parametrize("rows", [0, slice(0, 10, 2), [0, 1]], ids=["int", "step", "list"])
+    def test_only_row_ranges_are_read(self, rows):
+        points, _ = make_grid([[-1.0, 1.0]] * 2, 5)
+        with pytest.raises(TypeError, match="row range"):
+            points[rows]
+
+    def test_holds_no_array_of_its_rows(self):
+        # 101^3 points, 24 MB as one array
+        domain = make_system("bistable3d").domain
+        tracemalloc.start()
+        try:
+            points, _ = make_grid(domain, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (101 ** 3, 3)
+        assert peak < 2 ** 20
+
+    def test_overflowing_axis_is_named(self):
+        # every number of the box is finite, but the span is not
+        with pytest.raises(NonFiniteError) as exc:
+            make_grid([[-1.0, 1.0], [-1e308, 1e308], [-1.0, 1.0]], 101)
+        assert str(exc.value) == ("non-finite value in grid axis 1, index 0: [-1e+308, 1e+308] "
+                                  "at 101 points overflows float64")
 
     def test_one_resolution_for_every_axis(self):
         points, axes = make_grid([[-1.0, 1.0], [0.0, 2.0], [0.0, 1.0]], 3)

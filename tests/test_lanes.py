@@ -28,12 +28,6 @@ LANE_COUNTS = [1, 2, 3]
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPUs the lanes see: ``cpus(n)``."""
-    return lambda n: monkeypatch.setattr(lanes, "cpu_count", lambda: n)
-
-
-@pytest.fixture
 def started(monkeypatch):
     """Every lane thread started while the test runs."""
     threads = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpland import evaluation, training
+from qpland import training
 from qpland.config import parse_config
 from qpland.datasets import (RepresentativeSet, TrajectoryDataset, generate,
                              representative_sample, split)
@@ -737,19 +737,19 @@ class TestTrainMemory:
         n_train = int(np.count_nonzero(dataset.pair_mask("train")))
         reps = {"train": random_reps(rng, n_train + 2000, 10), "val": random_reps(rng, 50, 10)}
         seen = {}
-        rollout_reference = evaluation.rollout_reference
 
-        def set_up_done(*args, **kwargs):
-            ref = rollout_reference(*args, **kwargs)
-            seen["base"] = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            return ref
+        def set_up_done():
+            # the step workspace is made once the set-up is done
+            if "base" not in seen:
+                seen["base"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            return Workspace()
 
         def loss_stub(model, *args, **kwargs):
             seen["peak"] = tracemalloc.get_traced_memory()[1]
             return 0.0, 0.0, 0.0, ModelGrads.zeros_like(model)
 
-        monkeypatch.setattr(evaluation, "rollout_reference", set_up_done)
+        monkeypatch.setattr(training, "Workspace", set_up_done)
         monkeypatch.setattr(training, "total_loss_and_grad", loss_stub)
         train_cfg = TrainConfig(batch_size=n_train, max_steps=1, val_rollout_trajectories=0)
         tracemalloc.start()
@@ -785,13 +785,15 @@ class TestEmptySplits:
         dataset = ragged_bistable3d()
         reps = {s: representative_sample(dataset.states(s), 0.3, seed=0) for s in ("train", "val")}
         model = init_model(3, 4, "tanh", seed=0)
+        model.center = np.array([0.5, -0.25, 0.125])
         pot, rot = model.potential_net.params.copy(), model.rotational_net.params.copy()
         with pytest.raises(QplandError, match="^dataset: trajectory 4 of the val split holds 10 "
                                               "pairs, trajectory 3 holds 9; "):
             train(dataset, reps, model, LossConfig(), TrainConfig(max_steps=2, eval_every=1))
-        # raised before the first step
+        # raised before the first step, and before the center is fitted
         assert np.array_equal(model.potential_net.params, pot)
         assert np.array_equal(model.rotational_net.params, rot)
+        assert model.center.tolist() == [0.5, -0.25, 0.125]
 
 
 class TestConfigValidation:
